@@ -9,6 +9,7 @@ oracle.  Every computation is exact; there is no floating point anywhere.
 
 from .intlin import (
     IntMatrix,
+    InternalCheckError,
     congruent,
     det,
     is_unimodular,
@@ -19,6 +20,7 @@ from .intlin import (
 )
 from .laurent import LaurentPoly, format_laurent, normalize_knot_polynomial, parse_laurent
 from .seifert import (
+    Invariants,
     SearchBudget,
     SearchResult,
     SeifertMatrix,
@@ -27,6 +29,7 @@ from .seifert import (
     arf,
     bounded_sequiv_search,
     column_enlarge,
+    invariants,
     is_alexander_trivial,
     knot_determinant,
     knot_signature,

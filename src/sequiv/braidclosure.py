@@ -244,7 +244,11 @@ def knot_corpus(
     max_strands: int, max_length: int, seed: int, count: int
 ) -> list[ArtinBraidWord]:
     """Deterministic sample of distinct knot-closure words meeting all
-    preconditions of seifert_matrix."""
+    preconditions of seifert_matrix.
+
+    Raises ValueError when 1000 * count draws do not yield count words,
+    as when the limits admit fewer distinct words than requested.
+    """
     rng = random.Random(seed)
     seen: set[tuple[int, tuple[int, ...]]] = set()
     out: list[ArtinBraidWord] = []
@@ -253,7 +257,7 @@ def knot_corpus(
     while len(out) < count:
         attempts += 1
         if attempts > limit:
-            raise RuntimeError("corpus generation failed to converge; widen the limits")
+            raise ValueError("corpus generation failed to converge; widen the limits")
         n = rng.randint(2, max_strands)
         if max_length < n - 1:
             continue

@@ -5,7 +5,8 @@ deterministic given identical inputs and flags.  Decision commands end
 with a machine block of stable key=value lines; document commands print
 bare documents in the same formats the parsers accept.
 
-Exit codes: 0 success or decided, 1 invalid input, 2 undecided.
+Exit codes: 0 success or decided, 1 invalid input, 2 undecided,
+3 internal error (an exactness check inside the library failed).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .braidclosure import (
     parse_artin_word,
     seifert_matrix,
 )
-from .intlin import format_matrix, parse_matrix
+from .intlin import InternalCheckError, format_matrix, parse_matrix
 from .laurent import format_laurent
 from .purebraid import (
     delta_equivalent,
@@ -33,11 +34,9 @@ from .purebraid import (
 from .seifert import (
     SearchBudget,
     alexander,
-    arf,
     bounded_sequiv_search,
     column_enlarge,
-    knot_determinant,
-    knot_signature,
+    invariants,
     row_enlarge,
     try_reduce,
     validate,
@@ -127,6 +126,13 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_seifert(path: str):
     return validate(parse_matrix(_read(path)))
 
@@ -141,12 +147,13 @@ def _bool(x: bool) -> str:
 
 def _cmd_mat_invariants(args) -> Verdict:
     sm = _load_seifert(args.file)
-    delta = alexander(sm)
+    inv = invariants(sm)
+    delta = inv.alexander
     values = {
         "alexander": format_laurent(delta),
-        "signature": str(knot_signature(sm)),
-        "determinant": str(knot_determinant(sm)),
-        "arf": str(arf(sm)),
+        "signature": str(inv.signature),
+        "determinant": str(inv.determinant),
+        "arf": str(inv.arf),
         "genus": str(sm.genus),
         "valid": "true",
     }
@@ -168,8 +175,8 @@ def _cmd_mat_standardize(args) -> Verdict:
     a, n = standardize(sm)
     out_a = args.out_a or args.file + ".A"
     out_n = args.out_n or args.file + ".N"
-    Path(out_a).write_text(format_matrix(a))
-    Path(out_n).write_text(format_matrix(n.matrix))
+    _write(out_a, format_matrix(a))
+    _write(out_n, format_matrix(n.matrix))
     detail = [f"A -> {out_a}", f"N -> {out_n}"]
     return Verdict("ok", detail, {"a_file": out_a, "n_file": out_n})
 
@@ -326,19 +333,18 @@ def _cmd_corpus_generate(args) -> int:
     words = knot_corpus(args.n, args.maxlen, args.seed, args.count)
     print("word\tn\tlength\talexander\tsignature\tdeterminant\tarf\tagree")
     for w in words:
-        sm = seifert_matrix(w)
-        delta = alexander(sm)
-        agree = delta == burau_alexander(w)
+        inv = invariants(seifert_matrix(w))
+        agree = inv.alexander == burau_alexander(w)
         print(
             "%s\t%d\t%d\t%s\t%d\t%d\t%d\t%s"
             % (
                 " ".join(str(v) for v in w.letters),
                 w.strands,
                 len(w.letters),
-                format_laurent(delta),
-                knot_signature(sm),
-                knot_determinant(sm),
-                arf(sm),
+                format_laurent(inv.alexander),
+                inv.signature,
+                inv.determinant,
+                inv.arf,
                 _bool(agree),
             )
         )
@@ -461,6 +467,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if isinstance(outcome, Verdict):
         outcome.emit()
         return outcome.exit_code

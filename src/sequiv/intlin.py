@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
+    "InternalCheckError",
     "IntMatrix",
     "det",
     "is_unimodular",
@@ -25,6 +26,14 @@ __all__ = [
     "parse_matrix",
     "format_matrix",
 ]
+
+
+class InternalCheckError(RuntimeError):
+    """An exactness check inside the library failed: a bug, never bad input.
+
+    Raised explicitly rather than by assert, so the check also runs
+    under python -O.
+    """
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "IntMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
 
     @property
     def size(self) -> int:

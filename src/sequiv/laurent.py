@@ -141,7 +141,6 @@ class LaurentPoly:
         return format_laurent(self)
 
 
-LaurentPoly.zero = LaurentPoly()
 LaurentPoly.one = LaurentPoly(0, (1,))
 
 

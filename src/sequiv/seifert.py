@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intlin import IntMatrix, congruent, det, signature
-from .laurent import LaurentPoly, laurent_matrix_det
+from .intlin import IntMatrix, InternalCheckError, det, signature
+from .laurent import LaurentPoly
 
 __all__ = [
     "SeifertMatrix",
@@ -25,6 +25,8 @@ __all__ = [
     "knot_signature",
     "knot_determinant",
     "arf",
+    "Invariants",
+    "invariants",
     "column_enlarge",
     "row_enlarge",
     "try_reduce",
@@ -65,25 +67,64 @@ def validate(m: IntMatrix) -> SeifertMatrix:
 
 
 def alexander_raw(sm: SeifertMatrix) -> LaurentPoly:
-    """The unnormalized polynomial det(M - t * M^T)."""
-    m = sm.matrix
-    n = m.size
-    entries = [
-        [LaurentPoly.of(0, (m.rows[i][j], -m.rows[j][i])) for j in range(n)]
-        for i in range(n)
-    ]
-    return laurent_matrix_det(entries)
+    """The unnormalized polynomial det(M - t * M^T).
+
+    Its degree is at most n = size, so it is recovered exactly from its
+    values at t = 0, 1, ..., n, each an integer Bareiss determinant.  The
+    nodes leave out t = -1, so the determinant cross-check against
+    det(M + M^T) compares two independent computations.
+    """
+    pairs = list(zip(sm.matrix.rows, sm.matrix.transpose().rows))
+
+    def at(k: int) -> IntMatrix:
+        return IntMatrix(tuple(tuple(a - k * b for a, b in zip(row, col)) for row, col in pairs))
+
+    values = [det(at(k)) for k in range(sm.size + 1)]
+    return LaurentPoly.of(0, _interpolate(values))
+
+
+def _interpolate(values: Sequence[int]) -> list[int]:
+    """Coefficients, constant first, of the polynomial p with p(k) = values[k].
+
+    Newton forward differences: p(t) = sum_j (D^j p(0) / j!) * t(t-1)...(t-j+1).
+    For an integer polynomial every division by j! is exact; an inexact
+    one raises InternalCheckError.
+    """
+    diffs = list(values)
+    n = len(diffs)
+    for j in range(1, n):
+        for k in range(n - 1, j - 1, -1):
+            diffs[k] -= diffs[k - 1]
+    newton = []
+    factorial = 1
+    for j, d in enumerate(diffs):
+        factorial *= max(j, 1)
+        q, r = divmod(d, factorial)
+        if r:
+            raise InternalCheckError(f"forward difference {d} of order {j} is not divisible by {j}!")
+        newton.append(q)
+    # Horner in the falling-factorial basis: p = c_0 + t * (c_1 + (t - 1) * (c_2 + ...)).
+    coeffs: list[int] = []
+    for j in range(n - 1, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += newton[j]
+        coeffs = shifted
+    return coeffs
 
 
 def alexander(sm: SeifertMatrix) -> LaurentPoly:
     """The Alexander polynomial t**(-g) * det(M - t * M^T).
 
     The result always satisfies delta(1) = 1 and delta(1/t) = delta(t);
-    both are enforced as postconditions.
+    both are checked, and a failure raises InternalCheckError.
     """
     delta = alexander_raw(sm).shift(-sm.genus)
-    assert delta.evaluate(1) == 1, "Alexander polynomial must take value 1 at t=1"
-    assert delta.is_palindromic(), "Alexander polynomial must be palindromic"
+    if delta.evaluate(1) != 1:
+        raise InternalCheckError(f"Alexander polynomial {delta} does not take value 1 at t=1")
+    if not delta.is_palindromic():
+        raise InternalCheckError(f"Alexander polynomial {delta} is not palindromic")
     return delta
 
 
@@ -95,16 +136,55 @@ def knot_signature(sm: SeifertMatrix) -> int:
     return signature(sm.matrix + sm.matrix.transpose())
 
 
-def knot_determinant(sm: SeifertMatrix) -> int:
+def _determinant(sm: SeifertMatrix, delta: LaurentPoly) -> int:
     """|det(M + M^T)|, cross-checked against |delta(-1)|."""
     d = abs(det(sm.matrix + sm.matrix.transpose()))
-    assert d == abs(alexander(sm).evaluate(-1)), "determinant cross-check failed"
+    if d != abs(delta.evaluate(-1)):
+        raise InternalCheckError(
+            f"determinant cross-check failed: |det(M + M^T)| = {d}, delta(-1) = {delta.evaluate(-1)}"
+        )
     return d
+
+
+def _arf(delta: LaurentPoly) -> int:
+    """0 when delta(-1) is congruent to +-1 mod 8, else 1."""
+    return 0 if delta.evaluate(-1) % 8 in (1, 7) else 1
+
+
+def knot_determinant(sm: SeifertMatrix) -> int:
+    """|det(M + M^T)|, cross-checked against |delta(-1)|."""
+    return _determinant(sm, alexander(sm))
 
 
 def arf(sm: SeifertMatrix) -> int:
     """0 when delta(-1) is congruent to +-1 mod 8, else 1."""
-    return 0 if alexander(sm).evaluate(-1) % 8 in (1, 7) else 1
+    return _arf(alexander(sm))
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """The four S-equivalence invariants of one Seifert matrix."""
+
+    alexander: LaurentPoly
+    signature: int
+    determinant: int
+    arf: int
+
+
+# Each Invariants field as a function of the matrix and its Alexander
+# polynomial, in field order; the search gate compares them in this order.
+_INVARIANTS = (
+    ("alexander", lambda sm, delta: delta),
+    ("signature", lambda sm, delta: knot_signature(sm)),
+    ("determinant", _determinant),
+    ("arf", lambda sm, delta: _arf(delta)),
+)
+
+
+def invariants(sm: SeifertMatrix) -> Invariants:
+    """All four invariants, with the Alexander polynomial computed once."""
+    delta = alexander(sm)
+    return Invariants(**{name: fn(sm, delta) for name, fn in _INVARIANTS})
 
 
 def column_enlarge(sm: SeifertMatrix, xi: Sequence[int], x: int) -> SeifertMatrix:
@@ -272,14 +352,6 @@ class SearchResult:
     reason: str = ""
 
 
-_INVARIANTS = (
-    ("alexander", alexander),
-    ("signature", knot_signature),
-    ("determinant", knot_determinant),
-    ("arf", arf),
-)
-
-
 def bounded_sequiv_search(
     m1: SeifertMatrix, m2: SeifertMatrix, budget: SearchBudget = SearchBudget()
 ) -> SearchResult:
@@ -291,8 +363,9 @@ def bounded_sequiv_search(
     yields the lexicographically least minimal-length witness;
     exhausting the budget gives the honest verdict "unknown".
     """
+    d1, d2 = alexander(m1), alexander(m2)
     for name, fn in _INVARIANTS:
-        if fn(m1) != fn(m2):
+        if fn(m1, d1) != fn(m2, d2):
             return SearchResult("distinct", reason=f"{name} differs")
 
     max_size = budget.max_size

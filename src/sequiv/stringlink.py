@@ -81,10 +81,6 @@ class DoubledStringLink:
         if len(self.framings) != self.n:
             raise ValueError(f"expected {self.n} framings, got {len(self.framings)}")
 
-    def braid_lk(self, idx1: DoubleIndex, idx2: DoubleIndex) -> int:
-        lm = linking_matrix(self.braid)
-        return lm.entry(position_of(idx1, self.n, self.k), position_of(idx2, self.n, self.k))
-
 
 def pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
     """String-link linking numbers: alternating pass sums of braid linking."""

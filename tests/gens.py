@@ -3,8 +3,9 @@
 import random
 
 from sequiv.intlin import IntMatrix, standard_symplectic
+from sequiv.laurent import LaurentPoly
 from sequiv.purebraid import PureBraidWord
-from sequiv.seifert import SeifertMatrix, validate
+from sequiv.seifert import Invariants, SeifertMatrix, validate
 from sequiv.standardform import DiskBandForm, from_disk_band
 from sequiv.stringlink import DoubledStringLink, pairwise_linking, position_of
 
@@ -38,8 +39,37 @@ def random_standardized(rng: random.Random, genus: int, bound: int = 3) -> Seife
     return from_disk_band(DiskBandForm.build(genus, framings, entries))
 
 
-def random_seifert(rng: random.Random, genus: int, bound: int = 3) -> SeifertMatrix:
-    return random_standardized(rng, genus, bound)
+# The genus-1 block [[a, b + 1], [b, d]] has M - M^T = [[0, 1], [-1, 0]].
+# With D = ad - b(b + 1) = det M its Alexander polynomial is
+# D t^-1 + (1 - 2D) + D t and det(M + M^T) = 4D - 1, so M + M^T is
+# definite (signature 2 sign(a)) exactly when D >= 1.  A block sum
+# multiplies polynomials and adds signatures; its determinant is the
+# product of the |4D - 1| and its Arf invariant is the parity of the number
+# of odd D, since delta(-1) = product of (1 - 4D).
+
+
+def block_sum(blocks) -> SeifertMatrix:
+    """Block diagonal sum of genus-1 blocks [[a, b + 1], [b, d]]."""
+    n = 2 * len(blocks)
+    rows = [[0] * n for _ in range(n)]
+    for k, (a, b, d) in enumerate(blocks):
+        i = 2 * k
+        rows[i][i], rows[i][i + 1], rows[i + 1][i], rows[i + 1][i + 1] = a, b + 1, b, d
+    return validate(IntMatrix.from_rows(rows))
+
+
+def block_sum_invariants(blocks) -> Invariants:
+    """The invariants of block_sum(blocks), in closed form."""
+    delta = LaurentPoly.one
+    sig, det, odd = 0, 1, 0
+    for a, b, d in blocks:
+        dd = a * d - b * (b + 1)
+        delta = delta * LaurentPoly.of(-1, (dd, 1 - 2 * dd, dd))
+        if dd >= 1:
+            sig += 2 if a > 0 else -2
+        det *= abs(4 * dd - 1)
+        odd += dd % 2
+    return Invariants(delta, sig, det, odd % 2)
 
 
 def random_scrambled_seifert(rng: random.Random, genus: int, ops: int = 6):

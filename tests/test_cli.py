@@ -1,5 +1,9 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from sequiv.cli import main
 from sequiv.intlin import parse_matrix
@@ -210,3 +214,55 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "sequiv" in proc.stdout
+
+
+def test_mat_standardize_unwritable_output(tmp_path, capsys):
+    path = _write(tmp_path, "trefoil.mat", TREFOIL)
+    missing = str(tmp_path / "no-such-dir" / "x")
+    assert main(["mat", "standardize", path, "--out-a", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert len(err.splitlines()) == 1
+
+
+def test_corpus_generate_unreachable_count(capsys):
+    # Two strands and length at most 2 admit only the words "1" and "-1".
+    assert main(["corpus", "generate", "--n", "2", "--maxlen", "2", "--count", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: corpus generation failed")
+    assert len(err.splitlines()) == 1
+
+
+_BROKEN_ALEXANDER = """
+import sys
+from sequiv import cli, seifert
+from sequiv.laurent import LaurentPoly
+assert sys.flags.optimize
+seifert.alexander_raw = lambda sm: LaurentPoly.of(0, {coeffs})
+sys.exit(cli.main(["mat", "invariants", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ((2,), "does not take value 1 at t=1"),
+        ((1, 1, -1), "is not palindromic"),
+        ((0, 1), "determinant cross-check failed"),
+    ],
+)
+def test_internal_checks_survive_optimize(tmp_path, coeffs, message):
+    path = _write(tmp_path, "trefoil.mat", TREFOIL)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_ALEXANDER.format(coeffs=coeffs), path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ")
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
