@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intlin import IntMatrix
+from .intlin import IntMatrix, InternalCheckError
 from .laurent import LaurentPoly, laurent_matrix_det, normalize_knot_polynomial
 from .seifert import SeifertMatrix, validate
 
@@ -70,13 +70,7 @@ def closure_permutation(w: ArtinBraidWord) -> tuple[int, ...]:
 
 def is_knot_closure(w: ArtinBraidWord) -> bool:
     """True when the closure has a single component."""
-    perm = closure_permutation(w)
-    seen = 1
-    s = perm[0]
-    while s != 1:
-        s = perm[s - 1]
-        seen += 1
-    return seen == w.strands
+    return _cycle_count(closure_permutation(w)) == 1
 
 
 def missing_generators(w: ArtinBraidWord) -> list[int]:
@@ -91,9 +85,8 @@ def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
     least once.  The matrix passes validation and its normalized
     polynomial equals the reduced-Burau value.
     """
-    if not is_knot_closure(w):
-        perm = closure_permutation(w)
-        count = _cycle_count(perm)
+    count = _cycle_count(closure_permutation(w))
+    if count != 1:
         raise ValueError(f"closure has {count} components, not a knot")
     missing = missing_generators(w)
     if missing:
@@ -232,7 +225,7 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     try:
         reduced = numerator.divexact(quotient)
     except ValueError as exc:
-        raise RuntimeError("Burau determinant not divisible; implementation bug") from exc
+        raise InternalCheckError("Burau determinant not divisible by 1 + t + ... + t^(n-1)") from exc
     return normalize_knot_polynomial(reduced)
 
 

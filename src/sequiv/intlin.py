@@ -64,10 +64,6 @@ class IntMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
 
@@ -292,7 +288,7 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
                 if v != 0 and (best is None or abs(v) < abs(w[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
-            raise AssertionError("unexpected zero block in unimodular skew form")
+            raise InternalCheckError("unexpected zero block in unimodular skew form")
         i, j = best
         if i != k:
             swap(i, k)
@@ -321,7 +317,8 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
             if r:
                 clean = False
         if clean:
-            assert pivot == 1, "determinant 1 forces a unit pivot"
+            if pivot != 1:
+                raise InternalCheckError(f"pivot {pivot} is not a unit although the determinant is 1")
             k += 2
     return IntMatrix.from_rows(a)
 

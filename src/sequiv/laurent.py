@@ -50,10 +50,6 @@ class LaurentPoly:
         return cls(*_canonical(lo, coeffs))
 
     @classmethod
-    def constant(cls, c: int) -> "LaurentPoly":
-        return cls.of(0, (c,))
-
-    @classmethod
     def t_power(cls, k: int, c: int = 1) -> "LaurentPoly":
         return cls.of(k, (c,))
 
@@ -92,14 +88,7 @@ class LaurentPoly:
             return LaurentPoly.of(self.lo, tuple(c * other for c in self.coeffs))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for m, a in enumerate(self.coeffs):
-            if a:
-                for p, b in enumerate(other.coeffs):
-                    out[m + p] += a * b
-        return LaurentPoly.of(self.lo + other.lo, out)
+        return LaurentPoly.of(self.lo + other.lo, _pmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -96,10 +96,6 @@ class LinkingMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def zero(cls, n: int) -> "LinkingMatrix":
-        return cls(n, tuple((0,) * n for _ in range(n)))
-
-    @classmethod
     def from_entries(cls, n: int, entries: dict[tuple[int, int], int]) -> "LinkingMatrix":
         rows = [[0] * n for _ in range(n)]
         for (i, j), v in entries.items():

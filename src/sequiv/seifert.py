@@ -193,29 +193,36 @@ def column_enlarge(sm: SeifertMatrix, xi: Sequence[int], x: int) -> SeifertMatri
     Preserves the Alexander polynomial, signature, determinant and Arf
     invariant, and multiplies the unnormalized polynomial by exactly t.
     """
-    n = sm.size
     xi = tuple(int(v) for v in xi)
-    if len(xi) != n:
-        raise ValueError(f"column must have length {n}, got {len(xi)}")
-    rows = [list(row) + [xi[i], 0] for i, row in enumerate(sm.matrix.rows)]
-    rows.append([0] * n + [int(x), 1])
-    rows.append([0] * (n + 2))
-    return validate(IntMatrix.from_rows(rows))
+    if len(xi) != sm.size:
+        raise ValueError(f"column must have length {sm.size}, got {len(xi)}")
+    return validate(IntMatrix(_column_block(sm.matrix.rows, xi, int(x))))
 
 
 def row_enlarge(sm: SeifertMatrix, eta: Sequence[int], x: int) -> SeifertMatrix:
-    """Append the block [[M, 0, 0], [eta, x, 0], [0, 1, 0]]; mirror form."""
-    n = sm.size
+    """Append the block [[M, 0, 0], [eta, x, 0], [0, 1, 0]]: column_enlarge(M^T, eta, x)^T."""
     eta = tuple(int(v) for v in eta)
-    if len(eta) != n:
-        raise ValueError(f"row must have length {n}, got {len(eta)}")
-    rows = [list(row) + [0, 0] for row in sm.matrix.rows]
-    rows.append(list(eta) + [int(x), 0])
-    rows.append([0] * n + [1, 0])
-    return validate(IntMatrix.from_rows(rows))
+    if len(eta) != sm.size:
+        raise ValueError(f"row must have length {sm.size}, got {len(eta)}")
+    rows = _column_block(_transpose(sm.matrix.rows), eta, int(x))
+    return validate(IntMatrix(_transpose(rows)))
+
+
+def _transpose(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*rows))
+
+
+def _column_block(
+    rows: tuple[tuple[int, ...], ...], xi: tuple[int, ...], x: int
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of [[M, xi, 0], [0, x, 1], [0, 0, 0]]."""
+    n = len(rows)
+    body = tuple(row + (v, 0) for row, v in zip(rows, xi))
+    return body + ((0,) * n + (x, 1), (0,) * (n + 2))
 
 
 def _column_pattern(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> bool:
+    """A column-enlargement site (p, q); a row site of M is a column site of M^T."""
     n = len(rows)
     if any(rows[q][l] for l in range(n)):
         return False
@@ -226,17 +233,6 @@ def _column_pattern(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> bool:
     return not any(rows[p][l] for l in range(n) if l not in (p, q))
 
 
-def _row_pattern(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> bool:
-    n = len(rows)
-    if any(rows[l][q] for l in range(n)):
-        return False
-    if rows[q][p] != 1:
-        return False
-    if any(rows[q][l] for l in range(n) if l != p):
-        return False
-    return not any(rows[l][p] for l in range(n) if l not in (p, q))
-
-
 def _strip(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> tuple[tuple[int, ...], ...]:
     keep = [i for i in range(len(rows)) if i not in (p, q)]
     return tuple(tuple(rows[i][j] for j in keep) for i in keep)
@@ -245,14 +241,14 @@ def _strip(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> tuple[tuple[int
 def _reduction_sites(rows: tuple[tuple[int, ...], ...]):
     """Yield (p, q, kind) for every enlargement pattern, bottom-right first."""
     n = len(rows)
+    frames = (("column", rows), ("row", _transpose(rows)))
     for p in range(n - 1, -1, -1):
         for q in range(n - 1, -1, -1):
             if p == q:
                 continue
-            if _column_pattern(rows, p, q):
-                yield p, q, "column"
-            if _row_pattern(rows, p, q):
-                yield p, q, "row"
+            for kind, frame in frames:
+                if _column_pattern(frame, p, q):
+                    yield p, q, kind
 
 
 def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
@@ -301,8 +297,8 @@ class ReduceMove:
     kind: str
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        pattern = _column_pattern if self.kind == "column" else _row_pattern
-        if not pattern(rows, self.p, self.q):
+        frame = rows if self.kind == "column" else _transpose(rows)
+        if not _column_pattern(frame, self.p, self.q):
             raise ValueError("reduction pattern does not match")
         return _strip(rows, self.p, self.q)
 
@@ -316,11 +312,10 @@ class EnlargeMove:
     x: int = 0
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        sm = SeifertMatrix(IntMatrix(rows))
-        zeros = (0,) * sm.size
+        zeros = (0,) * len(rows)
         if self.kind == "column":
-            return column_enlarge(sm, zeros, self.x).matrix.rows
-        return row_enlarge(sm, zeros, self.x).matrix.rows
+            return _column_block(rows, zeros, self.x)
+        return _transpose(_column_block(_transpose(rows), zeros, self.x))
 
     def describe(self) -> str:
         return f"enlarge {self.kind} x={self.x}"
@@ -381,8 +376,7 @@ def bounded_sequiv_search(
     frontier: deque[tuple] = deque([start])
     while frontier:
         rows = frontier.popleft()
-        for move in _moves_from(rows, max_size, budget.max_entry):
-            child = move.apply_rows(rows)
+        for move, child in _children(rows, max_size, budget.max_entry):
             if child in parents:
                 continue
             parents[child] = (rows, move)
@@ -396,10 +390,11 @@ def bounded_sequiv_search(
     return SearchResult("unknown", reason=f"move space exhausted ({len(parents)} states)")
 
 
-def _moves_from(rows: tuple[tuple[int, ...], ...], max_size: int, max_entry: int):
+def _children(rows: tuple[tuple[int, ...], ...], max_size: int, max_entry: int):
+    """Yield (move, child) for each move out of rows, in the fixed search order."""
     n = len(rows)
     for p, q, kind in _reduction_sites(rows):
-        yield ReduceMove(p, q, kind)
+        yield ReduceMove(p, q, kind), _strip(rows, p, q)
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -408,10 +403,10 @@ def _moves_from(rows: tuple[tuple[int, ...], ...], max_size: int, max_entry: int
                 move = CongruenceMove(i, j, c)
                 child = move.apply_rows(rows)
                 if max((abs(x) for row in child for x in row), default=0) <= max_entry:
-                    yield move
+                    yield move, child
     if n + 2 <= max_size:
-        yield EnlargeMove("column")
-        yield EnlargeMove("row")
+        for move in (EnlargeMove("column"), EnlargeMove("row")):
+            yield move, move.apply_rows(rows)
 
 
 def _unwind(parents, child) -> tuple[Move, ...]:

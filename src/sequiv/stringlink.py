@@ -17,6 +17,7 @@ linking number to zero whenever the string-link linking numbers vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from .intlin import InternalCheckError
 from .purebraid import Letter, LinkingMatrix, PureBraidWord, linking_matrix
 
 __all__ = [
@@ -200,7 +201,8 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
             for c in range(k, 1, -1):
                 clear(j, 1, i, c - 1, c)
             leftover = entry((i, 1), (j, 1))
-            assert leftover == 0, f"alternating-sum condition violated at ({i},{j})"
+            if leftover:
+                raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
     for i in range(1, n + 1):
         # self linking between passes of strand i; the a == c-1 case is
         # the single-generator move and clears the entry outright
@@ -213,7 +215,8 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
 
     braid = PureBraidWord(n * k, tuple(letters))
     result = DoubledStringLink(n, k, braid, link.framings)
-    assert linking_matrix(braid).is_zero(), "normalization left a nonzero linking number"
+    if not linking_matrix(braid).is_zero():
+        raise InternalCheckError("normalization left a nonzero linking number")
     return result
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from sequiv import braidclosure, standardform
 from sequiv.cli import main
-from sequiv.intlin import parse_matrix
+from sequiv.intlin import IntMatrix, parse_matrix
+from sequiv.laurent import LaurentPoly
 from sequiv.purebraid import is_delta_trivial
 from sequiv.standardform import parse_disk_band
 from sequiv.stringlink import parse_string_link
@@ -266,3 +269,48 @@ def test_internal_checks_survive_optimize(tmp_path, coeffs, message):
     assert proc.stderr.startswith("internal error: ")
     assert message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_no_assert_statements_in_package():
+    package = Path(__file__).resolve().parents[1] / "src" / "sequiv"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_inexact_burau_division_is_internal_error(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "tre.braid", "n 2\n1 1 1\n")
+    # 1 is not divisible by 1 + t, the quotient for two strands.
+    monkeypatch.setattr(braidclosure, "laurent_matrix_det", lambda rows: LaurentPoly.one)
+    assert main(["closure", "alexander", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_std_witness_reports_a_wrong_transition(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    identity = _write(tmp_path, "i.A", "2\n1 0\n0 1\n")
+    # Unimodular but not the inverse of I, and not symplectic (det -1).
+    wrong = IntMatrix.from_rows([[1, 0], [0, -1]])
+    monkeypatch.setattr(standardform, "unimodular_inverse", lambda a: wrong)
+    assert main(["std", "witness", path, identity, identity]) == 0
+    out = capsys.readouterr().out
+    assert "transition symplectic: false" in out
+    assert "forms match after transition: false" in out
+    machine = _machine(out)
+    assert (machine["symplectic"], machine["forms_match"]) == ("false", "false")
+
+
+def test_std_from_disk_band_rejects_negative_genus(tmp_path, capsys):
+    path = _write(tmp_path, "neg.dband", "g -1\nframings\n")
+    assert main(["std", "from-disk-band", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "genus" in err and "-1" in err
+    assert len(err.splitlines()) == 1

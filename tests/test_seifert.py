@@ -1,11 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gens import random_scrambled_seifert, random_standardized, random_unimodular
 from sequiv.intlin import IntMatrix, congruent
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
+    CongruenceMove,
+    EnlargeMove,
+    ReduceMove,
     SearchBudget,
     alexander,
     alexander_raw,
@@ -206,3 +211,66 @@ def test_search_deterministic():
     r1 = bounded_sequiv_search(sm, target)
     r2 = bounded_sequiv_search(sm, target)
     assert r1 == r2
+
+
+@st.composite
+def enlargements(draw):
+    """A scrambled Seifert matrix with an enlargement vector and corner entry."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    _, _, sm = random_scrambled_seifert(rng, draw(st.integers(0, 3)))
+    v = draw(st.lists(st.integers(-3, 3), min_size=sm.size, max_size=sm.size))
+    return sm, tuple(v), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(enlargements())
+def test_row_enlarge_is_transposed_column_enlarge(case):
+    sm, v, x = case
+    mirrored = column_enlarge(validate(sm.matrix.transpose()), v, x)
+    assert row_enlarge(sm, v, x).matrix == mirrored.matrix.transpose()
+    zeros = (0,) * sm.size
+    for kind, enlarge in (("column", column_enlarge), ("row", row_enlarge)):
+        assert EnlargeMove(kind, x).apply_rows(sm.matrix.rows) == enlarge(sm, zeros, x).matrix.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(enlargements())
+def test_try_reduce_undoes_either_enlargement(case):
+    sm, v, x = case
+    for enlarge in (column_enlarge, row_enlarge):
+        reduced = try_reduce(enlarge(sm, v, x))
+        assert reduced is not None and reduced.matrix == sm.matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(enlargements())
+def test_reduce_move_rejects_other_sites(case):
+    sm, v, x = case
+    n = sm.size
+    for kind, other, enlarge in (("column", "row", column_enlarge), ("row", "column", row_enlarge)):
+        rows = enlarge(sm, v, x).matrix.rows
+        assert ReduceMove(n, n + 1, kind).apply_rows(rows) == sm.matrix.rows
+        with pytest.raises(ValueError, match="does not match"):
+            ReduceMove(n, n + 1, other).apply_rows(rows)
+    if try_reduce(sm) is None:
+        for p in range(n):
+            for q in range(n):
+                for kind in ("column", "row"):
+                    with pytest.raises(ValueError, match="does not match"):
+                        ReduceMove(p, q, kind).apply_rows(sm.matrix.rows)
+
+
+def test_search_builds_each_congruence_child_once(monkeypatch):
+    built = []
+    apply_rows = CongruenceMove.apply_rows
+
+    def recording(self, rows):
+        built.append((rows, self))
+        return apply_rows(self, rows)
+
+    monkeypatch.setattr(CongruenceMove, "apply_rows", recording)
+    scrambled = validate(IntMatrix.from_rows([[-3, -1], [-2, -1]]))
+    result = bounded_sequiv_search(TREFOIL, scrambled, SearchBudget(max_nodes=400))
+    assert result.verdict == "equivalent"
+    assert len(built) > 0
+    assert len(set(built)) == len(built)

@@ -9,6 +9,7 @@ from gens import (
     random_unimodular,
 )
 from sequiv.intlin import IntMatrix, congruent, is_unimodular, standard_symplectic
+from sequiv import standardform
 from sequiv.seifert import alexander, validate
 from sequiv.standardform import (
     DiskBandForm,
@@ -152,6 +153,34 @@ def test_witness_rejects_non_standardizing_transform():
     # congruence by bad does not keep N - N^T standard
     with pytest.raises(ValueError):
         standardization_witness(sm, bad, IntMatrix.identity(4))
+
+
+def test_witness_fields_are_computed_from_the_transition(monkeypatch):
+    # A unimodular stand-in for A2^-1 that is neither the inverse nor symplectic.
+    wrong = IntMatrix.from_rows([[1, 0], [0, -1]])
+    monkeypatch.setattr(standardform, "unimodular_inverse", lambda a: wrong)
+    identity = IntMatrix.identity(2)
+    report = standardization_witness(TREFOIL, identity, identity)
+    assert report.c == wrong
+    assert not report.c_symplectic
+    assert not report.forms_match_after_transition
+    with pytest.raises(ValueError, match="symplectic"):
+        transition(identity, identity)
+
+
+def test_disk_band_rejects_negative_genus():
+    with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
+        DiskBandForm(-1, (), ())
+    with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
+        DiskBandForm.build(-1, [], {(1, 2): 1})
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        parse_disk_band("g -1\nframings\n")
+
+
+def test_disk_band_build_checks_framings_before_pairs():
+    # The framings count is checked before any band pair is placed.
+    with pytest.raises(ValueError, match="expected 6 framings, got 1"):
+        DiskBandForm.build(3, [0], {(2, 1): 1})
 
 
 def test_to_string_link_carries_data():
