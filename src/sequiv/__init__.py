@@ -13,6 +13,7 @@ from .intlin import (
     congruent,
     det,
     is_unimodular,
+    pencil_det,
     signature,
     skew_standardize,
     standard_symplectic,

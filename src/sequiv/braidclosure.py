@@ -239,9 +239,12 @@ def knot_corpus(
     """Deterministic sample of distinct knot-closure words meeting all
     preconditions of seifert_matrix.
 
-    Raises ValueError when 1000 * count draws do not yield count words,
+    Raises ValueError when max_strands < 2, since a knot closure needs
+    two strands, and when 1000 * count draws do not yield count words,
     as when the limits admit fewer distinct words than requested.
     """
+    if max_strands < 2:
+        raise ValueError(f"maximum strand count must be at least 2, got {max_strands}")
     rng = random.Random(seed)
     seen: set[tuple[int, tuple[int, ...]]] = set()
     out: list[ArtinBraidWord] = []
@@ -271,11 +274,12 @@ def knot_corpus(
 def parse_artin_word(text: str) -> ArtinBraidWord:
     """Parse: header "n <strands>"; then signed generator indices."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("n"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "n":
         raise ValueError('braid file must start with a header line "n <strands>"')
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        n = int(head[1])
+    except ValueError as exc:
         raise ValueError(f"bad header line: {lines[0]!r}") from exc
     letters = []
     for line in lines[1:]:

@@ -1,22 +1,26 @@
 """Exact integer linear algebra on immutable square matrices.
 
-Determinants use Bareiss fraction-free elimination, signatures use
-symmetric Gaussian elimination over rationals, and skew-symmetric
-unimodular forms are brought to the standard symplectic shape by paired
-integer row/column operations.  All values are immutable and every
-operation is a pure function, so concurrent use is safe.
+There is one determinant path, Bareiss fraction-free elimination, and one
+polynomial path on top of it: pencil_det interpolates det(A - tB) from
+integer determinants.  Signatures count sign changes of det(Q - tI)
+(Descartes' rule, exact for a real-rooted polynomial), and unimodular
+inverses follow from det(A - tI) by Cayley-Hamilton; no rational number
+occurs anywhere.  Skew-symmetric unimodular forms are brought to the
+standard symplectic shape by paired integer row/column operations.  All
+values are immutable and every operation is a pure function, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "InternalCheckError",
     "IntMatrix",
     "det",
+    "pencil_det",
     "is_unimodular",
     "congruent",
     "standard_symplectic",
@@ -165,81 +169,107 @@ def standard_symplectic(g: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def pencil_det(a: IntMatrix, b: IntMatrix) -> list[int]:
+    """Coefficients, constant first, of the polynomial det(A - t * B).
+
+    Its degree is at most n = size, so it is recovered exactly from its
+    values at t = 0, 1, ..., n, each an integer Bareiss determinant.
+    The Alexander polynomial, the signature and the unimodular inverse
+    all come from here.
+    """
+    a._check_size(b)
+    pairs = list(zip(a.rows, b.rows))
+
+    def at(k: int) -> IntMatrix:
+        return IntMatrix(tuple(tuple(x - k * y for x, y in zip(ra, rb)) for ra, rb in pairs))
+
+    return _interpolate([det(at(k)) for k in range(a.size + 1)])
+
+
+def _interpolate(values: Sequence[int]) -> list[int]:
+    """Coefficients, constant first, of the polynomial p with p(k) = values[k].
+
+    Newton forward differences: p(t) = sum_j (D^j p(0) / j!) * t(t-1)...(t-j+1).
+    For an integer polynomial every division by j! is exact; an inexact
+    one raises InternalCheckError.
+    """
+    diffs = list(values)
+    n = len(diffs)
+    for j in range(1, n):
+        for k in range(n - 1, j - 1, -1):
+            diffs[k] -= diffs[k - 1]
+    newton = []
+    factorial = 1
+    for j, d in enumerate(diffs):
+        factorial *= max(j, 1)
+        q, r = divmod(d, factorial)
+        if r:
+            raise InternalCheckError(f"forward difference {d} of order {j} is not divisible by {j}!")
+        newton.append(q)
+    # Horner in the falling-factorial basis: p = c_0 + t * (c_1 + (t - 1) * (c_2 + ...)).
+    coeffs: list[int] = []
+    for j in range(n - 1, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += newton[j]
+        coeffs = shifted
+    return coeffs
+
+
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unimodular matrix, via the adjugate."""
+    """Exact integer inverse of a unimodular matrix, by Cayley-Hamilton.
+
+    With p(t) = det(A - tI) = p_0 + p_1 t + ... + p_n t^n, p(A) = 0 and
+    p_0 = det A = +-1, so A^-1 = -p_0 * (p_1 I + p_2 A + ... + p_n A^(n-1)),
+    evaluated by Horner.  One more Horner step checks p(A) = 0; a failure
+    raises InternalCheckError.
+    """
     n = a.size
-    d = det(a)
-    if d not in (1, -1):
+    p = pencil_det(a, IntMatrix.identity(n))
+    if p[0] not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    if n == 0:
-        return a
-    rows = a.rows
+    cols = a.transpose().rows
 
-    def minor_det(skip_i: int, skip_j: int) -> int:
-        sub = [
-            [rows[i][j] for j in range(n) if j != skip_j]
-            for i in range(n)
-            if i != skip_i
-        ]
-        return det(IntMatrix.from_rows(sub))
+    def times_a_plus(h: list[list[int]], c: int) -> list[list[int]]:
+        # h * A + c * I
+        out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in h]
+        for i in range(n):
+            out[i][i] += c
+        return out
 
-    adj = [
-        [(-1) ** (i + j) * minor_det(j, i) for j in range(n)]
-        for i in range(n)
-    ]
-    if d == -1:
-        adj = [[-x for x in row] for row in adj]
-    return IntMatrix.from_rows(adj)
+    h = [[p[n] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(p[1:n]):
+        h = times_a_plus(h, c)
+    if any(any(row) for row in times_a_plus(h, p[0])):
+        raise InternalCheckError("Cayley-Hamilton check failed: p(A) is not zero")
+    return IntMatrix(tuple(tuple(-p[0] * x for x in row) for row in h))
+
+
+def _sign_changes(coeffs: Iterable[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def signature(q: IntMatrix) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 
-    Symmetric Gaussian elimination over rationals: nonzero diagonal
-    entries are used as pivots first; once every remaining diagonal entry
-    is zero, a nonzero off-diagonal pair [[0, b], [b, 0]] contributes one
-    positive and one negative eigenvalue; an all-zero block contributes
-    nothing.
+    The roots of p(t) = det(Q - tI) are the eigenvalues of Q, all real, so
+    Descartes' rule of signs is exact for p: the sign changes of its
+    coefficients count the positive eigenvalues, those of p(-t) the
+    negative ones, and the lowest power of t with a nonzero coefficient
+    is the multiplicity of 0.  The three counts must add up to n; a
+    failure raises InternalCheckError.
     """
     if not q.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
     n = q.size
-    a = [[Fraction(x) for x in row] for row in q.rows]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        d = next((i for i in active if a[i][i] != 0), None)
-        if d is not None:
-            pivot = a[d][d]
-            if pivot > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != d]
-            for i in rest:
-                c = a[i][d] / pivot
-                if c:
-                    for j in rest:
-                        a[i][j] -= c * a[d][j]
-            active = rest
-            continue
-        pair = next(
-            ((i, j) for i in active for j in active if i < j and a[i][j] != 0),
-            None,
-        )
-        if pair is None:
-            break
-        i, j = pair
-        b = a[i][j]
-        pos += 1
-        neg += 1
-        rest = [k for k in active if k not in (i, j)]
-        for k in rest:
-            cki, ckj = a[k][i], a[k][j]
-            if cki or ckj:
-                for l in rest:
-                    a[k][l] -= (cki * a[j][l] + ckj * a[i][l]) / b
-        active = rest
+    p = pencil_det(q, IntMatrix.identity(n))
+    pos = _sign_changes(p)
+    neg = _sign_changes(-c if k % 2 else c for k, c in enumerate(p))
+    zero = next((k for k, c in enumerate(p) if c), len(p))
+    if pos + neg + zero != n:
+        raise InternalCheckError(f"Descartes counts {pos} + {neg} + {zero} of det(Q - tI) do not add up to {n}")
     return pos - neg
 
 
@@ -332,12 +362,12 @@ def parse_matrix(text: str) -> IntMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     try:
-        n = int(lines[0].split()[0])
+        (n,) = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
         raise ValueError(f"bad size line: {lines[0]!r}") from exc
     if n < 0:
         raise ValueError("matrix size must be non-negative")
-    if len(lines) < n + 1:
+    if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1 : n + 1]:

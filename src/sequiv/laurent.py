@@ -8,6 +8,7 @@ exponent 0.  Everything here is exact, no floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,15 +141,15 @@ def format_laurent(p: LaurentPoly) -> str:
     return "lo=%d; coeffs=%s" % (p.lo, " ".join(str(c) for c in p.coeffs))
 
 
+_LAURENT = re.compile(r"\s*lo\s*=\s*([+-]?\d+)\s*;\s*coeffs\s*=\s*((?:[+-]?\d+(?:\s+[+-]?\d+)*)?)\s*")
+
+
 def parse_laurent(text: str) -> LaurentPoly:
-    text = text.strip()
-    try:
-        lo_part, coeff_part = text.split(";")
-        lo = int(lo_part.split("=")[1])
-        coeffs = [int(tok) for tok in coeff_part.split("=")[1].split()]
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"malformed Laurent polynomial: {text!r}") from exc
-    return LaurentPoly.of(lo, coeffs)
+    """Parse the format_laurent form "lo=<int>; coeffs=<ints>"."""
+    match = _LAURENT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed Laurent polynomial: {text.strip()!r}")
+    return LaurentPoly.of(int(match[1]), [int(tok) for tok in match[2].split()])
 
 
 def normalize_knot_polynomial(p: LaurentPoly) -> LaurentPoly:

@@ -186,11 +186,12 @@ def insert_relator(
 def parse_braid(text: str) -> PureBraidWord:
     """Parse the pure-braid format: header "n <strands>", then "i j e" lines."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("n"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "n":
         raise ValueError('pure-braid file must start with a header line "n <strands>"')
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        n = int(head[1])
+    except ValueError as exc:
         raise ValueError(f"bad header line: {lines[0]!r}") from exc
     letters = []
     for line in lines[1:]:

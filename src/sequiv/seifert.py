@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intlin import IntMatrix, InternalCheckError, det, signature
+from .intlin import IntMatrix, InternalCheckError, det, pencil_det, signature
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -67,51 +67,13 @@ def validate(m: IntMatrix) -> SeifertMatrix:
 
 
 def alexander_raw(sm: SeifertMatrix) -> LaurentPoly:
-    """The unnormalized polynomial det(M - t * M^T).
+    """The unnormalized polynomial det(M - t * M^T), by intlin.pencil_det.
 
-    Its degree is at most n = size, so it is recovered exactly from its
-    values at t = 0, 1, ..., n, each an integer Bareiss determinant.  The
-    nodes leave out t = -1, so the determinant cross-check against
-    det(M + M^T) compares two independent computations.
+    pencil_det interpolates at t = 0, 1, ..., n; the nodes leave out
+    t = -1, so the determinant cross-check against det(M + M^T) compares
+    two independent computations.
     """
-    pairs = list(zip(sm.matrix.rows, sm.matrix.transpose().rows))
-
-    def at(k: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(a - k * b for a, b in zip(row, col)) for row, col in pairs))
-
-    values = [det(at(k)) for k in range(sm.size + 1)]
-    return LaurentPoly.of(0, _interpolate(values))
-
-
-def _interpolate(values: Sequence[int]) -> list[int]:
-    """Coefficients, constant first, of the polynomial p with p(k) = values[k].
-
-    Newton forward differences: p(t) = sum_j (D^j p(0) / j!) * t(t-1)...(t-j+1).
-    For an integer polynomial every division by j! is exact; an inexact
-    one raises InternalCheckError.
-    """
-    diffs = list(values)
-    n = len(diffs)
-    for j in range(1, n):
-        for k in range(n - 1, j - 1, -1):
-            diffs[k] -= diffs[k - 1]
-    newton = []
-    factorial = 1
-    for j, d in enumerate(diffs):
-        factorial *= max(j, 1)
-        q, r = divmod(d, factorial)
-        if r:
-            raise InternalCheckError(f"forward difference {d} of order {j} is not divisible by {j}!")
-        newton.append(q)
-    # Horner in the falling-factorial basis: p = c_0 + t * (c_1 + (t - 1) * (c_2 + ...)).
-    coeffs: list[int] = []
-    for j in range(n - 1, -1, -1):
-        shifted = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] -= j * c
-        shifted[0] += newton[j]
-        coeffs = shifted
-    return coeffs
+    return LaurentPoly.of(0, pencil_det(sm.matrix, sm.matrix.transpose()))
 
 
 def alexander(sm: SeifertMatrix) -> LaurentPoly:

@@ -5,12 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sequiv import braidclosure, standardform
+from sequiv.braidclosure import parse_artin_word
 from sequiv.cli import main
 from sequiv.intlin import IntMatrix, parse_matrix
-from sequiv.laurent import LaurentPoly
-from sequiv.purebraid import is_delta_trivial
+from sequiv.laurent import LaurentPoly, parse_laurent
+from sequiv.purebraid import is_delta_trivial, parse_braid
 from sequiv.standardform import parse_disk_band
 from sequiv.stringlink import parse_string_link
 
@@ -228,6 +231,59 @@ def test_mat_standardize_unwritable_output(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_corpus_generate_rejects_too_few_strands(capsys, n):
+    assert main(["corpus", "generate", "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: maximum strand count must be at least 2, got {n}\n"
+
+
+def test_mat_invariants_rejects_trailing_rows(tmp_path, capsys):
+    path = _write(tmp_path, "extra.mat", TREFOIL + "5 5\n")
+    assert main(["mat", "invariants", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected 2 rows, found 3")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_matrix, "2\n-1 1\n0 -1\n5 5\n"),
+        (parse_matrix, "2 7\n-1 1\n0 -1\n"),
+        (parse_braid, "nonsense 3\n"),
+        (parse_braid, "n 2 7\n"),
+        (parse_artin_word, "nonsense 3\n1 1 1\n"),
+        (parse_artin_word, "n 2 7\n1 1 1\n"),
+        (parse_laurent, "foo=3; bar=1 2"),
+        (parse_laurent, "lo=1=2; coeffs=1"),
+    ],
+)
+def test_parsers_reject_trailing_junk(parse, text):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert len(str(info.value).splitlines()) == 1
+
+
+PARSERS = (
+    parse_matrix, parse_braid, parse_artin_word, parse_laurent, parse_disk_band, parse_string_link
+)
+# Text near the file formats reaches deeper into the parsers than st.text().
+format_text = st.lists(
+    st.sampled_from(list("0123456789 -+\n.;=gnk") + ["framings", "lo", "coeffs"]), max_size=40
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), format_text.map("".join)))
+def test_parsers_raise_only_value_error(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except ValueError as exc:
+            assert len(str(exc).splitlines()) == 1
+
+
 def test_corpus_generate_unreachable_count(capsys):
     # Two strands and length at most 2 admit only the words "1" and "-1".
     assert main(["corpus", "generate", "--n", "2", "--maxlen", "2", "--count", "5"]) == 1
@@ -280,6 +336,12 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_sources_parse_as_python_3_10():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_inexact_burau_division_is_internal_error(tmp_path, capsys, monkeypatch):

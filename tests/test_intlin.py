@@ -1,20 +1,30 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gens import random_skew_unimodular, random_unimodular
+from gens import random_scrambled_seifert, random_skew_unimodular, random_unimodular
+from sequiv import intlin
+from sequiv.cli import main
 from sequiv.intlin import (
     IntMatrix,
+    InternalCheckError,
     congruent,
     det,
     format_matrix,
     is_unimodular,
     parse_matrix,
+    pencil_det,
     signature,
     skew_standardize,
     standard_symplectic,
     unimodular_inverse,
 )
+from sequiv.laurent import LaurentPoly
+from sequiv.seifert import alexander_raw
 
 X1 = IntMatrix.from_rows([[0, 1], [-1, 0]])
 
@@ -171,3 +181,127 @@ def test_parse_matrix_errors():
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+def _unimodular(seed: int, n: int, flip: bool) -> IntMatrix:
+    """A random unimodular matrix; determinant -1 when flip and n >= 1."""
+    rows = [list(row) for row in random_unimodular(random.Random(seed), n, ops=3 * n).rows]
+    if flip and n:
+        rows[0] = [-x for x in rows[0]]
+    return IntMatrix.from_rows(rows)
+
+
+# Diagonal blocks of a symmetric form with a known signature: 1 x 1
+# blocks [d] (sign d) and hyperbolic blocks [[0, b], [b, 0]] (signature 0
+# for every b; singular when b = 0).
+form_blocks = st.lists(
+    st.one_of(
+        st.tuples(st.integers(-6, 6)),
+        st.tuples(st.just(0), st.integers(-4, 4)),
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_blocks, st.integers(0, 2**32 - 1), st.booleans())
+def test_signature_of_congruent_block_form(blocks, seed, flip):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    expected = i = 0
+    for block in blocks:
+        if len(block) == 1:
+            rows[i][i] = block[0]
+            expected += (block[0] > 0) - (block[0] < 0)
+        else:
+            rows[i][i + 1] = rows[i + 1][i] = block[1]
+        i += len(block)
+    a = _unimodular(seed, n, flip)
+    assert signature(a * IntMatrix.from_rows(rows) * a.transpose()) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 2**32 - 1), st.booleans())
+def test_unimodular_inverse_both_sides(n, seed, flip):
+    a = _unimodular(seed, n, flip)
+    assert det(a) == (-1 if flip and n else 1)
+    inv = unimodular_inverse(a)
+    assert (a * inv).rows == (inv * a).rows == IntMatrix.identity(n).rows
+
+
+def test_unimodular_inverse_small_cases():
+    assert unimodular_inverse(IntMatrix()) == IntMatrix()
+    assert unimodular_inverse(IntMatrix.from_rows([[-1]])).rows == ((-1,),)
+    assert unimodular_inverse(IntMatrix.from_rows([[1]])).rows == ((1,),)
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse(IntMatrix.from_rows([[0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_pencil_det_is_alexander_raw(seed, genus):
+    _, _, sm = random_scrambled_seifert(random.Random(seed), genus)
+    m = sm.matrix
+    assert LaurentPoly.of(0, pencil_det(m, m.transpose())) == alexander_raw(sm)
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(0, 5))
+    rows = st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    return IntMatrix.from_rows(draw(rows)), IntMatrix.from_rows(draw(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_pairs())
+def test_pencil_det_off_the_nodes(pair):
+    # The nodes are t = 0..n, so t = -1 and t = n + 2 are independent checks.
+    a, b = pair
+    p = pencil_det(a, b)
+    assert len(p) == a.size + 1
+    for t in (-1, a.size + 2):
+        at_t = [[x - t * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+        assert sum(c * t**k for k, c in enumerate(p)) == det(IntMatrix.from_rows(at_t))
+
+
+def _wrong_pencil(a, b):
+    # 1 + t^n has no real root for even n, so Descartes cannot count n roots.
+    return [1] + [0] * (a.size - 1) + [1]
+
+
+def test_wrong_pencil_fails_the_descartes_check(monkeypatch):
+    monkeypatch.setattr(intlin, "pencil_det", _wrong_pencil)
+    with pytest.raises(InternalCheckError, match="do not add up"):
+        signature(IntMatrix.from_rows([[-2, 1], [1, -2]]))
+    with pytest.raises(InternalCheckError, match="Cayley-Hamilton"):
+        unimodular_inverse(IntMatrix.identity(2))
+
+
+def test_wrong_pencil_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "trefoil.mat"
+    path.write_text("2\n-1 1\n0 -1\n")
+    monkeypatch.setattr(intlin, "pencil_det", _wrong_pencil)
+    assert main(["mat", "invariants", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def _imported(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module]
+    return []
+
+
+def test_no_fractions_import_in_package():
+    package = Path(__file__).resolve().parents[1] / "src" / "sequiv"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if any(name.split(".")[0] == "fractions" for name in _imported(node))
+    ]
+    assert found == []
