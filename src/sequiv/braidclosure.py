@@ -239,12 +239,18 @@ def knot_corpus(
     """Deterministic sample of distinct knot-closure words meeting all
     preconditions of seifert_matrix.
 
-    Raises ValueError when max_strands < 2, since a knot closure needs
-    two strands, and when 1000 * count draws do not yield count words,
+    Raises ValueError before drawing when max_strands < 2, since a knot
+    closure needs two strands, when max_length < 1, since a knot closure
+    on n >= 2 strands needs at least n - 1 letters, and when count < 0;
+    and after drawing when 1000 * count draws do not yield count words,
     as when the limits admit fewer distinct words than requested.
     """
     if max_strands < 2:
         raise ValueError(f"maximum strand count must be at least 2, got {max_strands}")
+    if max_length < 1:
+        raise ValueError(f"maximum word length must be at least 1, got {max_length}")
+    if count < 0:
+        raise ValueError(f"word count must be non-negative, got {count}")
     rng = random.Random(seed)
     seen: set[tuple[int, tuple[int, ...]]] = set()
     out: list[ArtinBraidWord] = []

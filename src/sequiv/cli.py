@@ -7,11 +7,19 @@ bare documents in the same formats the parsers accept.
 
 Exit codes: 0 success or decided, 1 invalid input, 2 undecided,
 3 internal error (an exactness check inside the library failed).
+
+`main` builds its parser once per process, on the first call, and
+reuses it: in-process callers pay for argparse construction once, and a
+shell invocation, which calls `main` once, is unaffected.  Each
+subcommand's handler is bound into that parser when it is built, so to
+substitute behaviour patch the library functions the handlers call, not
+`cli._cmd_*`.  `build_parser` still returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -459,9 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         outcome = args.func(args)
     except (ValueError, IndexError) as exc:

@@ -295,11 +295,24 @@ def apply_moves(sm: SeifertMatrix, moves: Sequence[Move]) -> SeifertMatrix:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the breadth-first witness search."""
+    """Limits for the breadth-first witness search.
+
+    max_size None, the default, allows matrices two rows larger than the
+    larger input.  Raises ValueError for a limit no search can work
+    within: max_nodes below 1, or a negative max_entry or max_size.
+    """
 
     max_size: Optional[int] = None
     max_entry: int = 8
     max_nodes: int = 20000
+
+    def __post_init__(self) -> None:
+        if self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
+        if self.max_entry < 0:
+            raise ValueError(f"max_entry must be non-negative, got {self.max_entry}")
+        if self.max_size is not None and self.max_size < 0:
+            raise ValueError(f"max_size must be non-negative, got {self.max_size}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and hypothesis strategies shared across the test modules."""
 
 import random
+
+from hypothesis import strategies as st
 
 from sequiv.intlin import IntMatrix, standard_symplectic
 from sequiv.laurent import LaurentPoly
@@ -111,6 +113,15 @@ def random_pure_braid(rng: random.Random, n: int, length: int) -> PureBraidWord:
         j = rng.randint(i + 1, n)
         letters.append((i, j, rng.choice((1, -1))))
     return PureBraidWord(n, tuple(letters))
+
+
+def pure_braid_words(n: int):
+    """Strategy: pure braid words on n strands, letters i < j with e = +-1."""
+    if n < 2:
+        return st.just(PureBraidWord(n))
+    pairs = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(sorted)
+    letters = st.builds(lambda ij, e: (*ij, e), pairs, st.sampled_from((1, -1)))
+    return st.lists(letters, max_size=12).map(lambda ls: PureBraidWord(n, tuple(ls)))
 
 
 def random_zero_linking_link(

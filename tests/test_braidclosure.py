@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sequiv.braidclosure import (
     ArtinBraidWord,
@@ -166,3 +168,16 @@ def test_format_parse_roundtrip():
     assert parse_artin_word("n 2\n1 1 1\n") == TREFOIL_WORD
     with pytest.raises(ValueError):
         parse_artin_word("2\n1\n")
+
+
+artin_words = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=12).map(
+        lambda letters: ArtinBraidWord(n, tuple(letters))
+    )
+)
+
+
+@settings(deadline=None)
+@given(artin_words)
+def test_format_parse_roundtrip_property(w):
+    assert parse_artin_word(format_artin_word(w)) == w

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sequiv import braidclosure, standardform
+from sequiv import braidclosure, cli, standardform
 from sequiv.braidclosure import parse_artin_word
 from sequiv.cli import main
-from sequiv.intlin import IntMatrix, parse_matrix
+from sequiv.intlin import IntMatrix, format_matrix, parse_matrix
 from sequiv.laurent import LaurentPoly, parse_laurent
 from sequiv.purebraid import is_delta_trivial, parse_braid
+from sequiv.seifert import column_enlarge, validate
 from sequiv.standardform import parse_disk_band
 from sequiv.stringlink import parse_string_link
 
@@ -21,12 +22,19 @@ TREFOIL = "2\n-1 1\n0 -1\n"
 FIG8 = "2\n1 1\n0 -1\n"
 EMPTY = "0\n"
 MINIMAL = "2\n0 1\n0 0\n"
+SCRAMBLED = "2\n-3 -1\n-2 -1\n"  # a congruent copy of the trefoil
 
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _src_env() -> dict:
+    """The environment of a subprocess that imports sequiv from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def _machine(out: str) -> dict:
@@ -88,9 +96,8 @@ def test_mat_sequiv_one_step_reduction(tmp_path, capsys):
 
 
 def test_mat_sequiv_unknown_exit_code(tmp_path, capsys):
-    scrambled = "2\n-3 -1\n-2 -1\n"  # congruent trefoil copy, tiny budget
     p1 = _write(tmp_path, "a.mat", TREFOIL)
-    p2 = _write(tmp_path, "b.mat", scrambled)
+    p2 = _write(tmp_path, "b.mat", SCRAMBLED)
     assert main(["mat", "sequiv", p1, p2, "--max-nodes", "2"]) == 2
     out = capsys.readouterr().out
     assert _machine(out)["status"] == "unknown"
@@ -312,13 +319,11 @@ sys.exit(cli.main(["mat", "invariants", sys.argv[1]]))
 )
 def test_internal_checks_survive_optimize(tmp_path, coeffs, message):
     path = _write(tmp_path, "trefoil.mat", TREFOIL)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _BROKEN_ALEXANDER.format(coeffs=coeffs), path],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -376,3 +381,140 @@ def test_std_from_disk_band_rejects_negative_genus(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "genus" in err and "-1" in err
     assert len(err.splitlines()) == 1
+
+
+def _one_of_each_group(tmp_path) -> list[list[str]]:
+    """A fixed list of commands that covers all six command groups."""
+    trefoil = _write(tmp_path, "trefoil.mat", TREFOIL)
+    scrambled = _write(tmp_path, "scrambled.mat", SCRAMBLED)
+    bad = _write(tmp_path, "bad.mat", "2\n0 2\n0 0\n")
+    braid = _write(tmp_path, "rel.pb", "n 3\n1 2 1\n2 3 1\n1 2 -1\n2 3 -1\n")
+    link = _write(tmp_path, "link.sl", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.2 2.2 -1\n")
+    band = _write(tmp_path, "t.dband", "g 1\nframings -1 -1\n")
+    word = _write(tmp_path, "tre.bw", "n 2\n1 1 1\n")
+    return [
+        ["mat", "invariants", trefoil],
+        ["mat", "invariants", bad],
+        ["mat", "enlarge", trefoil, "--kind", "row", "--x", "2", "--vector", "1", "0"],
+        ["mat", "sequiv", trefoil, scrambled],
+        ["mat", "sequiv", trefoil, scrambled, "--max-nodes", "2"],
+        ["braid", "lk", braid],
+        ["braid", "delta-equiv", braid, braid],
+        ["slink", "normalize", link],
+        ["std", "to-disk-band", trefoil],
+        ["std", "from-disk-band", band],
+        ["closure", "alexander", word],
+        ["corpus", "generate", "--count", "3", "--seed", "11"],
+    ]
+
+
+def _run_in_process(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    commands = _one_of_each_group(tmp_path)
+    for i in range(20):
+        _run_in_process(capsys, commands[i % len(commands)])
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_cli_output_is_the_same_in_process_and_in_a_fresh_process(tmp_path, capsys):
+    for argv in _one_of_each_group(tmp_path):
+        first = _run_in_process(capsys, argv)
+        second = _run_in_process(capsys, argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sequiv", *argv], capture_output=True, text=True, env=_src_env()
+        )
+        assert first == second == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_no_option_value_leaks_into_the_next_call(tmp_path, capsys):
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    assert main(["mat", "enlarge", path, "--vector", "1", "0", "--x", "2"]) == 0
+    capsys.readouterr()
+    assert main(["mat", "enlarge", path]) == 0
+    zero_enlarged = column_enlarge(validate(parse_matrix(TREFOIL)), [0, 0], 0)
+    assert capsys.readouterr().out == format_matrix(zero_enlarged.matrix)
+
+    scrambled = _write(tmp_path, "s.mat", SCRAMBLED)
+    assert main(["mat", "sequiv", path, scrambled]) == 0
+    default = capsys.readouterr().out
+    assert _machine(default)["status"] == "equivalent"
+    assert main(["mat", "sequiv", path, scrambled, "--max-nodes", "2"]) == 2
+    capsys.readouterr()
+    assert main(["mat", "sequiv", path, scrambled]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_main_works_after_argparse_exits(tmp_path, capsys):
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    with pytest.raises(SystemExit) as info:
+        main(["mat", "enlarge", path, "--x", "zz"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["mat", "invariants", path]) == 0
+    assert _machine(capsys.readouterr().out)["signature"] == "-2"
+
+
+def test_main_reads_sys_argv_without_arguments(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    monkeypatch.setattr(sys, "argv", ["sequiv", "mat", "invariants", path])
+    assert main() == 0
+    assert _machine(capsys.readouterr().out)["determinant"] == "3"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-nodes", "-3"], "max_nodes must be at least 1, got -3"),
+        (["--max-entry", "-1"], "max_entry must be non-negative, got -1"),
+        (["--max-size", "-1"], "max_size must be non-negative, got -1"),
+    ],
+)
+def test_mat_sequiv_rejects_impossible_budgets(tmp_path, capsys, flags, message):
+    trefoil = _write(tmp_path, "t.mat", TREFOIL)
+    enlarged = column_enlarge(validate(parse_matrix(TREFOIL)), [1, 0], 1)
+    target = _write(tmp_path, "e.mat", format_matrix(enlarged.matrix))
+    assert main(["mat", "sequiv", trefoil, target, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--count", "-1"], "word count must be non-negative, got -1"),
+        (["--maxlen", "0"], "maximum word length must be at least 1, got 0"),
+        (["--maxlen", "-4"], "maximum word length must be at least 1, got -4"),
+    ],
+)
+def test_corpus_generate_rejects_impossible_limits(capsys, flags, message):
+    assert main(["corpus", "generate", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_corpus_generate_zero_count_prints_the_header(capsys):
+    assert main(["corpus", "generate", "--count", "0"]) == 0
+    assert capsys.readouterr().out == "word\tn\tlength\talexander\tsignature\tdeterminant\tarf\tagree\n"

@@ -167,6 +167,18 @@ def test_matrix_format_roundtrip():
     assert format_matrix(IntMatrix()) == "0\n"
 
 
+square_rows = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(deadline=None)
+@given(square_rows)
+def test_matrix_format_roundtrip_property(rows):
+    m = IntMatrix.from_rows(rows)
+    assert parse_matrix(format_matrix(m)) == m
+
+
 def test_parse_matrix_errors():
     with pytest.raises(ValueError):
         parse_matrix("")

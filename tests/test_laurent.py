@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sequiv.intlin import IntMatrix, det
 from sequiv.laurent import (
@@ -82,6 +84,13 @@ def test_format_parse_roundtrip():
         assert parse_laurent(format_laurent(p)) == p
     assert format_laurent(LaurentPoly()) == "lo=0; coeffs=0"
     assert format_laurent(LaurentPoly.of(-1, (1, -1, 1))) == "lo=-1; coeffs=1 -1 1"
+
+
+@settings(deadline=None)
+@given(st.integers(), st.lists(st.integers(), max_size=8))
+def test_format_parse_roundtrip_property(lo, coeffs):
+    p = LaurentPoly.of(lo, coeffs)
+    assert parse_laurent(format_laurent(p)) == p
 
 
 def test_normalize_knot_polynomial():

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gens import random_pure_braid
+from gens import pure_braid_words, random_pure_braid
 from sequiv.purebraid import (
     LinkingMatrix,
     PureBraidWord,
@@ -134,3 +136,9 @@ def test_format_parse_roundtrip():
         assert parse_braid(format_braid(w)) == w
     with pytest.raises(ValueError):
         parse_braid("3\n1 2 1\n")
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(pure_braid_words))
+def test_format_parse_roundtrip_property(w):
+    assert parse_braid(format_braid(w)) == w

@@ -203,6 +203,26 @@ def test_search_unknown_is_honest():
         assert result.witness is None
 
 
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ({"max_nodes": 0}, "max_nodes must be at least 1, got 0"),
+        ({"max_nodes": -3}, "max_nodes must be at least 1, got -3"),
+        ({"max_entry": -1}, "max_entry must be non-negative, got -1"),
+        ({"max_size": -1}, "max_size must be non-negative, got -1"),
+    ],
+)
+def test_search_budget_rejects_impossible_limits(limits, message):
+    with pytest.raises(ValueError) as info:
+        SearchBudget(**limits)
+    assert str(info.value) == message
+
+
+def test_search_budget_accepts_the_smallest_limits():
+    budget = SearchBudget(max_size=0, max_entry=0, max_nodes=1)
+    assert bounded_sequiv_search(TREFOIL, TREFOIL, budget).verdict == "equivalent"
+
+
 def test_search_deterministic():
     rng = random.Random(16)
     sm = random_standardized(rng, 1, bound=1)

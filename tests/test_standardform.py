@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gens import (
     random_scrambled_seifert,
@@ -204,3 +206,19 @@ def test_disk_band_format_roundtrip():
         assert parse_disk_band(format_disk_band(d)) == d
     with pytest.raises(ValueError):
         parse_disk_band("genus 1\nframings 0 0\n")
+
+
+@st.composite
+def disk_bands(draw):
+    genus = draw(st.integers(0, 3))
+    n = 2 * genus
+    framings = draw(st.lists(st.integers(), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    entries = draw(st.dictionaries(st.sampled_from(pairs), st.integers())) if pairs else {}
+    return DiskBandForm.build(genus, framings, entries)
+
+
+@settings(deadline=None)
+@given(disk_bands())
+def test_disk_band_format_roundtrip_property(d):
+    assert parse_disk_band(format_disk_band(d)) == d

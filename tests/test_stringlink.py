@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gens import random_pure_braid, random_zero_linking_link
+from gens import pure_braid_words, random_pure_braid, random_zero_linking_link
 from sequiv.purebraid import PureBraidWord, delta_relator, is_delta_trivial, linking_matrix
 from sequiv.stringlink import (
     DoubledStringLink,
@@ -274,3 +276,16 @@ def test_format_parse_roundtrip():
         assert parse_string_link(format_string_link(link)) == link
     with pytest.raises(ValueError):
         parse_string_link("n 2 k\nframings 0 0\n")
+
+
+@st.composite
+def string_links(draw):
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    framings = draw(st.lists(st.integers(), min_size=n, max_size=n))
+    return DoubledStringLink(n, k, draw(pure_braid_words(n * k)), tuple(framings))
+
+
+@settings(deadline=None)
+@given(string_links())
+def test_format_parse_roundtrip_property(link):
+    assert parse_string_link(format_string_link(link)) == link
