@@ -15,6 +15,7 @@ from .intlin import (
     is_unimodular,
     pencil_det,
     signature,
+    signature_and_det,
     skew_standardize,
     standard_symplectic,
     unimodular_inverse,

@@ -243,7 +243,7 @@ def knot_corpus(
     closure needs two strands, when max_length < 1, since a knot closure
     on n >= 2 strands needs at least n - 1 letters, and when count < 0;
     and after drawing when 1000 * count draws do not yield count words,
-    as when the limits admit fewer distinct words than requested.
+    or as soon as every admissible word has been drawn.
     """
     if max_strands < 2:
         raise ValueError(f"maximum strand count must be at least 2, got {max_strands}")
@@ -256,9 +256,10 @@ def knot_corpus(
     out: list[ArtinBraidWord] = []
     attempts = 0
     limit = 1000 * count
+    space = _word_space(max_strands, max_length, limit)
     while len(out) < count:
         attempts += 1
-        if attempts > limit:
+        if attempts > limit or len(seen) == space:
             raise ValueError("corpus generation failed to converge; widen the limits")
         n = rng.randint(2, max_strands)
         if max_length < n - 1:
@@ -275,6 +276,23 @@ def knot_corpus(
         if is_knot_closure(word) and not missing_generators(word):
             out.append(word)
     return out
+
+
+def _word_space(max_strands: int, max_length: int, cap: int) -> int:
+    """The number of words knot_corpus can draw, or a number above cap.
+
+    On n strands a word of length l has 2(n - 1) choices per letter, so
+    the count is the sum over n = 2..max_strands and l = n - 1..max_length
+    of (2(n - 1))^l.  Summing stops once it passes cap, so huge limits
+    cost no huge powers.
+    """
+    total = 0
+    for n in range(2, min(max_strands, max_length + 1) + 1):
+        for length in range(n - 1, max_length + 1):
+            total += (2 * (n - 1)) ** length
+            if total > cap:
+                return total
+    return total
 
 
 def parse_artin_word(text: str) -> ArtinBraidWord:

@@ -2,13 +2,14 @@
 
 There is one determinant path, Bareiss fraction-free elimination, and one
 polynomial path on top of it: pencil_det interpolates det(A - tB) from
-integer determinants.  Signatures count sign changes of det(Q - tI)
-(Descartes' rule, exact for a real-rooted polynomial), and unimodular
-inverses follow from det(A - tI) by Cayley-Hamilton; no rational number
-occurs anywhere.  Skew-symmetric unimodular forms are brought to the
-standard symplectic shape by paired integer row/column operations.  All
-values are immutable and every operation is a pure function, so
-concurrent use is safe.
+integer determinants, and unimodular inverses follow from det(A - tI) by
+Cayley-Hamilton.  The signature and determinant of a symmetric matrix
+come together from one Bareiss pass with symmetric pivoting, whose
+consecutive leading minors give the signs of an LDL^T factorization; no
+rational number occurs anywhere.  Skew-symmetric unimodular forms are
+brought to the standard symplectic shape by paired integer row/column
+operations.  All values are immutable and every operation is a pure
+function, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "standard_symplectic",
     "skew_standardize",
     "signature",
+    "signature_and_det",
     "unimodular_inverse",
     "parse_matrix",
     "format_matrix",
@@ -174,8 +176,7 @@ def pencil_det(a: IntMatrix, b: IntMatrix) -> list[int]:
 
     Its degree is at most n = size, so it is recovered exactly from its
     values at t = 0, 1, ..., n, each an integer Bareiss determinant.
-    The Alexander polynomial, the signature and the unimodular inverse
-    all come from here.
+    The Alexander polynomial and the unimodular inverse come from here.
     """
     a._check_size(b)
     pairs = list(zip(a.rows, b.rows))
@@ -246,31 +247,60 @@ def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(tuple(-p[0] * x for x in row) for row in h))
 
 
-def _sign_changes(coeffs: Iterable[int]) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
 def signature(q: IntMatrix) -> int:
-    """Signature of a symmetric integer matrix, computed exactly.
+    """Signature of a symmetric integer matrix, computed exactly."""
+    return signature_and_det(q)[0]
 
-    The roots of p(t) = det(Q - tI) are the eigenvalues of Q, all real, so
-    Descartes' rule of signs is exact for p: the sign changes of its
-    coefficients count the positive eigenvalues, those of p(-t) the
-    negative ones, and the lowest power of t with a nonzero coefficient
-    is the multiplicity of 0.  The three counts must add up to n; a
-    failure raises InternalCheckError.
+
+def signature_and_det(q: IntMatrix) -> tuple[int, int]:
+    """Signature and determinant of a symmetric integer matrix, in one pass.
+
+    Bareiss elimination with symmetric (diagonal) pivoting keeps the
+    working matrix symmetric, and its pivot after k steps is the leading
+    principal minor D_(k+1) of a matrix congruent to Q.  The signs of
+    D_(k+1) / D_k are the signs of the diagonal of an LDL^T factorization,
+    so by Sylvester's law of inertia they add up to the signature.  When
+    the remaining diagonal is all zero but some entry a_ij is not, the
+    unimodular congruence b_i += b_j makes a_ii = 2 a_ij a pivot.  A zero
+    trailing block holds zero eigenvalues only, and then det Q = 0;
+    otherwise the last pivot is det Q.  Every division is exact
+    (Bareiss 1968), so O(n^3) integer operations suffice.
     """
     if not q.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
     n = q.size
-    p = pencil_det(q, IntMatrix.identity(n))
-    pos = _sign_changes(p)
-    neg = _sign_changes(-c if k % 2 else c for k, c in enumerate(p))
-    zero = next((k for k, c in enumerate(p) if c), len(p))
-    if pos + neg + zero != n:
-        raise InternalCheckError(f"Descartes counts {pos} + {neg} + {zero} of det(Q - tI) do not add up to {n}")
-    return pos - neg
+    a = [list(row) for row in q.rows]
+    sig = 0
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][i]), None)
+        if p is None:
+            p, j = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), (None, None)
+            )
+            if p is None:
+                return sig, 0
+            # b_p += b_j: row p += row j, then column p += column j.
+            row_p, row_j = a[p], a[j]
+            for l in range(k, n):
+                row_p[l] += row_j[l]
+            for i in range(k, n):
+                a[i][p] += a[i][j]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            for i in range(k, n):
+                row = a[i]
+                row[k], row[p] = row[p], row[k]
+        pivot = a[k][k]
+        sig += 1 if (pivot > 0) == (prev > 0) else -1
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+        prev = pivot
+    return sig, prev
 
 
 def skew_standardize(s: IntMatrix) -> IntMatrix:

@@ -10,10 +10,10 @@ S-equivalence class.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
-from .intlin import IntMatrix, InternalCheckError, det, pencil_det, signature
+from .intlin import IntMatrix, InternalCheckError, det, pencil_det, signature, signature_and_det
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -98,14 +98,25 @@ def knot_signature(sm: SeifertMatrix) -> int:
     return signature(sm.matrix + sm.matrix.transpose())
 
 
-def _determinant(sm: SeifertMatrix, delta: LaurentPoly) -> int:
-    """|det(M + M^T)|, cross-checked against |delta(-1)|."""
-    d = abs(det(sm.matrix + sm.matrix.transpose()))
-    if d != abs(delta.evaluate(-1)):
+def _signature_and_determinant(sm: SeifertMatrix, delta: LaurentPoly) -> tuple[int, int]:
+    """Signature and |det(M + M^T)| from one pass, cross-checked against delta.
+
+    delta(-1) = (-1)^g det(M + M^T) and det(M + M^T) has the sign
+    (-1)^((n - sigma) / 2), so |delta(-1)| = |det(M + M^T)| and
+    sign delta(-1) = (-1)^(sigma / 2).  delta comes from pencil_det on M
+    and M^T, independent code; a failure raises InternalCheckError.
+    """
+    sig, d = signature_and_det(sm.matrix + sm.matrix.transpose())
+    at_minus_one = delta.evaluate(-1)
+    if abs(d) != abs(at_minus_one):
         raise InternalCheckError(
-            f"determinant cross-check failed: |det(M + M^T)| = {d}, delta(-1) = {delta.evaluate(-1)}"
+            f"determinant cross-check failed: |det(M + M^T)| = {abs(d)}, delta(-1) = {at_minus_one}"
         )
-    return d
+    if sig % 2 or (at_minus_one < 0) != (sig % 4 == 2):
+        raise InternalCheckError(
+            f"signature cross-check failed: signature {sig}, delta(-1) = {at_minus_one}"
+        )
+    return sig, abs(d)
 
 
 def _arf(delta: LaurentPoly) -> int:
@@ -115,7 +126,7 @@ def _arf(delta: LaurentPoly) -> int:
 
 def knot_determinant(sm: SeifertMatrix) -> int:
     """|det(M + M^T)|, cross-checked against |delta(-1)|."""
-    return _determinant(sm, alexander(sm))
+    return _signature_and_determinant(sm, alexander(sm))[1]
 
 
 def arf(sm: SeifertMatrix) -> int:
@@ -133,20 +144,13 @@ class Invariants:
     arf: int
 
 
-# Each Invariants field as a function of the matrix and its Alexander
-# polynomial, in field order; the search gate compares them in this order.
-_INVARIANTS = (
-    ("alexander", lambda sm, delta: delta),
-    ("signature", lambda sm, delta: knot_signature(sm)),
-    ("determinant", _determinant),
-    ("arf", lambda sm, delta: _arf(delta)),
-)
+def _invariants(sm: SeifertMatrix, delta: LaurentPoly) -> Invariants:
+    return Invariants(delta, *_signature_and_determinant(sm, delta), _arf(delta))
 
 
 def invariants(sm: SeifertMatrix) -> Invariants:
     """All four invariants, with the Alexander polynomial computed once."""
-    delta = alexander(sm)
-    return Invariants(**{name: fn(sm, delta) for name, fn in _INVARIANTS})
+    return _invariants(sm, alexander(sm))
 
 
 def column_enlarge(sm: SeifertMatrix, xi: Sequence[int], x: int) -> SeifertMatrix:
@@ -334,9 +338,12 @@ def bounded_sequiv_search(
     exhausting the budget gives the honest verdict "unknown".
     """
     d1, d2 = alexander(m1), alexander(m2)
-    for name, fn in _INVARIANTS:
-        if fn(m1, d1) != fn(m2, d2):
-            return SearchResult("distinct", reason=f"{name} differs")
+    if d1 != d2:
+        return SearchResult("distinct", reason="alexander differs")
+    i1, i2 = _invariants(m1, d1), _invariants(m2, d2)
+    for field in fields(Invariants):
+        if getattr(i1, field.name) != getattr(i2, field.name):
+            return SearchResult("distinct", reason=f"{field.name} differs")
 
     max_size = budget.max_size
     if max_size is None:
@@ -354,13 +361,13 @@ def bounded_sequiv_search(
         for move, child in _children(rows, max_size, budget.max_entry):
             if child in parents:
                 continue
-            parents[child] = (rows, move)
-            if child == target:
-                return SearchResult("equivalent", witness=_unwind(parents, child))
             if len(parents) >= budget.max_nodes:
                 return SearchResult(
                     "unknown", reason=f"budget exhausted after {len(parents)} states"
                 )
+            parents[child] = (rows, move)
+            if child == target:
+                return SearchResult("equivalent", witness=_unwind(parents, child))
             frontier.append(child)
     return SearchResult("unknown", reason=f"move space exhausted ({len(parents)} states)")
 

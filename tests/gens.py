@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from sequiv.intlin import IntMatrix, standard_symplectic
+from sequiv.intlin import IntMatrix, pencil_det, standard_symplectic
 from sequiv.laurent import LaurentPoly
 from sequiv.purebraid import PureBraidWord
 from sequiv.seifert import Invariants, SeifertMatrix, validate
@@ -79,6 +79,26 @@ def random_scrambled_seifert(rng: random.Random, genus: int, ops: int = 6):
     sm = random_standardized(rng, genus)
     a = random_unimodular(rng, sm.size, ops)
     return sm, a, validate(a * sm.matrix * a.transpose())
+
+
+def descartes_signature_and_det(q: IntMatrix) -> tuple[int, int]:
+    """Reference signature and determinant of a symmetric q, by Descartes' rule.
+
+    The roots of p(t) = det(Q - tI) are the eigenvalues of Q, all real, so
+    the sign changes in the coefficients of p(t) count the positive ones,
+    those of p(-t) the negative ones, and p(0) = det Q.  O(n^4): for tests.
+    """
+    p = pencil_det(q, IntMatrix.identity(q.size))
+
+    def sign_changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    pos = sign_changes(p)
+    neg = sign_changes(-c if k % 2 else c for k, c in enumerate(p))
+    zero = next((k for k, c in enumerate(p) if c), len(p))
+    assert pos + neg + zero == q.size
+    return pos - neg, p[0]
 
 
 def random_skew_unimodular(rng: random.Random, genus: int, ops: int = 12) -> IntMatrix:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sequiv import braidclosure
 from sequiv.braidclosure import (
     ArtinBraidWord,
     burau_alexander,
@@ -154,6 +155,28 @@ def test_corpus_deterministic():
     assert a != c
     for w in a:
         assert is_knot_closure(w) and not missing_generators(w)
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randint(self, a, b):
+        _CountingRandom.draws += 1
+        return super().randint(a, b)
+
+    def choice(self, seq):
+        _CountingRandom.draws += 1
+        return super().choice(seq)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_corpus_stops_once_every_word_is_drawn(monkeypatch, seed):
+    # Two strands and one letter admit only the words "1" and "-1".
+    _CountingRandom.draws = 0
+    monkeypatch.setattr(braidclosure.random, "Random", _CountingRandom)
+    with pytest.raises(ValueError, match="failed to converge"):
+        knot_corpus(2, 1, seed, 3)
+    assert 0 < _CountingRandom.draws < 100
 
 
 def test_format_parse_roundtrip():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -297,6 +298,30 @@ def test_corpus_generate_unreachable_count(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: corpus generation failed")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            "--n 4 --maxlen 10 --seed 11 --count 60",
+            "6c3a39a4fd29077d2caf5d5a0e00435b179f43f3a1854634d1424c9ada4d7391",
+        ),
+        # Every one of the 18 knot-closure words on <= 3 strands and <= 3 letters.
+        (
+            "--n 3 --maxlen 3 --seed 2 --count 18",
+            "97932803cfa5d207baa60c5630a047b27e9ad36b7323ffb6aca4143a5bb6ce33",
+        ),
+        (
+            "--n 6 --maxlen 40 --seed 5 --count 12",
+            "9d3b9ebe9638d8c180f69dfe99902875ff5217ceedb527a320eb4ac37ff3afb6",
+        ),
+    ],
+)
+def test_corpus_generate_bytes_are_stable(capsys, args, digest):
+    assert main(["corpus", "generate", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 _BROKEN_ALEXANDER = """

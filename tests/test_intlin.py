@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import random_scrambled_seifert, random_skew_unimodular, random_unimodular
-from sequiv import intlin
+from gens import (
+    descartes_signature_and_det,
+    random_scrambled_seifert,
+    random_skew_unimodular,
+    random_unimodular,
+)
+from sequiv import intlin, seifert
 from sequiv.cli import main
 from sequiv.intlin import (
     IntMatrix,
@@ -19,6 +24,7 @@ from sequiv.intlin import (
     parse_matrix,
     pencil_det,
     signature,
+    signature_and_det,
     skew_standardize,
     standard_symplectic,
     unimodular_inverse,
@@ -277,14 +283,12 @@ def test_pencil_det_off_the_nodes(pair):
 
 
 def _wrong_pencil(a, b):
-    # 1 + t^n has no real root for even n, so Descartes cannot count n roots.
+    # 1 + t^n: p(0) = 1, but p(A) = A^n + I is not zero for A = I.
     return [1] + [0] * (a.size - 1) + [1]
 
 
-def test_wrong_pencil_fails_the_descartes_check(monkeypatch):
+def test_wrong_pencil_fails_the_cayley_hamilton_check(monkeypatch):
     monkeypatch.setattr(intlin, "pencil_det", _wrong_pencil)
-    with pytest.raises(InternalCheckError, match="do not add up"):
-        signature(IntMatrix.from_rows([[-2, 1], [1, -2]]))
     with pytest.raises(InternalCheckError, match="Cayley-Hamilton"):
         unimodular_inverse(IntMatrix.identity(2))
 
@@ -292,12 +296,57 @@ def test_wrong_pencil_fails_the_descartes_check(monkeypatch):
 def test_wrong_pencil_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "trefoil.mat"
     path.write_text("2\n-1 1\n0 -1\n")
-    monkeypatch.setattr(intlin, "pencil_det", _wrong_pencil)
+    # The Alexander polynomial reads pencil_det through seifert's binding.
+    monkeypatch.setattr(seifert, "pencil_det", _wrong_pencil)
     assert main(["mat", "invariants", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_wrong_signature_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "trefoil.mat"
+    path.write_text("2\n-1 1\n0 -1\n")
+
+    def shifted(q):
+        sig, d = signature_and_det(q)
+        return sig + 2, d
+
+    monkeypatch.setattr(seifert, "signature_and_det", shifted)
+    assert main(["mat", "invariants", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: signature cross-check failed")
+    assert len(captured.err.splitlines()) == 1
+
+
+# Random symmetric matrices that reach every branch of the pass: many
+# zero diagonal entries (the b_i += b_j congruence), and a trailing block
+# that is zero or singular (zero eigenvalues, det 0).
+@st.composite
+def symmetric_forms(draw):
+    n = draw(st.integers(0, 8))
+    zero_diagonal = draw(st.booleans())
+    tail = draw(st.integers(0, n))
+    entry = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            if i >= n - tail and draw(st.booleans()):
+                continue
+            rows[i][j] = rows[j][i] = draw(entry)
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_forms())
+def test_signature_and_det_match_descartes_reference(q):
+    assert signature_and_det(q) == descartes_signature_and_det(q)
+    assert signature_and_det(q)[1] == det(q)
+    assert signature(q) == signature_and_det(q)[0]
 
 
 def _imported(node) -> list[str]:

@@ -12,15 +12,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gens import block_sum, block_sum_invariants, random_scrambled_seifert, random_unimodular
-from sequiv import seifert
+from sequiv import intlin, seifert
 from sequiv.braidclosure import (
     ArtinBraidWord,
     burau_alexander,
     is_knot_closure,
+    knot_corpus,
     missing_generators,
     seifert_matrix,
 )
-from sequiv.intlin import IntMatrix
+from sequiv.intlin import IntMatrix, det, signature_and_det
 from sequiv.laurent import LaurentPoly, laurent_matrix_det
 from sequiv.seifert import (
     Invariants,
@@ -100,14 +101,45 @@ def test_record_equals_separate_functions():
 def test_gate_split_by_alexander_skips_signature(monkeypatch):
     calls = []
 
-    def counting(sm):
-        calls.append(sm)
-        return knot_signature(sm)
+    def counting(q):
+        calls.append(q)
+        return signature_and_det(q)
 
-    monkeypatch.setattr(seifert, "knot_signature", counting)
+    monkeypatch.setattr(seifert, "signature_and_det", counting)
     result = bounded_sequiv_search(TREFOIL, FIG8)
     assert (result.verdict, result.reason) == ("distinct", "alexander differs")
     assert calls == []
     result = bounded_sequiv_search(TREFOIL, MIRROR_TREFOIL)
     assert (result.verdict, result.reason) == ("distinct", "signature differs")
     assert len(calls) == 2
+
+
+def test_signature_sign_of_delta_at_minus_one_on_large_closures():
+    # delta(-1) = (-1)^g det(M + M^T), and det(M + M^T) has the sign of
+    # (-1)^(number of negative eigenvalues), so sign delta(-1) = (-1)^(sigma/2).
+    sizes = []
+    for word in knot_corpus(6, 40, 5, 40):
+        sm = seifert_matrix(word)
+        sigma = knot_signature(sm)
+        assert sigma % 2 == 0
+        assert (alexander(sm).evaluate(-1) > 0) == (sigma % 4 == 0)
+        sizes.append(sm.size)
+    assert max(sizes) >= 36
+
+
+def test_invariants_runs_only_the_alexander_determinants(monkeypatch):
+    # pencil_det evaluates det(M - kM^T) at k = 0..n; the signature and
+    # det(M + M^T) come from one separate pass that calls no det.
+    calls = []
+
+    def counting(m):
+        calls.append(m.size)
+        return det(m)
+
+    monkeypatch.setattr(intlin, "det", counting)
+    rng = random.Random(302)
+    for genus in range(5):
+        sm = random_scrambled_seifert(rng, genus)[2]
+        calls.clear()
+        invariants(sm)
+        assert calls == [sm.size] * (sm.size + 1)

@@ -223,6 +223,16 @@ def test_search_budget_accepts_the_smallest_limits():
     assert bounded_sequiv_search(TREFOIL, TREFOIL, budget).verdict == "equivalent"
 
 
+@pytest.mark.parametrize("max_nodes", [1, 2, 3, 5])
+def test_search_holds_at_most_max_nodes_states(max_nodes):
+    scrambled = validate(IntMatrix.from_rows([[-3, -1], [-2, -1]]))
+    result = bounded_sequiv_search(TREFOIL, scrambled, SearchBudget(max_nodes=max_nodes))
+    assert (result.verdict, result.reason) == (
+        "unknown",
+        f"budget exhausted after {max_nodes} states",
+    )
+
+
 def test_search_deterministic():
     rng = random.Random(16)
     sm = random_standardized(rng, 1, bound=1)
