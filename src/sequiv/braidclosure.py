@@ -11,15 +11,14 @@ Crossing conventions are pinned operationally: the positive trefoil
 braid on two strands must produce a matrix with signature -2, and the
 polynomial of every generated knot closure must agree exactly with the
 reduced-Burau evaluation, which is computed by an entirely independent
-code path and serves as the oracle.
+code path and serves as the oracle.  The oracle builds the reduced
+Burau matrix by one column update per letter, with no matrix product.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
-
 from .intlin import IntMatrix, InternalCheckError
 from .laurent import LaurentPoly, laurent_matrix_det, normalize_knot_polynomial
 from .seifert import SeifertMatrix, validate
@@ -115,8 +114,7 @@ def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
             v[r][r] = -(e1 + e2) // 2
             if j + 1 < count:
                 s = index_of[(col, j + 1)]
-                shared = loops[r][4]  # crossing shared with the next loop
-                if shared == 1:
+                if e2 == 1:  # e2 is the crossing shared with the next loop
                     v[r][s] = 1
                 else:
                     v[s][r] = -1
@@ -154,74 +152,41 @@ def _cycle_count(perm: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 # Reduced Burau oracle.
 
-_T = LaurentPoly.t_power(1)
-_TINV = LaurentPoly.t_power(-1)
-_ONE = LaurentPoly.one
 
-
-def _burau_letter(n: int, v: int) -> list[list[LaurentPoly]]:
-    """Reduced Burau image of one signed generator, an (n-1) square matrix."""
-    i = abs(v)
-    m = n - 1
-    rows = [[_ONE if a == b else LaurentPoly() for b in range(m)] for a in range(m)]
-
-    def put(block: Sequence[Sequence[LaurentPoly]], at: int) -> None:
-        for a, row in enumerate(block):
-            for b, e in enumerate(row):
-                rows[at + a][at + b] = e
-
-    z = LaurentPoly()
-    if n == 2:
-        rows[0][0] = -_T if v > 0 else -_TINV
-        return rows
-    if i == 1:
-        if v > 0:
-            put([[-_T, z], [_ONE, _ONE]], 0)
-        else:
-            put([[-_TINV, z], [_TINV, _ONE]], 0)
-    elif i == n - 1:
-        if v > 0:
-            put([[_ONE, _T], [z, -_T]], n - 3)
-        else:
-            put([[_ONE, _ONE], [z, -_TINV]], n - 3)
-    else:
-        if v > 0:
-            put([[_ONE, _T, z], [z, -_T, z], [z, _ONE, _ONE]], i - 2)
-        else:
-            put([[_ONE, _ONE, z], [z, -_TINV, z], [z, _TINV, _ONE]], i - 2)
-    return rows
-
-
-def _mat_mul(a, b):
-    m = len(a)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(m)), LaurentPoly())
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
+def _burau_matrix(w: ArtinBraidWord) -> list[list[LaurentPoly]]:
+    """Rows of rho(w), by one column update per letter (see burau_alexander)."""
+    m = w.strands - 1
+    zero = LaurentPoly()
+    # cols[m] is a zero column, read both as column m and as column -1.
+    cols = [[LaurentPoly.one if a == b else zero for a in range(m)] for b in range(m)] + [[zero] * m]
+    for v in w.letters:
+        c = abs(v) - 1
+        left, mid, right = cols[c - 1], cols[c], cols[c + 1]
+        if v > 0:  # t (col[c-1] - col[c]) + col[c+1]
+            cols[c] = [(l - x).shift(1) + r for l, x, r in zip(left, mid, right)]
+        else:  # col[c-1] + t^-1 (col[c+1] - col[c])
+            cols[c] = [l + (r - x).shift(-1) for l, x, r in zip(left, mid, right)]
+    return [list(row) for row in zip(*cols[:m])]
 
 
 def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     """Alexander polynomial of the closure via the reduced Burau matrix.
 
-    Computes det(rho(w) - I) * (1 - t) / (1 - t**n) with exact Laurent
-    arithmetic and normalizes the result to value 1 at t=1, palindromic.
-    The division is exact for every knot closure; an inexact division
-    signals an implementation bug.
+    Right-multiplying rho by the image of sigma_i changes only column
+    c = i - 1: sigma_i sets it to t (col[c-1] - col[c]) + col[c+1], and
+    sigma_i^-1 to col[c-1] + t^-1 (col[c+1] - col[c]).  Reading columns
+    outside 0..n-2 as zero gives the edge blocks of sigma_1, sigma_(n-1)
+    and the 1x1 block [[-t^(+-1)]] for n = 2.  The exact value of
+    det(rho(w) - I) * (1 - t) / (1 - t**n), normalized to value 1 at t=1
+    and palindromic, is returned; an inexact division is a bug.
     """
     if not is_knot_closure(w):
         raise ValueError("closure is not a knot")
-    n = w.strands
-    m = n - 1
-    rho = [[_ONE if a == b else LaurentPoly() for b in range(m)] for a in range(m)]
-    for v in w.letters:
-        rho = _mat_mul(rho, _burau_letter(n, v))
-    for d in range(m):
-        rho[d][d] = rho[d][d] - _ONE
+    rho = _burau_matrix(w)
+    for d, row in enumerate(rho):
+        row[d] -= LaurentPoly.one
     numerator = laurent_matrix_det(rho)
-    quotient = LaurentPoly.of(0, (1,) * n)  # 1 + t + ... + t**(n-1)
+    quotient = LaurentPoly.of(0, (1,) * w.strands)  # 1 + t + ... + t**(n-1)
     try:
         reduced = numerator.divexact(quotient)
     except ValueError as exc:

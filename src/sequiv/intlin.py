@@ -134,16 +134,26 @@ def det(m: IntMatrix) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+        _eliminate(a, k, prev)
+        prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _eliminate(a: list[list[int]], k: int, prev: int) -> None:
+    """One Bareiss step: eliminate column k below the pivot a[k][k], in place.
+
+    Every later row becomes (row * pivot - a_ik * row_k) / prev on the
+    columns after k; prev is the previous pivot, and each division is
+    exact (Bareiss 1968).  Column k itself is left as it was.
+    """
+    n = len(a)
+    row_k = a[k]
+    pivot = row_k[k]
+    for i in range(k + 1, n):
+        row_i = a[i]
+        aik = row_i[k]
+        for j in range(k + 1, n):
+            row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
 
 
 def is_unimodular(a: IntMatrix) -> bool:
@@ -293,12 +303,7 @@ def signature_and_det(q: IntMatrix) -> tuple[int, int]:
                 row[k], row[p] = row[p], row[k]
         pivot = a[k][k]
         sig += 1 if (pivot > 0) == (prev > 0) else -1
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+        _eliminate(a, k, prev)
         prev = pivot
     return sig, prev
 

@@ -236,6 +236,10 @@ def parse_string_link(text: str) -> DoubledStringLink:
     if len(head) != 4 or head[0] != "n" or head[2] != "k":
         raise ValueError(f'header must be "n <n> k <k>", got {lines[0]!r}')
     n, k = int(head[1]), int(head[3])
+    if n < 1:
+        raise ValueError(f"strand count n must be at least 1, got {n}")
+    if k < 1:
+        raise ValueError(f"pass count k must be at least 1, got {k}")
     fr = lines[1].split()
     if fr[0] != "framings":
         raise ValueError(f'second line must start with "framings", got {lines[1]!r}')

@@ -15,8 +15,7 @@ from sequiv.braidclosure import (
     missing_generators,
     parse_artin_word,
     seifert_matrix,
-    _burau_letter,
-    _mat_mul,
+    _burau_matrix,
 )
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import alexander, knot_determinant, knot_signature, validate
@@ -86,24 +85,80 @@ def test_burau_examples():
         burau_alexander(ArtinBraidWord(2))
 
 
+T = LaurentPoly.t_power(1)
+TINV = LaurentPoly.t_power(-1)
+ONE = LaurentPoly.one
+Z = LaurentPoly()
+
+
+def _identity(m):
+    return [[ONE if a == b else Z for b in range(m)] for a in range(m)]
+
+
+def _product(a, b):
+    m = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(m)), Z) for j in range(m)] for i in range(m)]
+
+
+def _rho(n, *letters):
+    return _burau_matrix(ArtinBraidWord(n, letters))
+
+
+def _literal_block(n, v):
+    """The textbook reduced Burau image of one letter, written out block by block."""
+    i = abs(v)
+    rows = _identity(n - 1)
+    if n == 2:
+        block, at = [[-T if v > 0 else -TINV]], 0
+    elif i == 1:
+        block = [[-T, Z], [ONE, ONE]] if v > 0 else [[-TINV, Z], [TINV, ONE]]
+        at = 0
+    elif i == n - 1:
+        block = [[ONE, T], [Z, -T]] if v > 0 else [[ONE, ONE], [Z, -TINV]]
+        at = n - 3
+    else:
+        block = (
+            [[ONE, T, Z], [Z, -T, Z], [Z, ONE, ONE]]
+            if v > 0
+            else [[ONE, ONE, Z], [Z, -TINV, Z], [Z, TINV, ONE]]
+        )
+        at = i - 2
+    for a, row in enumerate(block):
+        for b, e in enumerate(row):
+            rows[at + a][at + b] = e
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_burau_letter_images_are_the_literal_blocks(n):
+    assert _rho(n) == _identity(n - 1)
+    for i in range(1, n):
+        for v in (i, -i):
+            assert _rho(n, v) == _literal_block(n, v)
+
+
 def test_burau_braid_relation():
-    for n in (3, 4):
+    for n in range(2, 6):
         for i in range(1, n - 1):
-            lhs = _mat_mul(
-                _mat_mul(_burau_letter(n, i), _burau_letter(n, i + 1)), _burau_letter(n, i)
-            )
-            rhs = _mat_mul(
-                _mat_mul(_burau_letter(n, i + 1), _burau_letter(n, i)), _burau_letter(n, i + 1)
-            )
-            assert lhs == rhs
+            assert _rho(n, i, i + 1, i) == _rho(n, i + 1, i, i + 1)
         for i in range(1, n):
-            prod = _mat_mul(_burau_letter(n, i), _burau_letter(n, -i))
-            m = n - 1
-            identity = [
-                [LaurentPoly.one if a == b else LaurentPoly() for b in range(m)]
-                for a in range(m)
-            ]
-            assert prod == identity
+            assert _rho(n, i, -i) == _identity(n - 1)
+            assert _rho(n, -i, i) == _identity(n - 1)
+
+
+_word_pairs = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *(st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=6) for _ in range(2)),
+    )
+)
+
+
+@settings(deadline=None)
+@given(_word_pairs)
+def test_burau_is_a_homomorphism(pair):
+    n, u, v = pair
+    assert _rho(n, *u, *v) == _product(_rho(n, *u), _rho(n, *v))
 
 
 def test_matrix_size_and_validity():

@@ -181,6 +181,20 @@ def test_slink_normalize_rejects_nonzero_linking(tmp_path, capsys):
     assert "lk(1,2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 2 k 0\nframings 0 0\n", "pass count k must be at least 1, got 0"),
+        ("n 2 k 0\nframings 0 0\n1.1 2.1 1\n", "pass count k must be at least 1, got 0"),
+        ("n -1 k -2\nframings\n", "strand count n must be at least 1, got -1"),
+    ],
+)
+def test_slink_lk_names_the_bad_header_count(tmp_path, capsys, text, message):
+    path = _write(tmp_path, "sl.txt", text)
+    assert main(["slink", "lk", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_std_disk_band_roundtrip(tmp_path, capsys):
     path = _write(tmp_path, "t.mat", TREFOIL)
     assert main(["std", "to-disk-band", path]) == 0

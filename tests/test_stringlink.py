@@ -278,6 +278,21 @@ def test_format_parse_roundtrip():
         parse_string_link("n 2 k\nframings 0 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 2 k 0\nframings 0 0\n", "pass count k must be at least 1, got 0"),
+        ("n 2 k 0\nframings 0 0\n1.1 2.1 1\n", "pass count k must be at least 1, got 0"),
+        ("n 0 k 1\nframings\n", "strand count n must be at least 1, got 0"),
+        ("n -1 k -2\nframings\n", "strand count n must be at least 1, got -1"),
+    ],
+)
+def test_parse_rejects_empty_header_counts(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_string_link(text)
+    assert str(info.value) == message
+
+
 @st.composite
 def string_links(draw):
     n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
