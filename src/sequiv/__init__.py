@@ -18,7 +18,6 @@ from .intlin import (
     signature_and_det,
     skew_standardize,
     standard_symplectic,
-    unimodular_inverse,
 )
 from .laurent import LaurentPoly, format_laurent, normalize_knot_polynomial, parse_laurent
 from .seifert import (
@@ -66,7 +65,6 @@ from .standardform import (
     standardize,
     to_disk_band,
     to_string_link,
-    transition,
 )
 from .braidclosure import (
     ArtinBraidWord,

@@ -2,8 +2,7 @@
 
 There is one determinant path, Bareiss fraction-free elimination, and one
 polynomial path on top of it: pencil_det interpolates det(A - tB) from
-integer determinants, and unimodular inverses follow from det(A - tI) by
-Cayley-Hamilton.  The signature and determinant of a symmetric matrix
+integer determinants.  The signature and determinant of a symmetric matrix
 come together from one Bareiss pass with symmetric pivoting, whose
 consecutive leading minors give the signs of an LDL^T factorization; no
 rational number occurs anywhere.  Skew-symmetric unimodular forms are
@@ -28,7 +27,6 @@ __all__ = [
     "skew_standardize",
     "signature",
     "signature_and_det",
-    "unimodular_inverse",
     "parse_matrix",
     "format_matrix",
 ]
@@ -186,7 +184,7 @@ def pencil_det(a: IntMatrix, b: IntMatrix) -> list[int]:
 
     Its degree is at most n = size, so it is recovered exactly from its
     values at t = 0, 1, ..., n, each an integer Bareiss determinant.
-    The Alexander polynomial and the unimodular inverse come from here.
+    The Alexander polynomial comes from here.
     """
     a._check_size(b)
     pairs = list(zip(a.rows, b.rows))
@@ -226,35 +224,6 @@ def _interpolate(values: Sequence[int]) -> list[int]:
         shifted[0] += newton[j]
         coeffs = shifted
     return coeffs
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unimodular matrix, by Cayley-Hamilton.
-
-    With p(t) = det(A - tI) = p_0 + p_1 t + ... + p_n t^n, p(A) = 0 and
-    p_0 = det A = +-1, so A^-1 = -p_0 * (p_1 I + p_2 A + ... + p_n A^(n-1)),
-    evaluated by Horner.  One more Horner step checks p(A) = 0; a failure
-    raises InternalCheckError.
-    """
-    n = a.size
-    p = pencil_det(a, IntMatrix.identity(n))
-    if p[0] not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    cols = a.transpose().rows
-
-    def times_a_plus(h: list[list[int]], c: int) -> list[list[int]]:
-        # h * A + c * I
-        out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in h]
-        for i in range(n):
-            out[i][i] += c
-        return out
-
-    h = [[p[n] if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in reversed(p[1:n]):
-        h = times_a_plus(h, c)
-    if any(any(row) for row in times_a_plus(h, p[0])):
-        raise InternalCheckError("Cayley-Hamilton check failed: p(A) is not zero")
-    return IntMatrix(tuple(tuple(-p[0] * x for x in row) for row in h))
 
 
 def signature(q: IntMatrix) -> int:

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from .intlin import (
     IntMatrix,
     congruent,
-    is_unimodular,
     skew_standardize,
     standard_symplectic,
-    unimodular_inverse,
 )
 from .purebraid import PureBraidWord
 from .seifert import SeifertMatrix, validate
@@ -35,7 +33,6 @@ __all__ = [
     "is_standardized",
     "to_disk_band",
     "from_disk_band",
-    "transition",
     "StandardizationReport",
     "standardization_witness",
     "to_string_link",
@@ -130,28 +127,13 @@ def from_disk_band(d: DiskBandForm) -> SeifertMatrix:
     return validate(IntMatrix.from_rows(rows))
 
 
-def transition(a1: IntMatrix, a2: IntMatrix) -> IntMatrix:
-    """C = A1 * A2^-1, verified to preserve the standard symplectic form."""
-    if a1.size != a2.size:
-        raise ValueError("size mismatch")
-    if a1.size % 2:
-        raise ValueError("transition requires even size")
-    if not is_unimodular(a1) or not is_unimodular(a2):
-        raise ValueError("inputs must be unimodular")
-    c, symplectic = _transition(a1, a2)
-    if not symplectic:
-        raise ValueError(
-            "transition matrix is not symplectic; the inputs do not standardize "
-            "congruent forms of a common matrix"
-        )
-    return c
+def _transition(sm: SeifertMatrix, a1: IntMatrix, a2: IntMatrix) -> IntMatrix:
+    """C = A1 * A2^-1, with A2^-1 = (M - M^T) * A2^T * X^T.
 
-
-def _transition(a1: IntMatrix, a2: IntMatrix) -> tuple[IntMatrix, bool]:
-    """C = A1 * A2^-1 and whether C * X * C^T is the standard symplectic X."""
-    c = a1 * unimodular_inverse(a2)
-    x = standard_symplectic(a1.size // 2)
-    return c, (c * x * c.transpose()).rows == x.rows
+    A2 standardizes M, so A2 * (M - M^T) * A2^T = X and X * X^T = I.
+    """
+    x = standard_symplectic(sm.genus)
+    return a1 * (sm.matrix - sm.matrix.transpose()) * a2.transpose() * x.transpose()
 
 
 @dataclass(frozen=True)
@@ -190,11 +172,12 @@ def standardization_witness(
     n2 = validate(congruent(sm.matrix, a2))
     if not is_standardized(n1) or not is_standardized(n2):
         raise ValueError("both transforms must standardize the matrix")
-    c, symplectic = _transition(a1, a2)
+    c = _transition(sm, a1, a2)
+    x = standard_symplectic(sm.genus)
     d1 = to_disk_band(n1)
     return StandardizationReport(
         c=c,
-        c_symplectic=symplectic,
+        c_symplectic=(c * x * c.transpose()).rows == x.rows,
         form_1=d1,
         form_2=to_disk_band(n2),
         forms_match_after_transition=(c * n2.matrix * c.transpose()).rows == n1.matrix.rows,
@@ -229,7 +212,10 @@ def parse_disk_band(text: str) -> DiskBandForm:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "g":
         raise ValueError(f'first line must be "g <g>", got {lines[0]!r}')
-    genus = int(head[1])
+    try:
+        genus = int(head[1])
+    except ValueError as exc:
+        raise ValueError(f"bad header line: {lines[0]!r}") from exc
     fr = lines[1].split()
     if fr[0] != "framings":
         raise ValueError(f'second line must start with "framings", got {lines[1]!r}')

@@ -73,14 +73,21 @@ class DoubledStringLink:
     framings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("pass count k must be at least 1")
+        _check_counts(self.n, self.k)
         if self.braid.strands != self.n * self.k:
             raise ValueError(
                 f"braid must live on n*k = {self.n * self.k} strands, got {self.braid.strands}"
             )
         if len(self.framings) != self.n:
             raise ValueError(f"expected {self.n} framings, got {len(self.framings)}")
+
+
+def _check_counts(n: int, k: int) -> None:
+    """Reject a strand count n or a pass count k below 1, naming the value."""
+    if n < 1:
+        raise ValueError(f"strand count n must be at least 1, got {n}")
+    if k < 1:
+        raise ValueError(f"pass count k must be at least 1, got {k}")
 
 
 def pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
@@ -174,32 +181,26 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
         p2 = position_of(idx2, n, k)
         return lk.get((min(p1, p2), max(p1, p2)), 0)
 
-    def move(mi: int, ma: int, mj: int, mb: int, sign: int) -> None:
-        word = _pair_letters(n, k, mi, ma, mj, mb, sign)
+    def clear(mi: int, ma: int, mj: int, mb: int) -> None:
+        # Each pair word moves lk((mi,ma),(mj,mb+1)) by its sign, so |v|
+        # copies of the word with the cancelling sign clear the entry.
+        v = entry((mi, ma), (mj, mb + 1))
+        words = _pair_letters(n, k, mi, ma, mj, mb, -1 if v > 0 else 1) * abs(v)
         if mb % 2 == 0:
-            letters[:0] = word
+            letters[:0] = words
         else:
-            letters.extend(word)
-        for p, q, e in word:
-            key = (p, q)
-            lk[key] = lk.get(key, 0) + e
-
-    def clear(mi: int, ma: int, mj: int, mb: int, idx2_pass: int) -> None:
-        # repeat the move with the cancelling sign until the entry dies
-        while True:
-            v = entry((mi, ma), (mj, idx2_pass))
-            if v == 0:
-                return
-            move(mi, ma, mj, mb, -1 if v > 0 else 1)
+            letters.extend(words)
+        for p, q, e in words:
+            lk[p, q] = lk.get((p, q), 0) + e
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             # fold the pass grid of (i, j) onto lk((i,1),(j,1))
             for c in range(k, 1, -1):
                 for a in range(1, k + 1):
-                    clear(i, a, j, c - 1, c)
+                    clear(i, a, j, c - 1)
             for c in range(k, 1, -1):
-                clear(j, 1, i, c - 1, c)
+                clear(j, 1, i, c - 1)
             leftover = entry((i, 1), (j, 1))
             if leftover:
                 raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
@@ -208,10 +209,7 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
         # the single-generator move and clears the entry outright
         for c in range(k, 1, -1):
             for a in range(1, c):
-                if a < c - 1:
-                    clear(i, a, i, c - 1, c)
-                else:
-                    clear(i, c - 1, i, c - 1, c)
+                clear(i, a, i, c - 1)
 
     braid = PureBraidWord(n * k, tuple(letters))
     result = DoubledStringLink(n, k, braid, link.framings)
@@ -235,11 +233,11 @@ def parse_string_link(text: str) -> DoubledStringLink:
     head = lines[0].split()
     if len(head) != 4 or head[0] != "n" or head[2] != "k":
         raise ValueError(f'header must be "n <n> k <k>", got {lines[0]!r}')
-    n, k = int(head[1]), int(head[3])
-    if n < 1:
-        raise ValueError(f"strand count n must be at least 1, got {n}")
-    if k < 1:
-        raise ValueError(f"pass count k must be at least 1, got {k}")
+    try:
+        n, k = int(head[1]), int(head[3])
+    except ValueError as exc:
+        raise ValueError(f"bad header line: {lines[0]!r}") from exc
+    _check_counts(n, k)
     fr = lines[1].split()
     if fr[0] != "framings":
         raise ValueError(f'second line must start with "framings", got {lines[1]!r}')

@@ -1,4 +1,5 @@
 import ast
+import doctest
 import hashlib
 import os
 import subprocess
@@ -187,6 +188,7 @@ def test_slink_normalize_rejects_nonzero_linking(tmp_path, capsys):
         ("n 2 k 0\nframings 0 0\n", "pass count k must be at least 1, got 0"),
         ("n 2 k 0\nframings 0 0\n1.1 2.1 1\n", "pass count k must be at least 1, got 0"),
         ("n -1 k -2\nframings\n", "strand count n must be at least 1, got -1"),
+        ("n x k 2\nframings 0 0\n", "bad header line: 'n x k 2'"),
     ],
 )
 def test_slink_lk_names_the_bad_header_count(tmp_path, capsys, text, message):
@@ -388,6 +390,12 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+def test_readme_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert (failed, attempted) == (0, 6)
+
+
 def test_inexact_burau_division_is_internal_error(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "tre.braid", "n 2\n1 1 1\n")
     # 1 is not divisible by 1 + t, the quotient for two strands.
@@ -402,9 +410,9 @@ def test_inexact_burau_division_is_internal_error(tmp_path, capsys, monkeypatch)
 def test_std_witness_reports_a_wrong_transition(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "t.mat", TREFOIL)
     identity = _write(tmp_path, "i.A", "2\n1 0\n0 1\n")
-    # Unimodular but not the inverse of I, and not symplectic (det -1).
+    # Unimodular but not I * I^-1, and not symplectic (det -1).
     wrong = IntMatrix.from_rows([[1, 0], [0, -1]])
-    monkeypatch.setattr(standardform, "unimodular_inverse", lambda a: wrong)
+    monkeypatch.setattr(standardform, "_transition", lambda sm, a1, a2: wrong)
     assert main(["std", "witness", path, identity, identity]) == 0
     out = capsys.readouterr().out
     assert "transition symplectic: false" in out
@@ -420,6 +428,12 @@ def test_std_from_disk_band_rejects_negative_genus(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "genus" in err and "-1" in err
     assert len(err.splitlines()) == 1
+
+
+def test_std_from_disk_band_names_a_bad_header(tmp_path, capsys):
+    path = _write(tmp_path, "bad.dband", "g x\nframings\n")
+    assert main(["std", "from-disk-band", path]) == 1
+    assert capsys.readouterr().err == "error: bad header line: 'g x'\n"
 
 
 def _one_of_each_group(tmp_path) -> list[list[str]]:

@@ -23,7 +23,6 @@ from sequiv.standardform import (
     standardize,
     to_disk_band,
     to_string_link,
-    transition,
 )
 from sequiv.stringlink import pairwise_linking
 
@@ -93,33 +92,21 @@ def test_disk_band_round_trip():
         assert to_disk_band(from_disk_band(d)) == d
 
 
-def test_transition_examples():
-    a = random_unimodular(random.Random(43), 4, 6)
-    assert transition(a, a) == IntMatrix.identity(4)
-
-    s = random_symplectic(random.Random(44), 2, 5)
-    c = transition(IntMatrix.identity(4), s)
-    x = standard_symplectic(2)
-    assert (c * x * c.transpose()).rows == x.rows
-
-    rng = random.Random(45)
-    for _ in range(30):
-        sm, _, scrambled = random_scrambled_seifert(rng, rng.randint(1, 3))
-        a1, _ = standardize(sm)
-        a0 = random_unimodular(rng, sm.size, 4)
-        other = validate(congruent(sm.matrix, a0))
-        a2, _ = standardize(other)
-        c = transition(a1, a2 * a0)
-        g = sm.genus
-        xg = standard_symplectic(g)
-        assert (c * xg * c.transpose()).rows == xg.rows
-
-
-def test_transition_symplectic_failure():
-    a1 = IntMatrix.identity(2)
-    a2 = IntMatrix.from_rows([[1, 0], [0, -1]])  # det -1, not symplectic
-    with pytest.raises(ValueError, match="symplectic"):
-        transition(a1, a2)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_witness_transition_carries_a2_to_a1(seed, genus):
+    # A1 and A2 standardize M in unrelated ways: A2 = standardize(A0 M A0^T) * A0.
+    rng = random.Random(seed)
+    _, _, sm = random_scrambled_seifert(rng, genus)
+    a1, _ = standardize(sm)
+    a0 = random_unimodular(rng, sm.size, 4)
+    a2 = standardize(validate(congruent(sm.matrix, a0)))[0] * a0
+    report = standardization_witness(sm, a1, a2)
+    assert report.c * a2 == a1
+    x = standard_symplectic(genus)
+    assert (report.c * x * report.c.transpose()).rows == x.rows
+    assert report.c_symplectic
+    assert report.forms_match_after_transition
 
 
 def test_witness_trivial():
@@ -158,16 +145,14 @@ def test_witness_rejects_non_standardizing_transform():
 
 
 def test_witness_fields_are_computed_from_the_transition(monkeypatch):
-    # A unimodular stand-in for A2^-1 that is neither the inverse nor symplectic.
+    # A unimodular stand-in for C that is neither A1 * A2^-1 nor symplectic.
     wrong = IntMatrix.from_rows([[1, 0], [0, -1]])
-    monkeypatch.setattr(standardform, "unimodular_inverse", lambda a: wrong)
+    monkeypatch.setattr(standardform, "_transition", lambda sm, a1, a2: wrong)
     identity = IntMatrix.identity(2)
     report = standardization_witness(TREFOIL, identity, identity)
     assert report.c == wrong
     assert not report.c_symplectic
     assert not report.forms_match_after_transition
-    with pytest.raises(ValueError, match="symplectic"):
-        transition(identity, identity)
 
 
 def test_disk_band_rejects_negative_genus():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -224,6 +225,22 @@ def test_normalize_random_zero_linking():
         assert delta_equivalent_links(link, out)
 
 
+def test_normalize_output_is_pinned():
+    # Braid-level entries of size 3, 4 and 7 on n = 2, k = 3, with every
+    # string-link linking number zero.  The output text is pinned, so a
+    # change to the clearing loop must keep it byte-identical.
+    lines = (
+        ["1.2 2.2 1"] * 3 + ["1.3 2.2 -1"] * 4 + ["1.1 1.3 1"] * 3
+        + ["2.1 2.2 -1"] * 2 + ["1.1 2.1 -1"] * 7
+    )
+    link = parse_string_link("n 2 k 3\nframings 1 -2\n" + "\n".join(lines) + "\n")
+    text = format_string_link(normalize_linking(link))
+    assert len(text.splitlines()) == 68
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0c689fa4c76ae825b8f390673b2f691f1c5963efc984e18eb6ef6af3ab3a7aed"
+    )
+
+
 def test_normalize_precondition_error():
     link = _link(2, 1, [(1, 2, 1)])
     with pytest.raises(ValueError, match=r"lk\(1,2\)"):
@@ -285,11 +302,27 @@ def test_format_parse_roundtrip():
         ("n 2 k 0\nframings 0 0\n1.1 2.1 1\n", "pass count k must be at least 1, got 0"),
         ("n 0 k 1\nframings\n", "strand count n must be at least 1, got 0"),
         ("n -1 k -2\nframings\n", "strand count n must be at least 1, got -1"),
+        ("n x k 2\nframings 0\n", "bad header line: 'n x k 2'"),
+        ("n 2 k 1.5\nframings 0 0\n", "bad header line: 'n 2 k 1.5'"),
     ],
 )
 def test_parse_rejects_empty_header_counts(text, message):
     with pytest.raises(ValueError) as info:
         parse_string_link(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, k, braid, framings, message",
+    [
+        (0, 1, PureBraidWord(1), (), "strand count n must be at least 1, got 0"),
+        (2, 0, PureBraidWord(1), (0, 0), "pass count k must be at least 1, got 0"),
+        (-2, -1, PureBraidWord(2), (), "strand count n must be at least 1, got -2"),
+    ],
+)
+def test_link_rejects_empty_counts(n, k, braid, framings, message):
+    with pytest.raises(ValueError) as info:
+        DoubledStringLink(n, k, braid, framings)
     assert str(info.value) == message
 
 
