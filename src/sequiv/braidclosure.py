@@ -272,7 +272,10 @@ def parse_artin_word(text: str) -> ArtinBraidWord:
         raise ValueError(f"bad header line: {lines[0]!r}") from exc
     letters = []
     for line in lines[1:]:
-        letters.extend(int(tok) for tok in line.split())
+        try:
+            letters.extend(int(tok) for tok in line.split())
+        except ValueError as exc:
+            raise ValueError(f"bad letter line: {line!r}") from exc
     return ArtinBraidWord(n, tuple(letters))
 
 

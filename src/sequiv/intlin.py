@@ -102,7 +102,7 @@ class IntMatrix:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
+        return self.rows == tuple(zip(*self.rows))
 
     def is_skew_symmetric(self) -> bool:
         return all(
@@ -375,7 +375,10 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1 : n + 1]:
-        entries = [int(tok) for tok in line.split()]
+        try:
+            entries = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"bad row line: {line!r}") from exc
         if len(entries) != n:
             raise ValueError(f"expected {n} entries per row, got {len(entries)}")
         rows.append(entries)

@@ -198,7 +198,10 @@ def parse_braid(text: str) -> PureBraidWord:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"letter lines must be 'i j e', got {line!r}")
-        letters.append(tuple(int(p) for p in parts))
+        try:
+            letters.append(tuple(int(p) for p in parts))
+        except ValueError as exc:
+            raise ValueError(f"bad letter line: {line!r}") from exc
     return PureBraidWord(n, tuple(letters))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Optional, Sequence
 
 from .intlin import IntMatrix, InternalCheckError, det, pencil_det, signature, signature_and_det
@@ -205,16 +206,26 @@ def _strip(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> tuple[tuple[int
 
 
 def _reduction_sites(rows: tuple[tuple[int, ...], ...]):
-    """Yield (p, q, kind) for every enlargement pattern, bottom-right first."""
+    """Yield (p, q, kind) for every enlargement pattern, bottom-right first.
+
+    A column site (p, q) needs row q to be zero and a row site needs
+    column q to be zero, so only those q are matched, and a state with
+    neither a zero row nor a zero column has no site.
+    """
     n = len(rows)
-    frames = (("column", rows), ("row", _transpose(rows)))
+    columns = _transpose(rows)
+    zero_row = [not any(row) for row in rows]
+    zero_column = [not any(column) for column in columns]
+    if not any(zero_row) and not any(zero_column):
+        return
     for p in range(n - 1, -1, -1):
         for q in range(n - 1, -1, -1):
             if p == q:
                 continue
-            for kind, frame in frames:
-                if _column_pattern(frame, p, q):
-                    yield p, q, kind
+            if zero_row[q] and _column_pattern(rows, p, q):
+                yield p, q, "column"
+            if zero_column[q] and _column_pattern(columns, p, q):
+                yield p, q, "row"
 
 
 def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
@@ -237,20 +248,31 @@ def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
 
 @dataclass(frozen=True)
 class CongruenceMove:
-    """Congruence by the elementary matrix I + c * e(i, j), 0-indexed."""
+    """Congruence by the elementary matrix I + c * e(i, j), 0-indexed.
+
+    E M E^T adds c times row j to row i, then c times column j to
+    column i, so it changes only row i and column i.  apply_rows rebuilds
+    row i, splices the new column-i entry into the rows whose column-j
+    entry is nonzero, and reuses every other row tuple of the input.
+    """
 
     i: int
     j: int
     c: int
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        n = len(rows)
-        work = [list(r) for r in rows]
-        for l in range(n):
-            work[self.i][l] += self.c * work[self.j][l]
-        for row in work:
-            row[self.i] += self.c * row[self.j]
-        return tuple(tuple(r) for r in work)
+        i, j, c = self.i, self.j, self.c
+        out = list(rows)
+        for l, row in enumerate(rows):
+            v = row[j]
+            if v and l != i:
+                spliced = list(row)
+                spliced[i] += c * v
+                out[l] = tuple(spliced)
+        new = [a + c * b for a, b in zip(rows[i], rows[j])]
+        new[i] += c * new[j]
+        out[i] = tuple(new)
+        return tuple(out)
 
     def describe(self) -> str:
         return f"congruence E[{self.i + 1},{self.j + 1};{self.c:+d}]"
@@ -372,22 +394,44 @@ def bounded_sequiv_search(
     return SearchResult("unknown", reason=f"move space exhausted ({len(parents)} states)")
 
 
+_ENLARGE_MOVES = (EnlargeMove("column"), EnlargeMove("row"))
+
+
+@cache
+def _congruence_moves(n: int) -> tuple[tuple[CongruenceMove, ...], ...]:
+    """The congruence moves on n x n states in search order, grouped by i."""
+    return tuple(
+        tuple(CongruenceMove(i, j, c) for j in range(n) if j != i for c in (1, -1))
+        for i in range(n)
+    )
+
+
 def _children(rows: tuple[tuple[int, ...], ...], max_size: int, max_entry: int):
-    """Yield (move, child) for each move out of rows, in the fixed search order."""
+    """Yield (move, child) for each move out of rows, in the fixed search order.
+
+    A congruence child keeps every entry of rows off its row i and
+    column i, so only those two are bound-checked.  An entry of rows above
+    max_entry off row i and column i stays in every such child, so that i
+    yields no congruence child at all.
+    """
     n = len(rows)
     for p, q, kind in _reduction_sites(rows):
         yield ReduceMove(p, q, kind), _strip(rows, p, q)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for c in (1, -1):
-                move = CongruenceMove(i, j, c)
-                child = move.apply_rows(rows)
-                if max((abs(x) for row in child for x in row), default=0) <= max_entry:
-                    yield move, child
+    lo, hi = -max_entry, max_entry
+    out_of_bound = [
+        (r, k) for r, row in enumerate(rows) for k, x in enumerate(row) if not lo <= x <= hi
+    ]
+    for i, moves in enumerate(_congruence_moves(n)):
+        if any(r != i and k != i for r, k in out_of_bound):
+            continue
+        for move in moves:
+            child = move.apply_rows(rows)
+            row = child[i]
+            column = [r[i] for r in child]
+            if lo <= min(row) and max(row) <= hi and lo <= min(column) and max(column) <= hi:
+                yield move, child
     if n + 2 <= max_size:
-        for move in (EnlargeMove("column"), EnlargeMove("row")):
+        for move in _ENLARGE_MOVES:
             yield move, move.apply_rows(rows)
 
 

@@ -219,13 +219,19 @@ def parse_disk_band(text: str) -> DiskBandForm:
     fr = lines[1].split()
     if fr[0] != "framings":
         raise ValueError(f'second line must start with "framings", got {lines[1]!r}')
-    framings = [int(tok) for tok in fr[1:]]
+    try:
+        framings = [int(tok) for tok in fr[1:]]
+    except ValueError as exc:
+        raise ValueError(f"bad framings line: {lines[1]!r}") from exc
     entries: dict[tuple[int, int], int] = {}
     for line in lines[2:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"band-linking lines must be 'i j lk', got {line!r}")
-        i, j, v = (int(p) for p in parts)
+        try:
+            i, j, v = (int(p) for p in parts)
+        except ValueError as exc:
+            raise ValueError(f"bad band line: {line!r}") from exc
         entries[(min(i, j), max(i, j))] = v
     return DiskBandForm.build(genus, framings, entries)
 

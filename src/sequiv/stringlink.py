@@ -241,7 +241,10 @@ def parse_string_link(text: str) -> DoubledStringLink:
     fr = lines[1].split()
     if fr[0] != "framings":
         raise ValueError(f'second line must start with "framings", got {lines[1]!r}')
-    framings = tuple(int(tok) for tok in fr[1:])
+    try:
+        framings = tuple(int(tok) for tok in fr[1:])
+    except ValueError as exc:
+        raise ValueError(f"bad framings line: {lines[1]!r}") from exc
     letters: list[Letter] = []
     for line in lines[2:]:
         parts = line.split()
@@ -249,7 +252,10 @@ def parse_string_link(text: str) -> DoubledStringLink:
             raise ValueError(f"letter lines must be 'i.a j.b e', got {line!r}")
         idx1 = _parse_double(parts[0])
         idx2 = _parse_double(parts[1])
-        e = int(parts[2])
+        try:
+            e = int(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"bad letter line: {line!r}") from exc
         p1 = position_of(idx1, n, k)
         p2 = position_of(idx2, n, k)
         if p1 == p2:

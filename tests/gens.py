@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from sequiv.intlin import IntMatrix, pencil_det, standard_symplectic
 from sequiv.laurent import LaurentPoly
 from sequiv.purebraid import PureBraidWord
-from sequiv.seifert import Invariants, SeifertMatrix, validate
+from sequiv.seifert import (
+    CongruenceMove,
+    EnlargeMove,
+    Invariants,
+    ReduceMove,
+    SeifertMatrix,
+    validate,
+)
 from sequiv.standardform import DiskBandForm, from_disk_band
 from sequiv.stringlink import DoubledStringLink, pairwise_linking, position_of
 
@@ -99,6 +106,43 @@ def descartes_signature_and_det(q: IntMatrix) -> tuple[int, int]:
     zero = next((k for k, c in enumerate(p) if c), len(p))
     assert pos + neg + zero == q.size
     return pos - neg, p[0]
+
+
+def reference_children(rows, max_size: int, max_entry: int) -> list:
+    """The (move, child) list of one search expansion, built literally.
+
+    Every enlargement site is tried through ReduceMove, every congruence
+    child is a full copy of rows with a whole-matrix bound check, in the
+    search order: reductions bottom-right first, then E[i,j;c] for i, j
+    and c = +1, -1, then the two enlargements.  For tests.
+    """
+    n = len(rows)
+    out = []
+    for p in range(n - 1, -1, -1):
+        for q in range(n - 1, -1, -1):
+            for kind in ("column", "row"):
+                move = ReduceMove(p, q, kind)
+                try:
+                    out.append((move, move.apply_rows(rows)))
+                except ValueError:
+                    pass
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for c in (1, -1):
+                work = [list(r) for r in rows]
+                for l in range(n):
+                    work[i][l] += c * work[j][l]
+                for row in work:
+                    row[i] += c * row[j]
+                child = tuple(tuple(r) for r in work)
+                if max((abs(x) for r in child for x in r), default=0) <= max_entry:
+                    out.append((CongruenceMove(i, j, c), child))
+    if n + 2 <= max_size:
+        for kind in ("column", "row"):
+            out.append((EnlargeMove(kind), EnlargeMove(kind).apply_rows(rows)))
+    return out
 
 
 def random_skew_unimodular(rng: random.Random, genus: int, ops: int = 12) -> IntMatrix:

@@ -571,3 +571,56 @@ def test_corpus_generate_rejects_impossible_limits(capsys, flags, message):
 def test_corpus_generate_zero_count_prints_the_header(capsys):
     assert main(["corpus", "generate", "--count", "0"]) == 0
     assert capsys.readouterr().out == "word\tn\tlength\talexander\tsignature\tdeterminant\tarf\tagree\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("mat invariants", "2\n-1 x\n0 -1\n", "bad row line: '-1 x'"),
+        ("closure alexander", "n 2\n1 1\n1 x\n", "bad letter line: '1 x'"),
+        ("braid lk", "n 3\n1 2 1\n1 3 x\n", "bad letter line: '1 3 x'"),
+        ("slink lk", "n 2 k 1\nframings 0 z\n", "bad framings line: 'framings 0 z'"),
+        ("slink lk", "n 2 k 1\nframings 0 0\n1.1 2.1 q\n", "bad letter line: '1.1 2.1 q'"),
+        ("std from-disk-band", "g 1\nframings 1 x\n", "bad framings line: 'framings 1 x'"),
+        ("std from-disk-band", "g 1\nframings 1 0\n1 2 y\n", "bad band line: '1 2 y'"),
+    ],
+)
+def test_parsers_name_the_bad_body_line(tmp_path, capsys, command, text, message):
+    path = _write(tmp_path, "bad.txt", text)
+    assert main([*command.split(), path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+GENUS2 = "4\n-1 1 0 0\n0 -1 0 0\n0 0 1 1\n0 0 0 -1\n"
+GENUS2_CONGRUENT = "4\n0 1 2 0\n0 -1 -1 1\n1 -1 0 2\n0 1 1 -2\n"  # three congruences away
+COLUMN_ENLARGED = "4\n-1 1 1 0\n0 -1 0 0\n0 0 1 1\n0 0 0 0\n"  # column_enlarge(trefoil, [1, 0], 1)
+ROW_ENLARGED = "4\n-1 1 0 0\n0 -1 0 0\n1 0 1 0\n0 0 1 0\n"  # row_enlarge(trefoil, [1, 0], 1)
+
+
+@pytest.mark.parametrize(
+    "start, target, flags, code, digest",
+    [
+        (TREFOIL, SCRAMBLED, [], 0,
+         "5e94d4ab215ef2da028cccf5de82a330afd9fed77ff1dac197b2213bcbd52045"),
+        (TREFOIL, COLUMN_ENLARGED, ["--max-nodes", "4000"], 2,
+         "207ef4eaba93fa7ce8cdfe105e4ce0a4d9fa0dc6f8b63f84c5e68118d6f12c29"),
+        (TREFOIL, ROW_ENLARGED, ["--max-nodes", "4000"], 2,
+         "207ef4eaba93fa7ce8cdfe105e4ce0a4d9fa0dc6f8b63f84c5e68118d6f12c29"),
+        # budget exhausted after 20000 states
+        (TREFOIL, COLUMN_ENLARGED, [], 2,
+         "3f231e8612ce82ccc301018616f3098ce6b90144f2e1d90333c33195fefd4f62"),
+        (GENUS2, GENUS2_CONGRUENT, [], 0,
+         "818703168b8d8a800631905248408dd1021e50947948a784cdf0831a382f2c4a"),
+        # The start's entry -3 lies above the limit.
+        (SCRAMBLED, TREFOIL, ["--max-entry", "2"], 0,
+         "d2fbdd2554362c792726e2a003706c17055974bd6375dcf6644f7d949bd56419"),
+    ],
+)
+def test_mat_sequiv_output_is_pinned(tmp_path, capsys, start, target, flags, code, digest):
+    p1 = _write(tmp_path, "a.mat", start)
+    p2 = _write(tmp_path, "b.mat", target)
+    assert main(["mat", "sequiv", p1, p2, *flags]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

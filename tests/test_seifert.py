@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import random_scrambled_seifert, random_standardized, random_unimodular
+from gens import (
+    random_scrambled_seifert,
+    random_standardized,
+    random_unimodular,
+    reference_children,
+)
+from sequiv import seifert
 from sequiv.intlin import IntMatrix, congruent
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
@@ -304,3 +310,81 @@ def test_search_builds_each_congruence_child_once(monkeypatch):
     assert result.verdict == "equivalent"
     assert len(built) > 0
     assert len(set(built)) == len(built)
+
+
+@st.composite
+def search_states(draw):
+    """(rows, max_size, max_entry) for one search expansion.
+
+    Sizes 0-6 with max_size n or n + 2; entries mostly within max_entry,
+    some states with one or two planted entries just above it and some
+    with random entries well beyond it; some states with a zero row or
+    column, or with a planted column or row enlargement site.
+    """
+    n = draw(st.integers(0, 6))
+    max_entry = draw(st.integers(0, 12))
+    bound = st.integers(-max_entry, max_entry)
+    entry = draw(st.sampled_from((st.integers(-2, 2), bound, st.integers(-14, 14))))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n:
+        for _ in range(draw(st.integers(0, 2))):
+            r, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[r][k] = draw(st.sampled_from((1, -1))) * (max_entry + draw(st.integers(1, 3)))
+        shape = draw(st.sampled_from(("plain", "zero row", "zero column", "site")))
+        if shape == "zero row":
+            rows[draw(st.integers(0, n - 1))] = [0] * n
+        elif shape == "zero column":
+            k = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[k] = 0
+        elif shape == "site" and n >= 2:
+            p, q = draw(st.permutations(range(n)))[:2]
+            for l in range(n):
+                rows[q][l] = rows[l][q] = 0
+                if l != q:
+                    rows[p][l] = 0
+            rows[p][q] = 1
+            if draw(st.booleans()):
+                rows = [list(col) for col in zip(*rows)]
+    rows = tuple(tuple(row) for row in rows)
+    return rows, n + draw(st.sampled_from((0, 2))), max_entry
+
+
+@settings(max_examples=500, deadline=None)
+@given(search_states())
+def test_children_match_the_literal_reference(case):
+    rows, max_size, max_entry = case
+    assert list(seifert._children(rows, max_size, max_entry)) == reference_children(
+        rows, max_size, max_entry
+    )
+
+
+def test_children_match_the_reference_on_a_start_above_max_entry():
+    # -3 lies above max_entry 2: only moves with i = 0 can change it.
+    scrambled = ((-3, -1), (-2, -1))
+    children = list(seifert._children(scrambled, 4, 2))
+    assert children == reference_children(scrambled, 4, 2)
+    assert children and all(move.i == 0 for move, _ in children if isinstance(move, CongruenceMove))
+
+
+def test_children_match_the_reference_on_every_stored_search_state():
+    """Every state the 4000-state trefoil -> column-enlarged search stores."""
+    enlarged = column_enlarge(TREFOIL, (1, 0), 1)
+    budget = SearchBudget(max_nodes=4000)
+    max_size, max_entry = enlarged.size + 2, budget.max_entry
+    stored = {TREFOIL.matrix.rows: None}
+    frontier = [TREFOIL.matrix.rows]
+    for rows in frontier:
+        for move, child in reference_children(rows, max_size, max_entry):
+            if child not in stored and len(stored) < budget.max_nodes:
+                stored[child] = move
+                frontier.append(child)
+        if len(stored) == budget.max_nodes:
+            break
+    assert len(stored) == 4000
+    for rows in stored:
+        assert list(seifert._children(rows, max_size, max_entry)) == reference_children(
+            rows, max_size, max_entry
+        )
+    result = bounded_sequiv_search(TREFOIL, enlarged, budget)
+    assert result.reason == "budget exhausted after 4000 states"
