@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .intlin import IntMatrix, InternalCheckError
 from .laurent import LaurentPoly, laurent_matrix_det, normalize_knot_polynomial
 from .seifert import SeifertMatrix, validate
+from .textformat import ints, nonblank_lines, read_header
 
 __all__ = [
     "ArtinBraidWord",
@@ -262,20 +263,11 @@ def _word_space(max_strands: int, max_length: int, cap: int) -> int:
 
 def parse_artin_word(text: str) -> ArtinBraidWord:
     """Parse: header "n <strands>"; then signed generator indices."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != "n":
-        raise ValueError('braid file must start with a header line "n <strands>"')
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise ValueError(f"bad header line: {lines[0]!r}") from exc
+    lines = nonblank_lines(text)
+    (n,) = read_header(lines, "n", 'braid file must start with a header line "n <strands>"')
     letters = []
     for line in lines[1:]:
-        try:
-            letters.extend(int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise ValueError(f"bad letter line: {line!r}") from exc
+        letters.extend(ints(line.split(), line, "letter"))
     return ArtinBraidWord(n, tuple(letters))
 
 

@@ -5,8 +5,9 @@ deterministic given identical inputs and flags.  Decision commands end
 with a machine block of stable key=value lines; document commands print
 bare documents in the same formats the parsers accept.
 
-Exit codes: 0 success or decided, 1 invalid input, 2 undecided,
-3 internal error (an exactness check inside the library failed).
+Exit codes: 0 success or decided, 1 invalid input or a usage error,
+2 undecided, 3 internal error (an exactness check inside the library
+failed).  Every exit 1 prints one "error: ..." line on stderr.
 
 `main` builds its parser once per process, on the first call, and
 reuses it: in-process callers pay for argparse construction once, and a
@@ -23,6 +24,7 @@ import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .braidclosure import (
@@ -106,25 +108,20 @@ seed is %d.
 class Verdict:
     """Outcome of a subcommand: detail lines plus a stable machine block."""
 
-    status: str  # ok | distinct | equivalent | unknown | invalid-input
+    status: str  # ok | distinct | equivalent | unknown
     detail: list[str] = field(default_factory=list)
     machine: dict[str, str] = field(default_factory=dict)
 
-    def emit(self, out=None) -> None:
-        out = out if out is not None else sys.stdout
+    def emit(self) -> None:
         for line in self.detail:
-            print(line, file=out)
-        print(f"status={self.status}", file=out)
+            print(line)
+        print(f"status={self.status}")
         for key, value in self.machine.items():
-            print(f"{key}={value}", file=out)
+            print(f"{key}={value}")
 
     @property
     def exit_code(self) -> int:
-        if self.status == "invalid-input":
-            return 1
-        if self.status == "unknown":
-            return 2
-        return 0
+        return 2 if self.status == "unknown" else 0
 
 
 def _read(path: str) -> str:
@@ -191,9 +188,7 @@ def _cmd_mat_standardize(args) -> Verdict:
 
 def _cmd_mat_enlarge(args) -> int:
     sm = _load_seifert(args.file)
-    xi = [int(tok) for tok in (args.vector or [])]
-    if not xi:
-        xi = [0] * sm.size
+    xi = args.vector or [0] * sm.size
     if args.kind == "column":
         enlarged = column_enlarge(sm, xi, args.x)
     else:
@@ -363,8 +358,19 @@ def _cmd_corpus_generate(args) -> int:
 # parser wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError.
+
+    main then reports them like any invalid input: exit 1 and one
+    "error: ..." line.  Subparsers are built from this class too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sequiv",
         description="Exact-arithmetic toolkit for Seifert matrices and S-equivalence.",
         epilog=_FORMAT_HELP,
@@ -388,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", choices=("column", "row"), default="column")
     p.add_argument("--x", type=int, default=0)
-    p.add_argument("--vector", nargs="*", help="enlargement column/row entries")
+    p.add_argument("--vector", type=int, nargs="*", help="enlargement column/row entries")
     p.set_defaults(func=_cmd_mat_enlarge)
     p = mat.add_parser("reduce", help="strip one enlargement if a pattern matches")
     p.add_argument("file")
@@ -473,8 +479,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         outcome = args.func(args)
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .textformat import integer, ints, nonblank_lines
+
 __all__ = [
     "InternalCheckError",
     "IntMatrix",
@@ -82,9 +84,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.rows))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_size(other)
@@ -252,15 +251,23 @@ def signature_and_det(q: IntMatrix) -> tuple[int, int]:
     sig = 0
     prev = 1
     for k in range(n):
-        p = next((i for i in range(k, n) if a[i][i]), None)
-        if p is None:
-            p, j = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), (None, None)
-            )
-            if p is None:
+        for p in range(k, n):
+            if a[p][p]:
+                break
+        else:
+            # No diagonal pivot: take the first nonzero a_pj, p < j, row by row.
+            for p in range(k, n):
+                row_p = a[p]
+                for j in range(p + 1, n):
+                    if row_p[j]:
+                        break
+                else:
+                    continue
+                break
+            else:
                 return sig, 0
             # b_p += b_j: row p += row j, then column p += column j.
-            row_p, row_j = a[p], a[j]
+            row_j = a[j]
             for l in range(k, n):
                 row_p[l] += row_j[l]
             for i in range(k, n):
@@ -362,23 +369,18 @@ def parse_matrix(text: str) -> IntMatrix:
 
     The empty matrix is the single line "0".
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = nonblank_lines(text, strip=False)
     if not lines:
         raise ValueError("empty matrix file")
-    try:
-        (n,) = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad size line: {lines[0]!r}") from exc
+    # The whole stripped line is one token: "2 3" is not an integer either.
+    n = integer(lines[0].strip(), lines[0], "size")
     if n < 0:
         raise ValueError("matrix size must be non-negative")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
-    for line in lines[1 : n + 1]:
-        try:
-            entries = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"bad row line: {line!r}") from exc
+    for line in lines[1:]:
+        entries = ints(line.split(), line, "row")
         if len(entries) != n:
             raise ValueError(f"expected {n} entries per row, got {len(entries)}")
         rows.append(entries)

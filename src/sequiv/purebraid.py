@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .textformat import ints, nonblank_lines, read_header
+
 __all__ = [
     "Letter",
     "PureBraidWord",
@@ -185,23 +187,14 @@ def insert_relator(
 
 def parse_braid(text: str) -> PureBraidWord:
     """Parse the pure-braid format: header "n <strands>", then "i j e" lines."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != "n":
-        raise ValueError('pure-braid file must start with a header line "n <strands>"')
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise ValueError(f"bad header line: {lines[0]!r}") from exc
+    lines = nonblank_lines(text)
+    (n,) = read_header(lines, "n", 'pure-braid file must start with a header line "n <strands>"')
     letters = []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"letter lines must be 'i j e', got {line!r}")
-        try:
-            letters.append(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise ValueError(f"bad letter line: {line!r}") from exc
+        letters.append(ints(parts, line, "letter"))
     return PureBraidWord(n, tuple(letters))
 
 

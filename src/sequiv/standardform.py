@@ -26,6 +26,7 @@ from .intlin import (
 from .purebraid import PureBraidWord
 from .seifert import SeifertMatrix, validate
 from .stringlink import DoubledStringLink
+from .textformat import ints, nonblank_lines, read_framings, read_header
 
 __all__ = [
     "DiskBandForm",
@@ -206,32 +207,17 @@ def to_string_link(d: DiskBandForm) -> DoubledStringLink:
 
 def parse_disk_band(text: str) -> DiskBandForm:
     """Parse: "g <g>", "framings f1 ... f_2g", then "i j lk" lines."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = nonblank_lines(text)
     if len(lines) < 2:
         raise ValueError("disk-band file needs a genus line and a framings line")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "g":
-        raise ValueError(f'first line must be "g <g>", got {lines[0]!r}')
-    try:
-        genus = int(head[1])
-    except ValueError as exc:
-        raise ValueError(f"bad header line: {lines[0]!r}") from exc
-    fr = lines[1].split()
-    if fr[0] != "framings":
-        raise ValueError(f'second line must start with "framings", got {lines[1]!r}')
-    try:
-        framings = [int(tok) for tok in fr[1:]]
-    except ValueError as exc:
-        raise ValueError(f"bad framings line: {lines[1]!r}") from exc
+    (genus,) = read_header(lines, "g", 'first line must be "g <g>", got {!r}')
+    framings = read_framings(lines)
     entries: dict[tuple[int, int], int] = {}
     for line in lines[2:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"band-linking lines must be 'i j lk', got {line!r}")
-        try:
-            i, j, v = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"bad band line: {line!r}") from exc
+        i, j, v = ints(parts, line, "band")
         entries[(min(i, j), max(i, j))] = v
     return DiskBandForm.build(genus, framings, entries)
 

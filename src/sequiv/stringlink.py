@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .intlin import InternalCheckError
 from .purebraid import Letter, LinkingMatrix, PureBraidWord, linking_matrix
+from .textformat import integer, nonblank_lines, read_framings, read_header
 
 __all__ = [
     "DoubleIndex",
@@ -227,24 +228,12 @@ def delta_equivalent_links(l1: DoubledStringLink, l2: DoubledStringLink) -> bool
 
 def parse_string_link(text: str) -> DoubledStringLink:
     """Parse: header "n <n> k <k>"; "framings f1 ... fn"; letters "i.a j.b e"."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = nonblank_lines(text)
     if len(lines) < 2:
         raise ValueError("string-link file needs a header and a framings line")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "n" or head[2] != "k":
-        raise ValueError(f'header must be "n <n> k <k>", got {lines[0]!r}')
-    try:
-        n, k = int(head[1]), int(head[3])
-    except ValueError as exc:
-        raise ValueError(f"bad header line: {lines[0]!r}") from exc
+    n, k = read_header(lines, "n k", 'header must be "n <n> k <k>", got {!r}')
     _check_counts(n, k)
-    fr = lines[1].split()
-    if fr[0] != "framings":
-        raise ValueError(f'second line must start with "framings", got {lines[1]!r}')
-    try:
-        framings = tuple(int(tok) for tok in fr[1:])
-    except ValueError as exc:
-        raise ValueError(f"bad framings line: {lines[1]!r}") from exc
+    framings = read_framings(lines)
     letters: list[Letter] = []
     for line in lines[2:]:
         parts = line.split()
@@ -252,10 +241,7 @@ def parse_string_link(text: str) -> DoubledStringLink:
             raise ValueError(f"letter lines must be 'i.a j.b e', got {line!r}")
         idx1 = _parse_double(parts[0])
         idx2 = _parse_double(parts[1])
-        try:
-            e = int(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"bad letter line: {line!r}") from exc
+        e = integer(parts[2], line, "letter")
         p1 = position_of(idx1, n, k)
         p2 = position_of(idx2, n, k)
         if p1 == p2:

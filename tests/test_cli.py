@@ -520,12 +520,55 @@ def test_main_works_after_argparse_exits(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    with pytest.raises(SystemExit) as info:
-        main(["mat", "enlarge", path, "--x", "zz"])
-    assert info.value.code == 2
+    assert main(["mat", "enlarge", path, "--x", "zz"]) == 1
     capsys.readouterr()
     assert main(["mat", "invariants", path]) == 0
     assert _machine(capsys.readouterr().out)["signature"] == "-2"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["mat", "sequiv", "{t}", "{t}", "--max-nodes", "x"],
+            "argument --max-nodes: invalid int value: 'x'",
+        ),
+        (["mat", "invariants"], "the following arguments are required: file"),
+        (["mat", "enlarge", "{t}", "--vector", "1", "x"], "argument --vector: invalid int value: 'x'"),
+        (
+            ["mat", "enlarge", "{t}", "--kind", "diagonal"],
+            "argument --kind: invalid choice: 'diagonal' (choose from 'column', 'row')",
+        ),
+        (["mat", "invariants", "{t}", "--extra"], "unrecognized arguments: --extra"),
+        (["corpus"], "the following arguments are required: command"),
+        ([], "the following arguments are required: group"),
+    ],
+)
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    assert main([arg.format(t=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_usage_error_exits_1_with_one_line_in_a_fresh_process(tmp_path):
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sequiv", "mat", "sequiv", path, path, "--max-nodes", "x"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: argument --max-nodes: invalid int value: 'x'\n"
+
+
+def test_enlarge_vector_is_read_as_integers(tmp_path, capsys):
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    assert main(["mat", "enlarge", path, "--vector", "+1", "-2", "--x", "3"]) == 0
+    enlarged = column_enlarge(validate(parse_matrix(TREFOIL)), [1, -2], 3)
+    assert capsys.readouterr().out == format_matrix(enlarged.matrix)
 
 
 def test_main_reads_sys_argv_without_arguments(tmp_path, capsys, monkeypatch):
