@@ -13,11 +13,11 @@ from .intlin import (
     congruent,
     det,
     is_unimodular,
-    pencil_det,
     signature,
     signature_and_det,
     skew_standardize,
     standard_symplectic,
+    transpose_pencil_det,
 )
 from .laurent import LaurentPoly, format_laurent, normalize_knot_polynomial, parse_laurent
 from .seifert import (

@@ -1,8 +1,11 @@
 """Exact integer linear algebra on immutable square matrices.
 
 There is one determinant path, Bareiss fraction-free elimination, and one
-polynomial path on top of it: pencil_det interpolates det(A - tB) from
-integer determinants.  The signature and determinant of a symmetric matrix
+polynomial path on top of it: transpose_pencil_det interpolates
+det(M - tM^T) from g + 1 integer determinants det(M + k(M + M^T)),
+k = 0..g, which sit at t = -k / (k + 1); t = 1 and t = -1 are never
+nodes, so the checks the Alexander polynomial gets there stay
+independent.  The signature and determinant of a symmetric matrix
 come together from one Bareiss pass with symmetric pivoting, whose
 consecutive leading minors give the signs of an LDL^T factorization; no
 rational number occurs anywhere.  Skew-symmetric unimodular forms are
@@ -14,7 +17,8 @@ function, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable
 
 from .textformat import integer, ints, nonblank_lines
 
@@ -22,7 +26,7 @@ __all__ = [
     "InternalCheckError",
     "IntMatrix",
     "det",
-    "pencil_det",
+    "transpose_pencil_det",
     "is_unimodular",
     "congruent",
     "standard_symplectic",
@@ -87,7 +91,6 @@ class IntMatrix:
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_size(other)
-        n = self.size
         cols = other.transpose().rows
         return IntMatrix(
             tuple(
@@ -178,50 +181,51 @@ def standard_symplectic(g: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def pencil_det(a: IntMatrix, b: IntMatrix) -> list[int]:
-    """Coefficients, constant first, of the polynomial det(A - t * B).
+def transpose_pencil_det(m: IntMatrix) -> list[int]:
+    """Coefficients, constant first, of det(M - t * M^T) for M of even size n.
 
-    Its degree is at most n = size, so it is recovered exactly from its
-    values at t = 0, 1, ..., n, each an integer Bareiss determinant.
-    The Alexander polynomial comes from here.
+    P(x, y) = det(yM - xM^T) is a binary form of degree n = 2g, and
+    transposing gives P(y, x) = (-1)^n P(x, y) = P(x, y).  So
+    P = sum_j d_j (x + y)^(n - 2j) (xy)^j, j = 0..g, with integer d_j.  On
+    the line x + y = 1, x = lambda, P is det(M - lambda Q) with
+    Q = M + M^T, a polynomial D(mu) = sum_j d_j mu^j of degree g in
+    mu = lambda (1 - lambda).  It is recovered from g + 1 integer Bareiss
+    determinants det(M + kQ), k = 0..g, at the integer nodes
+    mu = -k(k + 1), by Newton divided differences; each division is exact
+    for an integer polynomial, and an inexact one raises
+    InternalCheckError.  Then det(M - t M^T) = P(t, 1) =
+    sum_j d_j t^j (1 + t)^(n - 2j).  The Alexander polynomial comes from
+    here.
     """
-    a._check_size(b)
-    pairs = list(zip(a.rows, b.rows))
+    n = m.size
+    if n % 2:
+        raise ValueError(f"transpose pencil requires even size, got {n}")
+    g = n // 2
+    pairs = list(zip(m.rows, zip(*m.rows)))
 
     def at(k: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(x - k * y for x, y in zip(ra, rb)) for ra, rb in pairs))
+        return IntMatrix(tuple(tuple(x + k * (x + y) for x, y in zip(r, c)) for r, c in pairs))
 
-    return _interpolate([det(at(k)) for k in range(a.size + 1)])
-
-
-def _interpolate(values: Sequence[int]) -> list[int]:
-    """Coefficients, constant first, of the polynomial p with p(k) = values[k].
-
-    Newton forward differences: p(t) = sum_j (D^j p(0) / j!) * t(t-1)...(t-j+1).
-    For an integer polynomial every division by j! is exact; an inexact
-    one raises InternalCheckError.
-    """
-    diffs = list(values)
-    n = len(diffs)
-    for j in range(1, n):
-        for k in range(n - 1, j - 1, -1):
-            diffs[k] -= diffs[k - 1]
-    newton = []
-    factorial = 1
-    for j, d in enumerate(diffs):
-        factorial *= max(j, 1)
-        q, r = divmod(d, factorial)
-        if r:
-            raise InternalCheckError(f"forward difference {d} of order {j} is not divisible by {j}!")
-        newton.append(q)
-    # Horner in the falling-factorial basis: p = c_0 + t * (c_1 + (t - 1) * (c_2 + ...)).
-    coeffs: list[int] = []
-    for j in range(n - 1, -1, -1):
-        shifted = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] -= j * c
-        shifted[0] += newton[j]
-        coeffs = shifted
+    newton = [det(at(k)) for k in range(g + 1)]
+    nodes = [-k * (k + 1) for k in range(g + 1)]
+    for j in range(1, g + 1):
+        for k in range(g, j - 1, -1):
+            q, r = divmod(newton[k] - newton[k - 1], nodes[k] - nodes[k - j])
+            if r:
+                raise InternalCheckError(f"divided difference of order {j} at node {k} is not an integer")
+            newton[k] = q
+    # Horner in the Newton basis: D = c_0 + (mu - mu_0) * (c_1 + (mu - mu_1) * (...)).
+    d: list[int] = []
+    for k in range(g, -1, -1):
+        shifted = [0] + d
+        for i, c in enumerate(d):
+            shifted[i] -= nodes[k] * c
+        shifted[0] += newton[k]
+        d = shifted
+    coeffs = [0] * (n + 1)
+    for j, dj in enumerate(d):
+        for i in range(n - 2 * j + 1):
+            coeffs[i + j] += dj * comb(n - 2 * j, i)
     return coeffs
 
 

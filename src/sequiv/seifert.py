@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from typing import Optional, Sequence
 
-from .intlin import IntMatrix, InternalCheckError, det, pencil_det, signature, signature_and_det
+from .intlin import IntMatrix, InternalCheckError, det, signature, signature_and_det, transpose_pencil_det
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -68,13 +68,16 @@ def validate(m: IntMatrix) -> SeifertMatrix:
 
 
 def alexander_raw(sm: SeifertMatrix) -> LaurentPoly:
-    """The unnormalized polynomial det(M - t * M^T), by intlin.pencil_det.
+    """The unnormalized polynomial det(M - t * M^T), by intlin.transpose_pencil_det.
 
-    pencil_det interpolates at t = 0, 1, ..., n; the nodes leave out
-    t = -1, so the determinant cross-check against det(M + M^T) compares
-    two independent computations.
+    transpose_pencil_det evaluates det(yM - xM^T) on the line x + y = 1 at
+    x = -k, k = 0..g, that is at t = x / y = -k / (k + 1).  The nodes
+    leave out t = 1 (x = y = 1/2) and t = -1 (x = -y, off the line: its
+    value is the top divided difference), so the check delta(1) = 1 and
+    the cross-check against det(M + M^T) compare independent
+    computations.
     """
-    return LaurentPoly.of(0, pencil_det(sm.matrix, sm.matrix.transpose()))
+    return LaurentPoly.of(0, transpose_pencil_det(sm.matrix))
 
 
 def alexander(sm: SeifertMatrix) -> LaurentPoly:
@@ -104,8 +107,9 @@ def _signature_and_determinant(sm: SeifertMatrix, delta: LaurentPoly) -> tuple[i
 
     delta(-1) = (-1)^g det(M + M^T) and det(M + M^T) has the sign
     (-1)^((n - sigma) / 2), so |delta(-1)| = |det(M + M^T)| and
-    sign delta(-1) = (-1)^(sigma / 2).  delta comes from pencil_det on M
-    and M^T, independent code; a failure raises InternalCheckError.
+    sign delta(-1) = (-1)^(sigma / 2).  delta comes from
+    transpose_pencil_det, whose nodes leave out t = -1: independent code;
+    a failure raises InternalCheckError.
     """
     sig, d = signature_and_det(sm.matrix + sm.matrix.transpose())
     at_minus_one = delta.evaluate(-1)

@@ -180,7 +180,7 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
     def entry(idx1: DoubleIndex, idx2: DoubleIndex) -> int:
         p1 = position_of(idx1, n, k)
         p2 = position_of(idx2, n, k)
-        return lk.get((min(p1, p2), max(p1, p2)), 0)
+        return lk.get((p1, p2) if p1 < p2 else (p2, p1), 0)
 
     def clear(mi: int, ma: int, mj: int, mb: int) -> None:
         # Each pair word moves lk((mi,ma),(mj,mb+1)) by its sign, so |v|
@@ -246,7 +246,7 @@ def parse_string_link(text: str) -> DoubledStringLink:
         p2 = position_of(idx2, n, k)
         if p1 == p2:
             raise ValueError(f"letter joins a strand to itself: {line!r}")
-        letters.append((min(p1, p2), max(p1, p2), e))
+        letters.append((p1, p2, e) if p1 < p2 else (p2, p1, e))
     braid = PureBraidWord(n * k, tuple(letters))
     return DoubledStringLink(n, k, braid, framings)
 

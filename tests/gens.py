@@ -1,10 +1,11 @@
 """Seeded random generators and hypothesis strategies shared across the test modules."""
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from sequiv.intlin import IntMatrix, pencil_det, standard_symplectic
+from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
 from sequiv.laurent import LaurentPoly
 from sequiv.purebraid import PureBraidWord
 from sequiv.seifert import (
@@ -86,6 +87,53 @@ def random_scrambled_seifert(rng: random.Random, genus: int, ops: int = 6):
     sm = random_standardized(rng, genus)
     a = random_unimodular(rng, sm.size, ops)
     return sm, a, validate(a * sm.matrix * a.transpose())
+
+
+def pencil_det(a: IntMatrix, b: IntMatrix) -> list[int]:
+    """Coefficients, constant first, of the polynomial det(A - t * B).
+
+    Its degree is at most n = size, so it is recovered exactly from its
+    values at t = 0, 1, ..., n, each an integer Bareiss determinant.
+    The reference for intlin.transpose_pencil_det; for tests.
+    """
+    a._check_size(b)
+    pairs = list(zip(a.rows, b.rows))
+
+    def at(k: int) -> IntMatrix:
+        return IntMatrix(tuple(tuple(x - k * y for x, y in zip(ra, rb)) for ra, rb in pairs))
+
+    return _interpolate([det(at(k)) for k in range(a.size + 1)])
+
+
+def _interpolate(values: Sequence[int]) -> list[int]:
+    """Coefficients, constant first, of the polynomial p with p(k) = values[k].
+
+    Newton forward differences: p(t) = sum_j (D^j p(0) / j!) * t(t-1)...(t-j+1).
+    For an integer polynomial every division by j! is exact; an inexact
+    one raises InternalCheckError.
+    """
+    diffs = list(values)
+    n = len(diffs)
+    for j in range(1, n):
+        for k in range(n - 1, j - 1, -1):
+            diffs[k] -= diffs[k - 1]
+    newton = []
+    factorial = 1
+    for j, d in enumerate(diffs):
+        factorial *= max(j, 1)
+        q, r = divmod(d, factorial)
+        if r:
+            raise InternalCheckError(f"forward difference {d} of order {j} is not divisible by {j}!")
+        newton.append(q)
+    # Horner in the falling-factorial basis: p = c_0 + t * (c_1 + (t - 1) * (c_2 + ...)).
+    coeffs: list[int] = []
+    for j in range(n - 1, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += newton[j]
+        coeffs = shifted
+    return coeffs
 
 
 def descartes_signature_and_det(q: IntMatrix) -> tuple[int, int]:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from gens import (
     descartes_signature_and_det,
+    pencil_det,
     random_scrambled_seifert,
     random_skew_unimodular,
     random_unimodular,
 )
 from sequiv import intlin, seifert
+from sequiv.braidclosure import knot_corpus, seifert_matrix
 from sequiv.cli import main
 from sequiv.intlin import (
     IntMatrix,
@@ -22,11 +24,11 @@ from sequiv.intlin import (
     format_matrix,
     is_unimodular,
     parse_matrix,
-    pencil_det,
     signature,
     signature_and_det,
     skew_standardize,
     standard_symplectic,
+    transpose_pencil_det,
 )
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import alexander_raw
@@ -251,39 +253,85 @@ def test_pencil_det_is_alexander_raw(seed, genus):
 
 
 @st.composite
-def square_pairs(draw):
-    n = draw(st.integers(0, 5))
-    rows = st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
-    return IntMatrix.from_rows(draw(rows)), IntMatrix.from_rows(draw(rows))
+def even_matrices(draw):
+    n = 2 * draw(st.integers(0, 5))
+    rows = st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)
+    return IntMatrix.from_rows(draw(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_matrices())
+def test_transpose_pencil_det_matches_reference(m):
+    assert transpose_pencil_det(m) == pencil_det(m, m.transpose())
+
+
+def test_transpose_pencil_det_matches_reference_on_closures():
+    for word in knot_corpus(6, 40, 5, 40):
+        m = seifert_matrix(word).matrix
+        assert transpose_pencil_det(m) == pencil_det(m, m.transpose())
+
+
+def test_transpose_pencil_det_rejects_odd_size():
+    with pytest.raises(ValueError, match="even size, got 3"):
+        transpose_pencil_det(IntMatrix.identity(3))
 
 
 @settings(max_examples=60, deadline=None)
-@given(square_pairs())
-def test_pencil_det_off_the_nodes(pair):
-    # The nodes are t = 0..n, so t = -1 and t = n + 2 are independent checks.
-    a, b = pair
-    p = pencil_det(a, b)
-    assert len(p) == a.size + 1
-    for t in (-1, a.size + 2):
-        at_t = [[x - t * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+@given(even_matrices())
+def test_pencil_det_off_the_nodes(m):
+    # The nodes are t = -k / (k + 1), k = 0..g, so t = 1, -1 and n + 2 are
+    # independent checks.
+    p = transpose_pencil_det(m)
+    assert len(p) == m.size + 1
+    for t in (1, -1, m.size + 2):
+        at_t = [[x - t * y for x, y in zip(r, c)] for r, c in zip(m.rows, zip(*m.rows))]
         assert sum(c * t**k for k, c in enumerate(p)) == det(IntMatrix.from_rows(at_t))
 
 
-def _wrong_pencil(a, b):
+def _wrong_pencil(m):
     # 1 + t^n: never a valid Alexander polynomial, since p(1) = 2.
-    return [1] + [0] * (a.size - 1) + [1]
+    return [1] + [0] * (m.size - 1) + [1]
+
+
+def _run_invariants(path, capsys):
+    code = main(["mat", "invariants", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_wrong_pencil_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "trefoil.mat"
     path.write_text("2\n-1 1\n0 -1\n")
-    # The Alexander polynomial reads pencil_det through seifert's binding.
-    monkeypatch.setattr(seifert, "pencil_det", _wrong_pencil)
-    assert main(["mat", "invariants", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("internal error: ")
-    assert len(captured.err.splitlines()) == 1
+    # The Alexander polynomial reads transpose_pencil_det through seifert's binding.
+    monkeypatch.setattr(seifert, "transpose_pencil_det", _wrong_pencil)
+    code, out, err = _run_invariants(path, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("node", range(4))
+def test_shifted_node_determinant_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch, node):
+    # One node value off by 1 moves D by the Lagrange basis polynomial of
+    # that node, which is nonzero at mu = 1/4 (t = 1), so delta(1) != 1.
+    _, _, sm = random_scrambled_seifert(random.Random(11), 3)
+    path = tmp_path / "genus3.mat"
+    path.write_text(format_matrix(sm.matrix))
+    assert _run_invariants(path, capsys)[0] == 0
+    calls = []
+
+    def shifted(m):
+        calls.append(m.size)
+        return det(m) + (1 if len(calls) == node + 1 else 0)
+
+    monkeypatch.setattr(intlin, "det", shifted)
+    code, out, err = _run_invariants(path, capsys)
+    assert calls == [6] * 4
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_wrong_signature_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):

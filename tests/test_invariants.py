@@ -21,7 +21,8 @@ from sequiv.braidclosure import (
     missing_generators,
     seifert_matrix,
 )
-from sequiv.intlin import IntMatrix, det, signature_and_det
+from sequiv.cli import main
+from sequiv.intlin import IntMatrix, det, format_matrix, signature_and_det
 from sequiv.laurent import LaurentPoly, laurent_matrix_det
 from sequiv.seifert import (
     Invariants,
@@ -128,8 +129,8 @@ def test_signature_sign_of_delta_at_minus_one_on_large_closures():
 
 
 def test_invariants_runs_only_the_alexander_determinants(monkeypatch):
-    # pencil_det evaluates det(M - kM^T) at k = 0..n; the signature and
-    # det(M + M^T) come from one separate pass that calls no det.
+    # transpose_pencil_det evaluates det(M + k(M + M^T)) at k = 0..g; the
+    # signature and det(M + M^T) come from one separate pass that calls no det.
     calls = []
 
     def counting(m):
@@ -142,4 +143,25 @@ def test_invariants_runs_only_the_alexander_determinants(monkeypatch):
         sm = random_scrambled_seifert(rng, genus)[2]
         calls.clear()
         invariants(sm)
-        assert calls == [sm.size] * (sm.size + 1)
+        assert calls == [sm.size] * (genus + 1)
+
+
+def test_mat_invariants_runs_one_plus_genus_plus_one_determinants(tmp_path, capsys, monkeypatch):
+    # validate's det(M - M^T), then the g + 1 Alexander nodes.
+    calls = []
+
+    def counting(m):
+        calls.append(m.size)
+        return det(m)
+
+    monkeypatch.setattr(intlin, "det", counting)
+    monkeypatch.setattr(seifert, "det", counting)
+    rng = random.Random(303)
+    for genus in range(5):
+        sm = random_scrambled_seifert(rng, genus)[2]
+        path = tmp_path / f"genus{genus}.mat"
+        path.write_text(format_matrix(sm.matrix))
+        calls.clear()
+        assert main(["mat", "invariants", str(path)]) == 0
+        assert calls == [sm.size] * (1 + genus + 1)
+    capsys.readouterr()
