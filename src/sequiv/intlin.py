@@ -10,8 +10,9 @@ come together from one Bareiss pass with symmetric pivoting, whose
 consecutive leading minors give the signs of an LDL^T factorization; no
 rational number occurs anywhere.  Skew-symmetric unimodular forms are
 brought to the standard symplectic shape by paired integer row/column
-operations.  All values are immutable and every operation is a pure
-function, so concurrent use is safe.
+operations, whose pivots also decide that the determinant is 1.  All
+values are immutable and every operation is a pure function, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def transpose_pencil_det(m: IntMatrix) -> list[int]:
     pairs = list(zip(m.rows, zip(*m.rows)))
 
     def at(k: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(x + k * (x + y) for x, y in zip(r, c)) for r, c in pairs))
+        return IntMatrix(tuple([tuple([x + k * (x + y) for x, y in zip(r, c)]) for r, c in pairs]))
 
     newton = [det(at(k)) for k in range(g + 1)]
     nodes = [-k * (k + 1) for k in range(g + 1)]
@@ -294,16 +295,19 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
     Requires S skew-symmetric of even size with determinant 1.  Pivots on
     a minimal-absolute-value nonzero entry (ties broken by lowest row,
     then column, index) and applies paired row/column operations until
-    the leading 2x2 block is [[0, 1], [-1, 0]]; then recurses on the rest.
-    The pivot rule makes the output deterministic.
+    the leading 2x2 block is [[0, p], [-p, 0]] and splits off; then
+    recurses on the rest.  The pivot rule makes the output deterministic.
+    The pivots decide det S = 1 without a determinant: the operations are
+    unimodular, so det S = p^2 * det(rest), where det(rest) is the square
+    of a Pfaffian, and an all-zero block means det S = 0.  So det S = 1
+    exactly when every pivot is 1, and the first zero block or pivot
+    p > 1 rejects S.
     """
     n = s.size
     if n % 2:
         raise ValueError("skew standardization requires even size")
     if not s.is_skew_symmetric():
         raise ValueError("input must be skew-symmetric")
-    if det(s) != 1:
-        raise ValueError("input must have determinant 1")
     w = [list(row) for row in s.rows]
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -333,7 +337,7 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
                 if v != 0 and (best is None or abs(v) < abs(w[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
-            raise InternalCheckError("unexpected zero block in unimodular skew form")
+            raise ValueError("input must have determinant 1")
         i, j = best
         if i != k:
             swap(i, k)
@@ -363,7 +367,7 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
                 clean = False
         if clean:
             if pivot != 1:
-                raise InternalCheckError(f"pivot {pivot} is not a unit although the determinant is 1")
+                raise ValueError("input must have determinant 1")
             k += 2
     return IntMatrix.from_rows(a)
 

@@ -44,7 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeifertMatrix:
-    """A validated Seifert matrix; construct through validate()."""
+    """A validated Seifert matrix; construct through validate().
+
+    standardform wraps A * M * A^T directly when A is unimodular, since
+    then det(N - N^T) = det(A)^2 * det(M - M^T) = 1 is already known.
+    """
 
     matrix: IntMatrix
 

@@ -8,6 +8,12 @@ one framing per band (the diagonal of N) plus the band-linking numbers
 carried by the surface, not by the band string link, which makes the
 correspondence a bijection.
 
+The identity N - N^T = X, the standard symplectic form, is the only
+certificate a standard form gets, and it costs O(n^2).  It needs no
+determinant next to it: for N = A M A^T it gives
+det(A)^2 det(M - M^T) = det X = 1, so A is unimodular and N is a Seifert
+matrix.
+
 Two standardizations of a common matrix differ by a transition matrix
 that must preserve the symplectic form; the witness report checks that
 and exhibits the identical disk-band data on both sides.
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 from .intlin import (
     IntMatrix,
+    InternalCheckError,
     congruent,
     skew_standardize,
     standard_symplectic,
@@ -95,10 +102,19 @@ def is_standardized(sm: SeifertMatrix) -> bool:
 
 
 def standardize(sm: SeifertMatrix) -> tuple[IntMatrix, SeifertMatrix]:
-    """Unimodular A and N = A * M * A^T with N - N^T in standard form."""
-    a = skew_standardize(sm.matrix - sm.matrix.transpose())
-    n = congruent(sm.matrix, a)
-    return a, validate(n)
+    """Unimodular A and N = A * M * A^T with N - N^T in standard form.
+
+    N is checked by is_standardized, which certifies the result on its
+    own: N - N^T = X gives det(A)^2 det(M - M^T) = 1, so A is unimodular
+    and det(N - N^T) = 1 without a determinant.  A failed check is a bug
+    in skew_standardize and raises InternalCheckError.
+    """
+    m = sm.matrix
+    a = skew_standardize(m - m.transpose())
+    n = SeifertMatrix(a * m * a.transpose())
+    if not is_standardized(n):
+        raise InternalCheckError("standardize produced A with A * M * A^T not in standard form")
+    return a, n
 
 
 def to_disk_band(sm: SeifertMatrix) -> DiskBandForm:
@@ -168,20 +184,27 @@ def standardization_witness(
     standardized matrix is its disk-band data, means both disk-band forms
     agree after that basis change, framings included.  For standardizing
     A_i both hold; a false field is a failed check, not bad input.
+
+    congruent checks each A_i, which is outside input, and is_standardized
+    then certifies each N_i; det(A_i)^2 det(M - M^T) = 1 already makes it
+    a Seifert matrix, so no determinant of N_i - N_i^T is taken.  Both
+    fields come from P = C * N2 * C^T, a Seifert matrix because C is
+    unimodular: P - P^T = C * X * C^T because N2 - N2^T = X, so C is
+    symplectic exactly when P is standardized.
     """
-    n1 = validate(congruent(sm.matrix, a1))
-    n2 = validate(congruent(sm.matrix, a2))
+    n1 = SeifertMatrix(congruent(sm.matrix, a1))
+    n2 = SeifertMatrix(congruent(sm.matrix, a2))
     if not is_standardized(n1) or not is_standardized(n2):
         raise ValueError("both transforms must standardize the matrix")
     c = _transition(sm, a1, a2)
-    x = standard_symplectic(sm.genus)
+    p = c * n2.matrix * c.transpose()
     d1 = to_disk_band(n1)
     return StandardizationReport(
         c=c,
-        c_symplectic=(c * x * c.transpose()).rows == x.rows,
+        c_symplectic=is_standardized(SeifertMatrix(p)),
         form_1=d1,
         form_2=to_disk_band(n2),
-        forms_match_after_transition=(c * n2.matrix * c.transpose()).rows == n1.matrix.rows,
+        forms_match_after_transition=p.rows == n1.matrix.rows,
         framings=d1.framings,
     )
 

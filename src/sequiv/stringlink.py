@@ -92,20 +92,19 @@ def _check_counts(n: int, k: int) -> None:
 
 
 def pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
-    """String-link linking numbers: alternating pass sums of braid linking."""
+    """String-link linking numbers: alternating pass sums of braid linking.
+
+    One pass over the letters: a letter with exponent e between pass a of
+    strand i and pass b of strand j != i adds (-1)^(a + b) * e to lk(i, j);
+    a letter between two passes of one strand adds nothing.
+    """
     n, k = link.n, link.k
-    lm = linking_matrix(link.braid)
     entries: dict[tuple[int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total = 0
-            for a in range(1, k + 1):
-                pa = position_of((i, a), n, k)
-                for b in range(1, k + 1):
-                    pb = position_of((j, b), n, k)
-                    total += (-1) ** (a + b) * lm.entry(pa, pb)
-            if total:
-                entries[(i, j)] = total
+    for p, q, e in link.braid.letters:
+        i, a = strand_label(p, n, k)
+        j, b = strand_label(q, n, k)
+        if i != j:
+            entries[(i, j)] = entries.get((i, j), 0) + (e if (a + b) % 2 == 0 else -e)
     return LinkingMatrix.from_entries(n, entries)
 
 

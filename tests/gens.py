@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
 from sequiv.laurent import LaurentPoly
-from sequiv.purebraid import PureBraidWord
+from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
 from sequiv.seifert import (
     CongruenceMove,
     EnlargeMove,
@@ -234,6 +234,28 @@ def pure_braid_words(n: int):
     pairs = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(sorted)
     letters = st.builds(lambda ij, e: (*ij, e), pairs, st.sampled_from((1, -1)))
     return st.lists(letters, max_size=12).map(lambda ls: PureBraidWord(n, tuple(ls)))
+
+
+def reference_pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
+    """String-link linking numbers: alternating pass sums of braid linking.
+
+    Builds the whole braid linking table and sums it over all pass pairs.
+    The reference for stringlink.pairwise_linking; for tests.
+    """
+    n, k = link.n, link.k
+    lm = linking_matrix(link.braid)
+    entries: dict[tuple[int, int], int] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            total = 0
+            for a in range(1, k + 1):
+                pa = position_of((i, a), n, k)
+                for b in range(1, k + 1):
+                    pb = position_of((j, b), n, k)
+                    total += (-1) ** (a + b) * lm.entry(pa, pb)
+            if total:
+                entries[(i, j)] = total
+    return LinkingMatrix.from_entries(n, entries)
 
 
 def random_zero_linking_link(

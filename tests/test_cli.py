@@ -373,6 +373,34 @@ def test_internal_checks_survive_optimize(tmp_path, coeffs, message):
     assert len(proc.stderr.splitlines()) == 1
 
 
+_WRONG_STANDARDIZER = """
+import sys
+from sequiv import cli, standardform
+from sequiv.intlin import IntMatrix
+assert sys.flags.optimize
+standardform.skew_standardize = lambda s: IntMatrix.from_rows([[0, 1], [1, 0]])
+sys.exit(cli.main(["mat", "standardize", sys.argv[1]]))
+"""
+
+
+def test_standardize_postcondition_survives_optimize(tmp_path):
+    # The swap has det -1, so A M A^T - (A M A^T)^T = -X: only the
+    # is_standardized check on the output can catch it.
+    path = _write(tmp_path, "trefoil.mat", TREFOIL)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_STANDARDIZER, path],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "trefoil.mat.A").exists()
+    assert not (tmp_path / "trefoil.mat.N").exists()
+
+
 def test_no_assert_statements_in_package():
     package = Path(__file__).resolve().parents[1] / "src" / "sequiv"
     found = [

@@ -147,6 +147,45 @@ def test_skew_standardize_errors():
         skew_standardize(IntMatrix.from_rows([[0]]))  # odd size
 
 
+def test_skew_standardize_rejects_determinant_other_than_1():
+    # A pivot of 2 or 3 splits off a block of determinant 4 or 9; the zero
+    # matrix leaves an all-zero block.  No determinant is taken.
+    scramble = random_unimodular(random.Random(16), 4, 10)
+    x_plus_3 = IntMatrix.from_rows(
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
+    )
+    for s in (
+        IntMatrix.from_rows([[0, 2], [-2, 0]]),
+        IntMatrix.from_rows([[0, 0], [0, 0]]),
+        scramble * x_plus_3 * scramble.transpose(),
+    ):
+        with pytest.raises(ValueError) as info:
+            skew_standardize(s)
+        assert str(info.value) == "input must have determinant 1"
+
+
+@st.composite
+def skew_matrices(draw):
+    n = 2 * draw(st.integers(0, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-3, 3))
+            rows[j][i] = -rows[i][j]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_matrices())
+def test_skew_standardize_decides_determinant_1(s):
+    if det(s) == 1:
+        a = skew_standardize(s)
+        assert (a * s * a.transpose()).rows == standard_symplectic(s.size // 2).rows
+    else:
+        with pytest.raises(ValueError, match="^input must have determinant 1$"):
+            skew_standardize(s)
+
+
 def test_signature_examples():
     assert signature(IntMatrix.from_rows([[-2, 1], [1, -2]])) == -2
     assert signature(IntMatrix.from_rows([[2, 1], [1, -2]])) == 0

@@ -10,8 +10,16 @@ from gens import (
     random_symplectic,
     random_unimodular,
 )
-from sequiv.intlin import IntMatrix, congruent, is_unimodular, standard_symplectic
-from sequiv import standardform
+from sequiv.cli import main
+from sequiv.intlin import (
+    IntMatrix,
+    congruent,
+    det,
+    format_matrix,
+    is_unimodular,
+    standard_symplectic,
+)
+from sequiv import intlin, seifert, standardform
 from sequiv.seifert import alexander, validate
 from sequiv.standardform import (
     DiskBandForm,
@@ -52,6 +60,64 @@ def test_standardize_random():
         assert is_standardized(n)
         assert congruent(scrambled.matrix, a) == n.matrix
         assert alexander(n) == alexander(scrambled)
+
+
+def _count_dets(monkeypatch) -> list:
+    """Record the size of every determinant taken through intlin or seifert."""
+    calls = []
+
+    def counting(m):
+        calls.append(m.size)
+        return det(m)
+
+    monkeypatch.setattr(intlin, "det", counting)
+    monkeypatch.setattr(seifert, "det", counting)
+    return calls
+
+
+def test_mat_standardize_takes_one_determinant(tmp_path, capsys, monkeypatch):
+    # Only the input's validate; is_standardized certifies N and A.
+    calls = _count_dets(monkeypatch)
+    rng = random.Random(48)
+    for genus in range(5):
+        sm = random_scrambled_seifert(rng, genus)[2]
+        path = tmp_path / f"genus{genus}.mat"
+        path.write_text(format_matrix(sm.matrix))
+        calls.clear()
+        assert main(["mat", "standardize", str(path)]) == 0
+        assert calls == [sm.size]
+    capsys.readouterr()
+
+
+def test_std_witness_takes_three_determinants(tmp_path, capsys, monkeypatch):
+    # validate on M, then congruent's unimodularity check on A1 and on A2.
+    calls = _count_dets(monkeypatch)
+    rng = random.Random(49)
+    for genus in range(5):
+        sm = random_scrambled_seifert(rng, genus)[2]
+        path = tmp_path / f"genus{genus}.mat"
+        path.write_text(format_matrix(sm.matrix))
+        apath = tmp_path / f"genus{genus}.A"
+        apath.write_text(format_matrix(standardize(sm)[0]))
+        calls.clear()
+        assert main(["std", "witness", str(path), str(apath), str(apath)]) == 0
+        assert calls == [sm.size] * 3
+    capsys.readouterr()
+
+
+def test_wrong_standardizing_transform_makes_mat_standardize_exit_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "trefoil.mat"
+    path.write_text(format_matrix(TREFOIL.matrix))
+    # Unimodular with det -1: A X A^T = -X, so it passes every determinant check.
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    monkeypatch.setattr(standardform, "skew_standardize", lambda s: swap)
+    assert main(["mat", "standardize", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "trefoil.mat.A").exists()
+    assert not (tmp_path / "trefoil.mat.N").exists()
 
 
 def test_to_disk_band_examples():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import pure_braid_words, random_pure_braid, random_zero_linking_link
+from gens import (
+    pure_braid_words,
+    random_pure_braid,
+    random_zero_linking_link,
+    reference_pairwise_linking,
+)
 from sequiv.purebraid import PureBraidWord, delta_relator, is_delta_trivial, linking_matrix
 from sequiv.stringlink import (
     DoubledStringLink,
@@ -75,6 +80,38 @@ def test_pairwise_linking_examples():
     p2 = position_of((2, 2), 2, 2)
     link = _link(2, 2, [(min(p1, p2), max(p1, p2), 1)])
     assert pairwise_linking(link).entry(1, 2) == -1
+
+
+@st.composite
+def doubled_links_with_same_strand_letters(draw):
+    """n 1-5, k 1-4; some letters join two passes of one strand when k > 1."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    strands = n * k
+    letters = []
+    if strands >= 2:
+        pairs = st.lists(st.integers(1, strands), min_size=2, max_size=2, unique=True).map(sorted)
+        letters = draw(st.lists(st.tuples(pairs, st.sampled_from((1, -1))), max_size=30))
+        letters = [(p, q, e) for (p, q), e in letters]
+    if k > 1:
+        i = draw(st.integers(1, n))
+        a, b = sorted(draw(st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)))
+        p, q = sorted((position_of((i, a), n, k), position_of((i, b), n, k)))
+        letters.insert(draw(st.integers(0, len(letters))), (p, q, draw(st.sampled_from((1, -1)))))
+    return DoubledStringLink(n, k, PureBraidWord(strands, tuple(letters)), (0,) * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doubled_links_with_same_strand_letters())
+def test_pairwise_linking_matches_reference(link):
+    assert pairwise_linking(link) == reference_pairwise_linking(link)
+
+
+def test_pairwise_linking_matches_reference_on_zero_linking_links():
+    rng = random.Random(35)
+    for _ in range(60):
+        link = random_zero_linking_link(rng, rng.randint(1, 5), rng.randint(1, 4), 40)
+        assert pairwise_linking(link) == reference_pairwise_linking(link)
+        assert pairwise_linking(link).is_zero()
 
 
 def test_stabilizing_multiply_effects():
