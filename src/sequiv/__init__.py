@@ -12,6 +12,7 @@ from .intlin import (
     InternalCheckError,
     congruent,
     det,
+    det_or_left_kernel,
     is_unimodular,
     signature,
     signature_and_det,
@@ -34,6 +35,7 @@ from .seifert import (
     is_alexander_trivial,
     knot_determinant,
     knot_signature,
+    reduce_fully,
     row_enlarge,
     try_reduce,
     validate,

@@ -5,21 +5,24 @@ polynomial path on top of it: transpose_pencil_det interpolates
 det(M - tM^T) from g + 1 integer determinants det(M + k(M + M^T)),
 k = 0..g, which sit at t = -k / (k + 1); t = 1 and t = -1 are never
 nodes, so the checks the Alexander polynomial gets there stay
-independent.  The signature and determinant of a symmetric matrix
-come together from one Bareiss pass with symmetric pivoting, whose
-consecutive leading minors give the signs of an LDL^T factorization; no
-rational number occurs anywhere.  Skew-symmetric unimodular forms are
-brought to the standard symplectic shape by paired integer row/column
-operations, whose pivots also decide that the determinant is 1.  All
-values are immutable and every operation is a pure function, so
-concurrent use is safe.
+independent.  det_or_left_kernel runs the same elimination on M^T and,
+when M is singular, back-substitutes exactly to a primitive u with
+u^T M = 0; seifert reduces a Seifert matrix with it and hands its det,
+node k = 0, to the pencil.  The signature and determinant of a
+symmetric matrix come together from one Bareiss pass with symmetric
+pivoting, whose consecutive leading minors give the signs of an LDL^T
+factorization; no rational number occurs anywhere.  Skew-symmetric
+unimodular forms are brought to the standard symplectic shape by paired
+integer row/column operations, whose pivots also decide that the
+determinant is 1.  All values are immutable and every operation is a
+pure function, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable
+from math import comb, gcd
+from typing import Iterable, Optional
 
 from .textformat import integer, ints, nonblank_lines
 
@@ -27,6 +30,7 @@ __all__ = [
     "InternalCheckError",
     "IntMatrix",
     "det",
+    "det_or_left_kernel",
     "transpose_pencil_det",
     "is_unimodular",
     "congruent",
@@ -140,6 +144,54 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def det_or_left_kernel(m: IntMatrix) -> tuple[int, Optional[tuple[int, ...]]]:
+    """(det M, None) for nonsingular M; (0, u) with u primitive and u^T M = 0 otherwise.
+
+    Bareiss elimination on M^T with row swaps only, so its columns keep
+    the indices of M.  At the first column k with no pivot left, column k
+    of the reduced matrix lies in the span of the k pivot columns before
+    it, and that dependency is a vector y of M^T's kernel with y_j = 0 for
+    j > k.  Scaled by the last pivot D_k, the leading k x k minor, every
+    y_j is an integer (Cramer's rule), so exact back-substitution through
+    the triangular pivot rows finds it; a division with a remainder raises
+    InternalCheckError.  u is y divided by its gcd.
+    """
+    n = m.size
+    a = [list(column) for column in zip(*m.rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, _dependency(a, k, prev)
+        _eliminate(a, k, prev)
+        prev = a[k][k]
+    return sign * prev, None
+
+
+def _dependency(a: list[list[int]], k: int, pivot: int) -> tuple[int, ...]:
+    """The primitive y with y_k != 0, y_j = 0 for j > k, and sum_j a[i][j] y_j = 0 for i < k.
+
+    Rows i < k of a are the Bareiss pivot rows, upper triangular on
+    columns 0..k; pivot is the last of their pivots, D_k, or 1 when k = 0.
+    """
+    y = [0] * len(a)
+    y[k] = pivot
+    for i in range(k - 1, -1, -1):
+        row = a[i]
+        q, r = divmod(-sum(row[j] * y[j] for j in range(i + 1, k + 1)), row[i])
+        if r:
+            raise InternalCheckError(f"kernel back-substitution is not exact at index {i}")
+        y[i] = q
+    g = gcd(*y)
+    return tuple(x // g for x in y)
+
+
 def _eliminate(a: list[list[int]], k: int, prev: int) -> None:
     """One Bareiss step: eliminate column k below the pivot a[k][k], in place.
 
@@ -196,8 +248,13 @@ def transpose_pencil_det(m: IntMatrix) -> list[int]:
     for an integer polynomial, and an inexact one raises
     InternalCheckError.  Then det(M - t M^T) = P(t, 1) =
     sum_j d_j t^j (1 + t)^(n - 2j).  The Alexander polynomial comes from
-    here.
+    here, through _transpose_pencil with node k = 0 already known.
     """
+    return _transpose_pencil(m, det(m))
+
+
+def _transpose_pencil(m: IntMatrix, det_m: int) -> list[int]:
+    """transpose_pencil_det(m), given det M, the node k = 0."""
     n = m.size
     if n % 2:
         raise ValueError(f"transpose pencil requires even size, got {n}")
@@ -207,7 +264,7 @@ def transpose_pencil_det(m: IntMatrix) -> list[int]:
     def at(k: int) -> IntMatrix:
         return IntMatrix(tuple([tuple([x + k * (x + y) for x, y in zip(r, c)]) for r, c in pairs]))
 
-    newton = [det(at(k)) for k in range(g + 1)]
+    newton = [det_m] + [det(at(k)) for k in range(1, g + 1)]
     nodes = [-k * (k + 1) for k in range(g + 1)]
     for j in range(1, g + 1):
         for k in range(g, j - 1, -1):

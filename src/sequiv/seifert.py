@@ -14,7 +14,15 @@ from dataclasses import dataclass, fields
 from functools import cache
 from typing import Optional, Sequence
 
-from .intlin import IntMatrix, InternalCheckError, det, signature, signature_and_det, transpose_pencil_det
+from .intlin import (
+    IntMatrix,
+    InternalCheckError,
+    _transpose_pencil,
+    det,
+    det_or_left_kernel,
+    signature,
+    signature_and_det,
+)
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -31,12 +39,14 @@ __all__ = [
     "column_enlarge",
     "row_enlarge",
     "try_reduce",
+    "reduce_fully",
     "SearchBudget",
     "SearchResult",
     "Move",
     "CongruenceMove",
     "ReduceMove",
     "EnlargeMove",
+    "NegateMove",
     "apply_moves",
     "bounded_sequiv_search",
 ]
@@ -72,16 +82,27 @@ def validate(m: IntMatrix) -> SeifertMatrix:
 
 
 def alexander_raw(sm: SeifertMatrix) -> LaurentPoly:
-    """The unnormalized polynomial det(M - t * M^T), by intlin.transpose_pencil_det.
+    """The unnormalized polynomial det(M - t * M^T), computed on a reduced matrix.
 
-    transpose_pencil_det evaluates det(yM - xM^T) on the line x + y = 1 at
-    x = -k, k = 0..g, that is at t = x / y = -k / (k + 1).  The nodes
-    leave out t = 1 (x = y = 1/2) and t = -1 (x = -y, off the line: its
-    value is the top divided difference), so the check delta(1) = 1 and
-    the cross-check against det(M + M^T) compare independent
-    computations.
+    reduce_fully gives a nonsingular N of size s, S-equivalent to M, and
+    each reduction multiplies det(M - tM^T) by exactly t, so the result
+    is t^((n - s) / 2) det(N - tN^T).  The pencil of N is interpolated by
+    intlin's transpose_pencil_det body, with the last kernel pass's det N
+    as node k = 0.  Its constant and leading coefficients are det N, and
+    a zero det N or any other value raises InternalCheckError.  The
+    nodes sit at t = -k / (k + 1), k = 0..s/2, and leave out t = 1 and
+    t = -1, so the check delta(1) = 1 and the cross-check against
+    det(M + M^T) of the original M compare independent computations.
     """
-    return LaurentPoly.of(0, transpose_pencil_det(sm.matrix))
+    reduced, _, det_n = _reduce(sm.matrix)
+    if det_n == 0:
+        raise InternalCheckError(f"reduced matrix of size {reduced.size} is singular")
+    coeffs = _transpose_pencil(reduced, det_n)
+    if coeffs[0] != det_n or coeffs[-1] != det_n:
+        raise InternalCheckError(
+            f"pencil of the reduced matrix ends in {coeffs[0]} and {coeffs[-1]}, not det N = {det_n}"
+        )
+    return LaurentPoly.of((sm.size - reduced.size) // 2, coeffs)
 
 
 def alexander(sm: SeifertMatrix) -> LaurentPoly:
@@ -250,6 +271,88 @@ def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
     return None
 
 
+def reduce_fully(sm: SeifertMatrix) -> tuple[SeifertMatrix, tuple[Move, ...]]:
+    """A nonsingular matrix S-equivalent to sm, with the moves that reach it.
+
+    While det M = 0 (Trotter 1973, Levine 1970), with u primitive and
+    u^T M = 0 from intlin.det_or_left_kernel:
+      1. E[i,j;c] maps u_j to u_j - c u_i; Euclid steps reach u = +-e_q,
+         and then row q of M is zero.
+      2. Column q is now column q of the unimodular M - M^T, so it is
+         primitive; E[l,p;c] with l, p != q keeps row q zero, and Euclid
+         steps reach column q = +-e_p.
+      3. NegateMove(q) turns entry (p, q) into 1 if it is -1.
+      4. E[i,q;c] changes only entry (p, i); it clears row p outside
+         (p, p) and (p, q), and ReduceMove(p, q, "column") strips the
+         enlargement pattern left behind.
+    A matrix with Alexander polynomial 1 reduces to the empty matrix, and
+    the size of the result is the degree span of the polynomial.  The
+    moves replay through apply_moves.  A row q that is not zero after
+    step 1, or an entry (p, q) that is not +-1 after step 2, raises
+    InternalCheckError.  Every move is unimodular, so det(N - N^T) = 1
+    is known and the result is not validated again.
+    """
+    reduced, moves, _ = _reduce(sm.matrix)
+    return SeifertMatrix(reduced), tuple(moves)
+
+
+def _reduce(m: IntMatrix) -> tuple[IntMatrix, list[Move], int]:
+    """(reduced matrix, moves, its det); see reduce_fully."""
+    moves: list[Move] = []
+    while True:
+        det_m, u = det_or_left_kernel(m)
+        if u is None:
+            return m, moves, det_m
+        w = [list(row) for row in m.rows]
+        n = len(w)
+        u = list(u)
+        # 1. Euclid on u, down to +-e_q.
+        support = [k for k in range(n) if u[k]]
+        while len(support) > 1:
+            q = min(support, key=lambda k: abs(u[k]))
+            for j in support:
+                if j != q:
+                    c = u[j] // u[q]
+                    moves.append(_congruence(w, q, j, c))
+                    u[j] -= c * u[q]
+            support = [k for k in support if u[k]]
+        q = support[0]
+        if any(w[q]):
+            raise InternalCheckError(f"row {q + 1} is not zero after clearing the kernel vector")
+        # 2. Euclid on column q, down to +-e_p.
+        support = [l for l in range(n) if w[l][q]]
+        while len(support) > 1:
+            p = min(support, key=lambda l: abs(w[l][q]))
+            for l in support:
+                if l != p:
+                    moves.append(_congruence(w, l, p, -(w[l][q] // w[p][q])))
+            support = [l for l in support if w[l][q]]
+        if len(support) != 1 or abs(w[support[0]][q]) != 1:
+            raise InternalCheckError(f"column {q + 1} does not reduce to a unit vector")
+        p = support[0]
+        # 3. Entry (p, q) to 1; row q is zero, so negating b_q changes column q only.
+        if w[p][q] == -1:
+            for row in w:
+                row[q] = -row[q]
+            moves.append(NegateMove(q))
+        # 4. Clear row p outside (p, p) and (p, q), then strip p and q.
+        for i in range(n):
+            if i not in (p, q) and w[p][i]:
+                moves.append(_congruence(w, i, q, -w[p][i]))
+        m = IntMatrix(_strip(w, p, q))
+        moves.append(ReduceMove(p, q, "column"))
+
+
+def _congruence(w: list[list[int]], i: int, j: int, c: int) -> CongruenceMove:
+    """E[i,j;c] M E^T in place: row i += c * row j, then column i += c * column j."""
+    wi = w[i]
+    for l, x in enumerate(w[j]):
+        wi[l] += c * x
+    for row in w:
+        row[i] += c * row[j]
+    return CongruenceMove(i, j, c)
+
+
 # ---------------------------------------------------------------------------
 # Bounded search for an explicit S-equivalence witness.
 
@@ -317,7 +420,31 @@ class EnlargeMove:
         return f"enlarge {self.kind} x={self.x}"
 
 
-Move = CongruenceMove | ReduceMove | EnlargeMove
+@dataclass(frozen=True)
+class NegateMove:
+    """Congruence by diag(1, ..., -1, ..., 1), the -1 at index i.
+
+    It negates row i and column i, leaving entry (i, i) as it was, has
+    determinant -1 and is its own inverse.  reduce_fully uses it; the
+    search never does.
+    """
+
+    i: int
+
+    def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+        i = self.i
+        out = []
+        for l, row in enumerate(rows):
+            new = [-x for x in row] if l == i else list(row)
+            new[i] = -new[i]
+            out.append(tuple(new))
+        return tuple(out)
+
+    def describe(self) -> str:
+        return f"negate basis vector {self.i + 1}"
+
+
+Move = CongruenceMove | ReduceMove | EnlargeMove | NegateMove
 
 
 def apply_moves(sm: SeifertMatrix, moves: Sequence[Move]) -> SeifertMatrix:

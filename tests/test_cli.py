@@ -373,6 +373,38 @@ def test_internal_checks_survive_optimize(tmp_path, coeffs, message):
     assert len(proc.stderr.splitlines()) == 1
 
 
+_BROKEN_KERNEL = """
+import sys
+from sequiv import cli, seifert
+assert sys.flags.optimize
+seifert.det_or_left_kernel = {kernel}
+sys.exit(cli.main(["mat", "invariants", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        # e_1 is no kernel vector: row 1 of the enlarged trefoil is not zero.
+        ("lambda m: (0, (1,) + (0,) * (m.size - 1))", "row 1 is not zero"),
+        ("lambda m: (0, None)", "reduced matrix of size 4 is singular"),
+    ],
+)
+def test_reduction_checks_survive_optimize(tmp_path, kernel, message):
+    path = _write(tmp_path, "enlarged.mat", COLUMN_ENLARGED)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_KERNEL.format(kernel=kernel), path],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ")
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 _WRONG_STANDARDIZER = """
 import sys
 from sequiv import cli, standardform

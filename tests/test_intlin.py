@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from sequiv.intlin import (
     InternalCheckError,
     congruent,
     det,
+    det_or_left_kernel,
     format_matrix,
     is_unimodular,
     parse_matrix,
@@ -341,8 +343,8 @@ def _run_invariants(path, capsys):
 def test_wrong_pencil_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "trefoil.mat"
     path.write_text("2\n-1 1\n0 -1\n")
-    # The Alexander polynomial reads transpose_pencil_det through seifert's binding.
-    monkeypatch.setattr(seifert, "transpose_pencil_det", _wrong_pencil)
+    # The Alexander polynomial reads the pencil body through seifert's binding.
+    monkeypatch.setattr(seifert, "_transpose_pencil", lambda m, det_m: _wrong_pencil(m))
     code, out, err = _run_invariants(path, capsys)
     assert code == 3
     assert out == ""
@@ -354,23 +356,69 @@ def test_wrong_pencil_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch)
 def test_shifted_node_determinant_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch, node):
     # One node value off by 1 moves D by the Lagrange basis polynomial of
     # that node, which is nonzero at mu = 1/4 (t = 1), so delta(1) != 1.
+    # The matrix is nonsingular, so node 0 is the det of the one kernel
+    # pass and nodes 1..3 are intlin.det calls.
     _, _, sm = random_scrambled_seifert(random.Random(11), 3)
     path = tmp_path / "genus3.mat"
     path.write_text(format_matrix(sm.matrix))
     assert _run_invariants(path, capsys)[0] == 0
-    calls = []
+    kernel_calls, det_calls = [], []
+
+    def shifted_kernel(m):
+        kernel_calls.append(m.size)
+        d, u = det_or_left_kernel(m)
+        return d + (1 if node == 0 else 0), u
 
     def shifted(m):
-        calls.append(m.size)
-        return det(m) + (1 if len(calls) == node + 1 else 0)
+        det_calls.append(m.size)
+        return det(m) + (1 if len(det_calls) == node else 0)
 
+    monkeypatch.setattr(seifert, "det_or_left_kernel", shifted_kernel)
     monkeypatch.setattr(intlin, "det", shifted)
     code, out, err = _run_invariants(path, capsys)
-    assert calls == [6] * 4
+    assert kernel_calls == [6]
+    assert det_calls == [6] * 3
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ")
     assert len(err.splitlines()) == 1
+
+
+@st.composite
+def deficient_matrices(draw):
+    # A product of n x r and r x n factors has rank at most r, so small r
+    # gives singular matrices of every nullity; r = n gives mostly
+    # nonsingular ones.
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(0, n))
+    entry = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    return IntMatrix.from_rows(
+        [[sum(a[i][l] * b[l][j] for l in range(r)) for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(deficient_matrices())
+def test_det_or_left_kernel(m):
+    d, u = det_or_left_kernel(m)
+    if det(m):
+        assert (d, u) == (det(m), None)
+    else:
+        assert d == 0
+        assert len(u) == m.size
+        assert math.gcd(*u) == 1
+        assert all(sum(u[i] * m.rows[i][j] for i in range(m.size)) == 0 for j in range(m.size))
+
+
+def test_det_or_left_kernel_examples():
+    assert det_or_left_kernel(IntMatrix()) == (1, None)
+    assert det_or_left_kernel(X1) == (1, None)
+    # Row 1 is zero, so u = e_1.
+    assert det_or_left_kernel(IntMatrix.from_rows([[0, 0], [0, 5]])) == (0, (1, 0))
+    # Row 2 is twice row 1: -2 * (2, 1) + (4, 2) = 0.
+    assert det_or_left_kernel(IntMatrix.from_rows([[2, 1], [4, 2]])) == (0, (-2, 1))
 
 
 def test_wrong_signature_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):

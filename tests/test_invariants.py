@@ -29,9 +29,11 @@ from sequiv.seifert import (
     alexander,
     arf,
     bounded_sequiv_search,
+    column_enlarge,
     invariants,
     knot_determinant,
     knot_signature,
+    row_enlarge,
     validate,
 )
 
@@ -128,40 +130,64 @@ def test_signature_sign_of_delta_at_minus_one_on_large_closures():
     assert max(sizes) >= 36
 
 
-def test_invariants_runs_only_the_alexander_determinants(monkeypatch):
-    # transpose_pencil_det evaluates det(M + k(M + M^T)) at k = 0..g; the
-    # signature and det(M + M^T) come from one separate pass that calls no det.
-    calls = []
-
-    def counting(m):
-        calls.append(m.size)
-        return det(m)
-
-    monkeypatch.setattr(intlin, "det", counting)
-    rng = random.Random(302)
+def _nonsingular_then_enlarged(seed):
+    """(matrix, s): a scrambled nonsingular matrix of size s, enlarged 0-2 times and scrambled again."""
+    rng = random.Random(seed)
     for genus in range(5):
         sm = random_scrambled_seifert(rng, genus)[2]
-        calls.clear()
+        while det(sm.matrix) == 0:
+            sm = random_scrambled_seifert(rng, genus)[2]
+        for enlargements in range(3):
+            big = sm
+            for _ in range(enlargements):
+                enlarge = rng.choice((column_enlarge, row_enlarge))
+                big = enlarge(big, [rng.randint(-2, 2) for _ in range(big.size)], rng.randint(-2, 2))
+            a = random_unimodular(rng, big.size)
+            yield validate(a * big.matrix * a.transpose()), sm.size
+
+
+def _count_calls(monkeypatch, *bindings):
+    # Wraps each (module, name) binding, all into one list of matrix sizes per name.
+    calls = {}
+    for module, name in bindings:
+        original = getattr(module, name)
+        seen = calls.setdefault(name, [])
+
+        def counting(m, original=original, seen=seen):
+            seen.append(m.size)
+            return original(m)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_invariants_runs_only_the_alexander_determinants(monkeypatch):
+    # reduce_fully runs one kernel pass per reduction and a last one on the
+    # nonsingular N of size s, whose det N is node 0 of the pencil; nodes
+    # k = 1..s/2 are det(N + k(N + N^T)).  The signature and det(M + M^T)
+    # come from one separate pass that calls neither.
+    calls = _count_calls(monkeypatch, (intlin, "det"), (seifert, "det_or_left_kernel"))
+    for sm, s in _nonsingular_then_enlarged(302):
+        for seen in calls.values():
+            seen.clear()
         invariants(sm)
-        assert calls == [sm.size] * (genus + 1)
+        assert calls == {"det": [s] * (s // 2), "det_or_left_kernel": list(range(sm.size, s - 1, -2))}
 
 
 def test_mat_invariants_runs_one_plus_genus_plus_one_determinants(tmp_path, capsys, monkeypatch):
-    # validate's det(M - M^T), then the g + 1 Alexander nodes.
-    calls = []
-
-    def counting(m):
-        calls.append(m.size)
-        return det(m)
-
-    monkeypatch.setattr(intlin, "det", counting)
-    monkeypatch.setattr(seifert, "det", counting)
-    rng = random.Random(303)
-    for genus in range(5):
-        sm = random_scrambled_seifert(rng, genus)[2]
-        path = tmp_path / f"genus{genus}.mat"
+    # validate's det(M - M^T), the kernel passes down to size s, then the
+    # s/2 Alexander nodes after node 0.
+    calls = _count_calls(
+        monkeypatch, (intlin, "det"), (seifert, "det"), (seifert, "det_or_left_kernel")
+    )
+    for k, (sm, s) in enumerate(_nonsingular_then_enlarged(303)):
+        path = tmp_path / f"case{k}.mat"
         path.write_text(format_matrix(sm.matrix))
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         assert main(["mat", "invariants", str(path)]) == 0
-        assert calls == [sm.size] * (1 + genus + 1)
+        assert calls == {
+            "det": [sm.size] + [s] * (s // 2),
+            "det_or_left_kernel": list(range(sm.size, s - 1, -2)),
+        }
     capsys.readouterr()
