@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cache
+from math import inf
 from typing import Optional, Sequence
 
 from .intlin import (
@@ -234,27 +235,33 @@ def _strip(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> tuple[tuple[int
     return tuple(tuple(rows[i][j] for j in keep) for i in keep)
 
 
-def _reduction_sites(rows: tuple[tuple[int, ...], ...]):
-    """Yield (p, q, kind) for every enlargement pattern, bottom-right first.
+def _reduction_sites(
+    rows: tuple[tuple[int, ...], ...], columns: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, int, str]]:
+    """Every enlargement site (p, q, kind) of rows, bottom-right first.
 
-    A column site (p, q) needs row q to be zero and a row site needs
-    column q to be zero, so only those q are matched, and a state with
-    neither a zero row nor a zero column has no site.
+    columns is _transpose(rows).  A column site (p, q) needs row q to be
+    zero, and then p can only be the single nonzero entry of column q,
+    which must be 1; a row site is a column site of M^T.  So each zero
+    row (zero column, for row sites) is matched in O(n).  Sites come in
+    the order of p, then q, descending; a pair (p, q) cannot be both a
+    column and a row site, since a column site has row q zero and a row
+    site has entry (q, p) = 1.
     """
-    n = len(rows)
-    columns = _transpose(rows)
-    zero_row = [not any(row) for row in rows]
-    zero_column = [not any(column) for column in columns]
-    if not any(zero_row) and not any(zero_column):
-        return
-    for p in range(n - 1, -1, -1):
-        for q in range(n - 1, -1, -1):
-            if p == q:
+    sites = []
+    for frame, partners, kind in ((rows, columns, "column"), (columns, rows, "row")):
+        for q, line in enumerate(frame):
+            if any(line):
                 continue
-            if zero_row[q] and _column_pattern(rows, p, q):
-                yield p, q, "column"
-            if zero_column[q] and _column_pattern(columns, p, q):
-                yield p, q, "row"
+            partner = partners[q]
+            support = [l for l, x in enumerate(partner) if x]
+            if len(support) != 1 or partner[support[0]] != 1:
+                continue
+            p = support[0]
+            if not any(x for l, x in enumerate(frame[p]) if l != p and l != q):
+                sites.append((p, q, kind))
+    sites.sort(reverse=True)
+    return sites
 
 
 def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
@@ -266,8 +273,9 @@ def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
     so reducing an enlarged matrix undoes the enlargement that produced
     it.  Returns None when no pattern matches.
     """
-    for p, q, _kind in _reduction_sites(sm.matrix.rows):
-        return validate(IntMatrix(_strip(sm.matrix.rows, p, q)))
+    rows = sm.matrix.rows
+    for p, q, _kind in _reduction_sites(rows, _transpose(rows)):
+        return validate(IntMatrix(_strip(rows, p, q)))
     return None
 
 
@@ -362,9 +370,9 @@ class CongruenceMove:
     """Congruence by the elementary matrix I + c * e(i, j), 0-indexed.
 
     E M E^T adds c times row j to row i, then c times column j to
-    column i, so it changes only row i and column i.  apply_rows rebuilds
-    row i, splices the new column-i entry into the rows whose column-j
-    entry is nonzero, and reuses every other row tuple of the input.
+    column i, so it changes only row i and column i.  apply_rows is
+    _congruence_child with no bound on the entries; the search calls
+    that helper directly with its bound.
     """
 
     i: int
@@ -372,21 +380,50 @@ class CongruenceMove:
     c: int
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        i, j, c = self.i, self.j, self.c
-        out = list(rows)
-        for l, row in enumerate(rows):
-            v = row[j]
-            if v and l != i:
-                spliced = list(row)
-                spliced[i] += c * v
-                out[l] = tuple(spliced)
-        new = [a + c * b for a, b in zip(rows[i], rows[j])]
-        new[i] += c * new[j]
-        out[i] = tuple(new)
-        return tuple(out)
+        i, j = self.i, self.j
+        support_j = [(l, row[j]) for l, row in enumerate(rows) if row[j]]
+        return _congruence_child(rows, [row[i] for row in rows], support_j, i, j, self.c, -inf, inf)
 
     def describe(self) -> str:
         return f"congruence E[{self.i + 1},{self.j + 1};{self.c:+d}]"
+
+
+def _congruence_child(
+    rows: tuple[tuple[int, ...], ...],
+    column_i: Sequence[int],
+    support_j: Sequence[tuple[int, int]],
+    i: int,
+    j: int,
+    c: int,
+    lo: float,
+    hi: float,
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The rows of E[i,j;c] M E^T, or None when a changed entry leaves [lo, hi].
+
+    column_i is column i of rows, and support_j holds the pairs (l, v)
+    with v = rows[l][j] != 0.  Column i changes only in those rows
+    l != i; their new entries are computed and checked first, then row
+    i.  The child tuple is built only when every changed entry passes,
+    and it reuses each unchanged row tuple.
+    """
+    spliced = []
+    for l, v in support_j:
+        if l != i:
+            x = column_i[l] + c * v
+            if x < lo or x > hi:
+                return None
+            spliced.append((l, x))
+    new = [a + c * b for a, b in zip(rows[i], rows[j])]
+    new[i] += c * new[j]
+    if min(new) < lo or max(new) > hi:
+        return None
+    out = list(rows)
+    for l, x in spliced:
+        row = list(rows[l])
+        row[i] = x
+        out[l] = tuple(row)
+    out[i] = tuple(new)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -545,25 +582,32 @@ def _children(rows: tuple[tuple[int, ...], ...], max_size: int, max_entry: int):
     """Yield (move, child) for each move out of rows, in the fixed search order.
 
     A congruence child keeps every entry of rows off its row i and
-    column i, so only those two are bound-checked.  An entry of rows above
-    max_entry off row i and column i stays in every such child, so that i
-    yields no congruence child at all.
+    column i, and _congruence_child checks the entries it changes
+    before it builds the child.  An entry of rows above max_entry off
+    row i and column i stays in every such child, so that i yields no
+    congruence child at all; one in column i, at row r != i, stays in
+    the children whose column j is zero at r.
     """
     n = len(rows)
-    for p, q, kind in _reduction_sites(rows):
+    columns = _transpose(rows)
+    for p, q, kind in _reduction_sites(rows, columns):
         yield ReduceMove(p, q, kind), _strip(rows, p, q)
     lo, hi = -max_entry, max_entry
     out_of_bound = [
         (r, k) for r, row in enumerate(rows) for k, x in enumerate(row) if not lo <= x <= hi
     ]
+    supports = [[(l, v) for l, v in enumerate(column) if v] for column in columns]
     for i, moves in enumerate(_congruence_moves(n)):
         if any(r != i and k != i for r, k in out_of_bound):
             continue
+        column_i = columns[i]
+        kept = [r for r, k in out_of_bound if k == i and r != i]
         for move in moves:
-            child = move.apply_rows(rows)
-            row = child[i]
-            column = [r[i] for r in child]
-            if lo <= min(row) and max(row) <= hi and lo <= min(column) and max(column) <= hi:
+            j = move.j
+            if kept and not all(columns[j][r] for r in kept):
+                continue
+            child = _congruence_child(rows, column_i, supports[j], i, j, move.c, lo, hi)
+            if child is not None:
                 yield move, child
     if n + 2 <= max_size:
         for move in _ENLARGE_MOVES:

@@ -108,6 +108,15 @@ def test_try_reduce_examples():
     assert try_reduce(MINIMAL).matrix == IntMatrix()
     assert try_reduce(TREFOIL) is None
     assert try_reduce(column_enlarge(TREFOIL, (1, 0), 2)).matrix == TREFOIL.matrix
+    # Column site (2, 3), then row site (4, 5): the later one is stripped
+    # first.  Moving indices 2, 3 to the end makes the column site the
+    # bottom-right one, so the row enlargement is what remains.
+    once = column_enlarge(TREFOIL, (1, 0), 2)
+    twice = row_enlarge(once, (1, -1, 1, 0), 1)
+    assert try_reduce(twice).matrix == once.matrix
+    order = (0, 1, 4, 5, 2, 3)
+    permuted = validate(IntMatrix(tuple(tuple(twice.matrix.rows[a][b] for b in order) for a in order)))
+    assert try_reduce(permuted).matrix == row_enlarge(TREFOIL, (1, -1), 1).matrix
 
 
 def test_invariance_under_congruence():
@@ -296,20 +305,38 @@ def test_reduce_move_rejects_other_sites(case):
                         ReduceMove(p, q, kind).apply_rows(sm.matrix.rows)
 
 
-def test_search_builds_each_congruence_child_once(monkeypatch):
-    built = []
-    apply_rows = CongruenceMove.apply_rows
+@pytest.mark.parametrize(
+    "target, budget, verdict",
+    [
+        (validate(IntMatrix.from_rows([[-3, -1], [-2, -1]])), SearchBudget(max_nodes=400), "equivalent"),
+        # At max_entry 1 a quarter of the congruence moves leave the bound.
+        (column_enlarge(TREFOIL, (1, 0), 1), SearchBudget(max_entry=1, max_nodes=400), "unknown"),
+    ],
+    ids=["scrambled", "enlarged-max-entry-1"],
+)
+def test_search_builds_each_congruence_child_once(monkeypatch, target, budget, verdict):
+    built, yielded = [], []
+    congruence_child, children = seifert._congruence_child, seifert._children
 
-    def recording(self, rows):
-        built.append((rows, self))
-        return apply_rows(self, rows)
+    def building(rows, column_i, support_j, i, j, c, lo, hi):
+        child = congruence_child(rows, column_i, support_j, i, j, c, lo, hi)
+        if child is not None:
+            built.append((rows, i, j, c))
+        return child
 
-    monkeypatch.setattr(CongruenceMove, "apply_rows", recording)
-    scrambled = validate(IntMatrix.from_rows([[-3, -1], [-2, -1]]))
-    result = bounded_sequiv_search(TREFOIL, scrambled, SearchBudget(max_nodes=400))
-    assert result.verdict == "equivalent"
+    def expanding(rows, max_size, max_entry):
+        for move, child in children(rows, max_size, max_entry):
+            if isinstance(move, CongruenceMove):
+                yielded.append(move)
+            yield move, child
+
+    monkeypatch.setattr(seifert, "_congruence_child", building)
+    monkeypatch.setattr(seifert, "_children", expanding)
+    result = bounded_sequiv_search(TREFOIL, target, budget)
+    assert result.verdict == verdict
     assert len(built) > 0
     assert len(set(built)) == len(built)
+    assert len(built) == len(yielded)
 
 
 @st.composite
@@ -319,7 +346,8 @@ def search_states(draw):
     Sizes 0-6 with max_size n or n + 2; entries mostly within max_entry,
     some states with one or two planted entries just above it and some
     with random entries well beyond it; some states with a zero row or
-    column, or with a planted column or row enlargement site.
+    column, or with one or two planted column or row enlargement sites,
+    which may share an index.
     """
     n = draw(st.integers(0, 6))
     max_entry = draw(st.integers(0, 12))
@@ -330,22 +358,28 @@ def search_states(draw):
         for _ in range(draw(st.integers(0, 2))):
             r, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             rows[r][k] = draw(st.sampled_from((1, -1))) * (max_entry + draw(st.integers(1, 3)))
-        shape = draw(st.sampled_from(("plain", "zero row", "zero column", "site")))
+        shape = draw(st.sampled_from(("plain", "zero row", "zero column", "sites")))
         if shape == "zero row":
             rows[draw(st.integers(0, n - 1))] = [0] * n
         elif shape == "zero column":
             k = draw(st.integers(0, n - 1))
             for row in rows:
                 row[k] = 0
-        elif shape == "site" and n >= 2:
-            p, q = draw(st.permutations(range(n)))[:2]
-            for l in range(n):
-                rows[q][l] = rows[l][q] = 0
-                if l != q:
-                    rows[p][l] = 0
-            rows[p][q] = 1
-            if draw(st.booleans()):
-                rows = [list(col) for col in zip(*rows)]
+        elif shape == "sites" and n >= 2:
+            for _ in range(draw(st.integers(1, 2))):
+                p, q = draw(st.permutations(range(n)))[:2]
+                column = draw(st.booleans())
+                for l in range(n):
+                    rows[q][l] = rows[l][q] = 0
+                    if l != p:
+                        if column:
+                            rows[p][l] = 0
+                        else:
+                            rows[l][p] = 0
+                if column:
+                    rows[p][q] = 1
+                else:
+                    rows[q][p] = 1
     rows = tuple(tuple(row) for row in rows)
     return rows, n + draw(st.sampled_from((0, 2))), max_entry
 
@@ -367,9 +401,10 @@ def test_children_match_the_reference_on_a_start_above_max_entry():
     assert children and all(move.i == 0 for move, _ in children if isinstance(move, CongruenceMove))
 
 
-def test_children_match_the_reference_on_every_stored_search_state():
-    """Every state the 4000-state trefoil -> column-enlarged search stores."""
-    enlarged = column_enlarge(TREFOIL, (1, 0), 1)
+@pytest.mark.parametrize("enlarge", [column_enlarge, row_enlarge], ids=["column", "row"])
+def test_children_match_the_reference_on_every_stored_search_state(enlarge):
+    """Every state the 4000-state trefoil -> enlarged-trefoil search stores."""
+    enlarged = enlarge(TREFOIL, (1, 0), 1)
     budget = SearchBudget(max_nodes=4000)
     max_size, max_entry = enlarged.size + 2, budget.max_entry
     stored = {TREFOIL.matrix.rows: None}
