@@ -12,7 +12,10 @@ braid on two strands must produce a matrix with signature -2, and the
 polynomial of every generated knot closure must agree exactly with the
 reduced-Burau evaluation, which is computed by an entirely independent
 code path and serves as the oracle.  The oracle builds the reduced
-Burau matrix by one column update per letter, with no matrix product.
+Burau matrix by one column update per letter, with no matrix product,
+on dense integer coefficient lists over one exponent window shared by
+every entry, and takes its determinant with laurent's Z[t] Bareiss
+elimination; it never calls intlin.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from .intlin import IntMatrix, InternalCheckError
-from .laurent import LaurentPoly, laurent_matrix_det, normalize_knot_polynomial
+from .laurent import LaurentPoly, normalize_knot_polynomial, polynomial_matrix_det
 from .seifert import SeifertMatrix, validate
 from .textformat import ints, nonblank_lines, read_header
 
@@ -154,20 +157,56 @@ def _cycle_count(perm: tuple[int, ...]) -> int:
 # Reduced Burau oracle.
 
 
-def _burau_matrix(w: ArtinBraidWord) -> list[list[LaurentPoly]]:
-    """Rows of rho(w), by one column update per letter (see burau_alexander)."""
+def _burau_matrix(w: ArtinBraidWord) -> tuple[int, list[list[list[int]]]]:
+    """(lo, rows): entry (a, b) of rho(w) is sum_k rows[a][b][k] * t**(lo + k).
+
+    A prefix with p positive and q negative letters has exponents in
+    [-q, p], so one window from -(negative letters) to +(positive
+    letters) holds every entry of every prefix, and no shift by t**(+-1)
+    pushes a nonzero coefficient out of it.  Built by one column update
+    per letter (see burau_alexander).
+    """
     m = w.strands - 1
-    zero = LaurentPoly()
+    neg = sum(1 for v in w.letters if v < 0)
+    zero = [0] * (len(w.letters) + 1)
+    one = zero.copy()
+    one[neg] = 1
     # cols[m] is a zero column, read both as column m and as column -1.
-    cols = [[LaurentPoly.one if a == b else zero for a in range(m)] for b in range(m)] + [[zero] * m]
+    cols = [[one if a == b else zero for a in range(m)] for b in range(m)] + [[zero] * m]
     for v in w.letters:
         c = abs(v) - 1
         left, mid, right = cols[c - 1], cols[c], cols[c + 1]
         if v > 0:  # t (col[c-1] - col[c]) + col[c+1]
-            cols[c] = [(l - x).shift(1) + r for l, x, r in zip(left, mid, right)]
+            cols[c] = [
+                [r[0]] + [a - b + d for a, b, d in zip(l, x, r[1:])]
+                for l, x, r in zip(left, mid, right)
+            ]
         else:  # col[c-1] + t^-1 (col[c+1] - col[c])
-            cols[c] = [l + (r - x).shift(-1) for l, x, r in zip(left, mid, right)]
-    return [list(row) for row in zip(*cols[:m])]
+            cols[c] = [
+                [a + d - b for a, b, d in zip(l, x[1:], r[1:])] + [l[-1]]
+                for l, x, r in zip(left, mid, right)
+            ]
+    return -neg, [list(row) for row in zip(*cols[:m])]
+
+
+def _plain_rows(rows: list[list[list[int]]]) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """(low, plain): the entries without the low zeros common to all of them.
+
+    plain[a][b] is rows[a][b][low:] as a coefficient tuple without
+    trailing zeros, so each entry is t**low times its plain tuple.
+    """
+    firsts = [next(k for k, x in enumerate(e) if x) for row in rows for e in row if any(e)]
+    low = min(firsts, default=0)
+    plain = []
+    for row in rows:
+        out = []
+        for e in row:
+            end = len(e)
+            while end > low and not e[end - 1]:
+                end -= 1
+            out.append(tuple(e[low:end]))
+        plain.append(out)
+    return low, plain
 
 
 def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
@@ -177,16 +216,21 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     c = i - 1: sigma_i sets it to t (col[c-1] - col[c]) + col[c+1], and
     sigma_i^-1 to col[c-1] + t^-1 (col[c+1] - col[c]).  Reading columns
     outside 0..n-2 as zero gives the edge blocks of sigma_1, sigma_(n-1)
-    and the 1x1 block [[-t^(+-1)]] for n = 2.  The exact value of
-    det(rho(w) - I) * (1 - t) / (1 - t**n), normalized to value 1 at t=1
-    and palindromic, is returned; an inexact division is a bug.
+    and the 1x1 block [[-t^(+-1)]] for n = 2.  Entries are integer
+    coefficient lists over one exponent window; the low zeros common to
+    every entry of rho(w) - I are dropped before polynomial_matrix_det.
+    The exact value of det(rho(w) - I) * (1 - t) / (1 - t**n), normalized
+    to value 1 at t=1 and palindromic, is returned; an inexact division
+    is a bug.
     """
     if not is_knot_closure(w):
         raise ValueError("closure is not a knot")
-    rho = _burau_matrix(w)
+    lo, rho = _burau_matrix(w)
     for d, row in enumerate(rho):
-        row[d] -= LaurentPoly.one
-    numerator = laurent_matrix_det(rho)
+        row[d] = row[d].copy()
+        row[d][-lo] -= 1
+    low, plain = _plain_rows(rho)
+    numerator = LaurentPoly.of((lo + low) * len(rho), polynomial_matrix_det(plain))
     quotient = LaurentPoly.of(0, (1,) * w.strands)  # 1 + t + ... + t**(n-1)
     try:
         reduced = numerator.divexact(quotient)

@@ -5,17 +5,20 @@ polynomial path on top of it: transpose_pencil_det interpolates
 det(M - tM^T) from g + 1 integer determinants det(M + k(M + M^T)),
 k = 0..g, which sit at t = -k / (k + 1); t = 1 and t = -1 are never
 nodes, so the checks the Alexander polynomial gets there stay
-independent.  det_or_left_kernel runs the same elimination on M^T and,
-when M is singular, back-substitutes exactly to a primitive u with
+independent.  det_or_left_kernel returns e_q for the first zero row q
+of M without eliminating; otherwise it runs the same elimination on M^T
+and, when M is singular, back-substitutes exactly to a primitive u with
 u^T M = 0; seifert reduces a Seifert matrix with it and hands its det,
 node k = 0, to the pencil.  The signature and determinant of a
 symmetric matrix come together from one Bareiss pass with symmetric
 pivoting, whose consecutive leading minors give the signs of an LDL^T
-factorization; no rational number occurs anywhere.  Skew-symmetric
-unimodular forms are brought to the standard symplectic shape by paired
-integer row/column operations, whose pivots also decide that the
-determinant is 1.  All values are immutable and every operation is a
-pure function, so concurrent use is safe.
+factorization; no rational number occurs anywhere.  All three share one
+elimination step, which leaves a row untouched when its multiplier is 0
+and the pivot equals the previous one, since the update would not change
+it.  Skew-symmetric unimodular forms are brought to the standard
+symplectic shape by paired integer row/column operations, whose pivots
+also decide that the determinant is 1.  All values are immutable and
+every operation is a pure function, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -147,15 +150,20 @@ def det(m: IntMatrix) -> int:
 def det_or_left_kernel(m: IntMatrix) -> tuple[int, Optional[tuple[int, ...]]]:
     """(det M, None) for nonsingular M; (0, u) with u primitive and u^T M = 0 otherwise.
 
-    Bareiss elimination on M^T with row swaps only, so its columns keep
-    the indices of M.  At the first column k with no pivot left, column k
-    of the reduced matrix lies in the span of the k pivot columns before
-    it, and that dependency is a vector y of M^T's kernel with y_j = 0 for
-    j > k.  Scaled by the last pivot D_k, the leading k x k minor, every
-    y_j is an integer (Cramer's rule), so exact back-substitution through
-    the triangular pivot rows finds it; a division with a remainder raises
-    InternalCheckError.  u is y divided by its gcd.
+    When M has a zero row, u is e_q for the first zero row q, found
+    without elimination.  Otherwise Bareiss elimination runs on M^T with
+    row swaps only, so its columns keep the indices of M.  At the first
+    column k with no pivot left, column k of the reduced matrix lies in
+    the span of the k pivot columns before it, and that dependency is a
+    vector y of M^T's kernel with y_j = 0 for j > k.  Scaled by the last
+    pivot D_k, the leading k x k minor, every y_j is an integer (Cramer's
+    rule), so exact back-substitution through the triangular pivot rows
+    finds it; a division with a remainder raises InternalCheckError.  u is
+    y divided by its gcd.
     """
+    for q, row in enumerate(m.rows):
+        if not any(row):
+            return 0, tuple(1 if j == q else 0 for j in range(m.size))
     n = m.size
     a = [list(column) for column in zip(*m.rows)]
     sign = 1
@@ -197,14 +205,19 @@ def _eliminate(a: list[list[int]], k: int, prev: int) -> None:
 
     Every later row becomes (row * pivot - a_ik * row_k) / prev on the
     columns after k; prev is the previous pivot, and each division is
-    exact (Bareiss 1968).  Column k itself is left as it was.
+    exact (Bareiss 1968).  A row with a_ik = 0 comes out as
+    row * pivot / prev, so when pivot = prev it is left untouched.  Column
+    k itself is left as it was.
     """
     n = len(a)
     row_k = a[k]
     pivot = row_k[k]
+    same = pivot == prev
     for i in range(k + 1, n):
         row_i = a[i]
         aik = row_i[k]
+        if same and not aik:
+            continue
         for j in range(k + 1, n):
             row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
 

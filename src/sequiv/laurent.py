@@ -3,7 +3,11 @@
 Coefficients are arbitrary-precision integers, stored constant-first from
 the lowest exponent.  Canonical form keeps the first and last stored
 coefficients nonzero; the zero polynomial is the empty tuple with lowest
-exponent 0.  Everything here is exact, no floating point.
+exponent 0.  Determinants run one Bareiss elimination over Z[t],
+polynomial_matrix_det, on plain coefficient tuples; laurent_matrix_det
+shifts a Laurent matrix into it, and the reduced-Burau oracle of
+braidclosure feeds it integer coefficient rows directly.  Everything here
+is exact, no floating point.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ __all__ = [
     "parse_laurent",
     "normalize_knot_polynomial",
     "laurent_matrix_det",
+    "polynomial_matrix_det",
 ]
 
 
@@ -175,11 +180,11 @@ def normalize_knot_polynomial(p: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Determinants of Laurent-polynomial matrices.
+# Determinants of polynomial matrices.
 #
-# Bareiss fraction-free elimination over Z[t]; every division below is exact.
-# Entries are handled internally as plain coefficient tuples (constant-first,
-# no trailing zeros) after clearing a common power of t.
+# One Bareiss fraction-free elimination over Z[t], on plain coefficient
+# tuples (constant-first, no trailing zeros); every division is exact.
+# Laurent matrices reach it after clearing a common power of t.
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -231,24 +236,25 @@ def _pdivexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _as_plain(e: LaurentPoly, up: int) -> tuple[int, ...]:
-    if e.is_zero():
-        return ()
-    pad = e.lo + up
-    return (0,) * pad + e.coeffs
+def polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, ...]:
+    """Exact determinant of a square matrix over Z[t], as a plain coefficient tuple.
 
-
-def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials."""
+    Entries and result are constant-first coefficient tuples without
+    trailing zeros; the zero polynomial is ().  Bareiss elimination
+    replaces each later row by (row * pivot - a_ik * row_k) / prev, an
+    exact division; a row with a_ik = 0 is left as it is when the pivot
+    equals the previous one, since the update would not change it.
+    """
     m = len(rows)
     for row in rows:
         if len(row) != m:
             raise ValueError("matrix must be square")
+        for e in row:
+            if e and not e[-1]:
+                raise ValueError("coefficient tuple has trailing zeros")
     if m == 0:
-        return LaurentPoly.one
-    los = [e.lo for row in rows for e in row if not e.is_zero()]
-    up = -min(los) if los and min(los) < 0 else 0
-    a = [[_as_plain(e, up) for e in row] for row in rows]
+        return (1,)
+    a = [list(row) for row in rows]
     sign = 1
     prev: tuple[int, ...] = (1,)
     for k in range(m - 1):
@@ -259,16 +265,38 @@ def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                     sign = -sign
                     break
             else:
-                return LaurentPoly()
-        pivot = a[k][k]
+                return ()
+        row_k = a[k]
+        pivot = row_k[k]
+        same = pivot == prev
         for i in range(k + 1, m):
-            aik = a[i][k]
+            row_i = a[i]
+            aik = row_i[k]
+            if same and not aik:
+                continue
             for j in range(k + 1, m):
-                num = _psub(_pmul(a[i][j], pivot), _pmul(aik, a[k][j]))
-                a[i][j] = _pdivexact(num, prev)
-            a[i][k] = ()
+                num = _psub(_pmul(row_i[j], pivot), _pmul(aik, row_k[j]))
+                row_i[j] = _pdivexact(num, prev)
+            row_i[k] = ()
         prev = pivot
     final = a[m - 1][m - 1]
-    if sign < 0:
-        final = tuple(-c for c in final)
-    return LaurentPoly.of(-up * m, final)
+    return final if sign > 0 else tuple(-c for c in final)
+
+
+def _as_plain(e: LaurentPoly, up: int) -> tuple[int, ...]:
+    if e.is_zero():
+        return ()
+    pad = e.lo + up
+    return (0,) * pad + e.coeffs
+
+
+def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
+    """Exact determinant of a square matrix of Laurent polynomials.
+
+    Every entry is multiplied by the t**up that clears the lowest
+    exponent, so det = t**(-up * m) * polynomial_matrix_det(...).
+    """
+    los = [e.lo for row in rows for e in row if not e.is_zero()]
+    up = -min(los) if los and min(los) < 0 else 0
+    plain = [[_as_plain(e, up) for e in row] for row in rows]
+    return LaurentPoly.of(-up * len(rows), polynomial_matrix_det(plain))

@@ -553,13 +553,13 @@ def bounded_sequiv_search(
     while frontier:
         rows = frontier.popleft()
         for move, child in _children(rows, max_size, budget.max_entry):
-            if child in parents:
+            # One hash per child: setdefault adds it only if it is new.
+            known = len(parents)
+            parents.setdefault(child, (rows, move))
+            if len(parents) == known:
                 continue
-            if len(parents) >= budget.max_nodes:
-                return SearchResult(
-                    "unknown", reason=f"budget exhausted after {len(parents)} states"
-                )
-            parents[child] = (rows, move)
+            if known >= budget.max_nodes:
+                return SearchResult("unknown", reason=f"budget exhausted after {known} states")
             if child == target:
                 return SearchResult("equivalent", witness=_unwind(parents, child))
             frontier.append(child)

@@ -1,12 +1,14 @@
 """Seeded random generators and hypothesis strategies shared across the test modules."""
 
 import random
+from fractions import Fraction
 from typing import Sequence
 
 from hypothesis import strategies as st
 
+from sequiv.braidclosure import ArtinBraidWord
 from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
-from sequiv.laurent import LaurentPoly
+from sequiv.laurent import LaurentPoly, laurent_matrix_det, normalize_knot_polynomial
 from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
 from sequiv.seifert import (
     CongruenceMove,
@@ -156,6 +158,65 @@ def descartes_signature_and_det(q: IntMatrix) -> tuple[int, int]:
     return pos - neg, p[0]
 
 
+def fraction_det(m: IntMatrix) -> int:
+    """Determinant by Gaussian elimination over the rationals.
+
+    The reference for intlin.det and det_or_left_kernel; for tests.
+    """
+    a = [[Fraction(x) for x in row] for row in m.rows]
+    n = len(a)
+    result = Fraction(1)
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            result = -result
+        result *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return int(result)
+
+
+def fraction_signature_and_det(q: IntMatrix) -> tuple[int, int]:
+    """Signature and determinant of a symmetric q by rational Schur complements.
+
+    A nonzero diagonal entry d splits off a 1 x 1 block (signature
+    sign d, determinant d).  When the diagonal is all zero, a nonzero
+    a_ij splits off the 2 x 2 block [[0, a_ij], [a_ij, 0]] (signature 0,
+    determinant -a_ij^2).  Each step replaces the rest by its Schur
+    complement C - B P^-1 B^T.  The reference for
+    intlin.signature_and_det; for tests.
+    """
+    a = [[Fraction(x) for x in row] for row in q.rows]
+    sig, total = 0, Fraction(1)
+    while a:
+        n = len(a)
+        i = next((i for i in range(n) if a[i][i]), None)
+        if i is not None:
+            block = [i]
+            inverse = [[1 / a[i][i]]]
+            sig += 1 if a[i][i] > 0 else -1
+            total *= a[i][i]
+        else:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                return sig, 0
+            block = list(pair)
+            v = a[pair[0]][pair[1]]
+            inverse = [[0, 1 / v], [1 / v, 0]]
+            total *= -v * v
+        rest = [r for r in range(n) if r not in block]
+        pairs = [(x, y, inverse[s][t]) for s, x in enumerate(block) for t, y in enumerate(block)]
+        a = [
+            [a[r][c] - sum(a[r][x] * f * a[y][c] for x, y, f in pairs) for c in rest]
+            for r in rest
+        ]
+    return sig, int(total)
+
+
 def reference_children(rows, max_size: int, max_entry: int) -> list:
     """The (move, child) list of one search expansion, built literally.
 
@@ -191,6 +252,33 @@ def reference_children(rows, max_size: int, max_entry: int) -> list:
         for kind in ("column", "row"):
             out.append((EnlargeMove(kind), EnlargeMove(kind).apply_rows(rows)))
     return out
+
+
+def reference_burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
+    """det(rho(w) - I) / (1 + t + ... + t^(n-1)) over LaurentPoly objects, normalized.
+
+    rho(w) is built with one LaurentPoly per entry by one column update
+    per letter: sigma_i sets column c = i - 1 to
+    t (col[c-1] - col[c]) + col[c+1], sigma_i^-1 to
+    col[c-1] + t^-1 (col[c+1] - col[c]), columns outside the matrix read
+    as zero.  The reference for braidclosure.burau_alexander on knot
+    closures; for tests.
+    """
+    m = w.strands - 1
+    zero = LaurentPoly()
+    cols = [[LaurentPoly.one if a == b else zero for a in range(m)] for b in range(m)] + [[zero] * m]
+    for v in w.letters:
+        c = abs(v) - 1
+        left, mid, right = cols[c - 1], cols[c], cols[c + 1]
+        if v > 0:
+            cols[c] = [(l - x).shift(1) + r for l, x, r in zip(left, mid, right)]
+        else:
+            cols[c] = [l + (r - x).shift(-1) for l, x, r in zip(left, mid, right)]
+    rho = [list(row) for row in zip(*cols[:m])]
+    for d, row in enumerate(rho):
+        row[d] -= LaurentPoly.one
+    quotient = LaurentPoly.of(0, (1,) * w.strands)
+    return normalize_knot_polynomial(laurent_matrix_det(rho).divexact(quotient))
 
 
 def random_skew_unimodular(rng: random.Random, genus: int, ops: int = 12) -> IntMatrix:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gens import reference_burau_alexander
 from sequiv import braidclosure
 from sequiv.braidclosure import (
     ArtinBraidWord,
@@ -101,7 +102,9 @@ def _product(a, b):
 
 
 def _rho(n, *letters):
-    return _burau_matrix(ArtinBraidWord(n, letters))
+    """rho of the word as the oracle builds it, its coefficient lists read as LaurentPoly."""
+    lo, rows = _burau_matrix(ArtinBraidWord(n, letters))
+    return [[LaurentPoly.of(lo, e) for e in row] for row in rows]
 
 
 def _literal_block(n, v):
@@ -159,6 +162,39 @@ _word_pairs = st.integers(2, 5).flatmap(
 def test_burau_is_a_homomorphism(pair):
     n, u, v = pair
     assert _rho(n, *u, *v) == _product(_rho(n, *u), _rho(n, *v))
+
+
+def test_burau_oracle_matches_the_reference_on_the_corpus():
+    words = knot_corpus(4, 12, 7, 1000)
+    assert len(words) == 1000
+    for w in words:
+        assert burau_alexander(w) == reference_burau_alexander(w)
+
+
+@st.composite
+def _mixed_knot_words(draw):
+    # Random letters of both signs on up to 9 strands, then sigma_i^(+-1)
+    # appended for each i whose two strands still lie in different cycles,
+    # which merges them: the closure is a knot.
+    n = draw(st.integers(2, 9))
+    letters = draw(st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=16))
+    for i in range(1, n):
+        joined = letters + [draw(st.sampled_from((i, -i)))]
+        if _cycles(joined, n) < _cycles(letters, n):
+            letters = joined
+    word = ArtinBraidWord(n, tuple(letters))
+    assert is_knot_closure(word)
+    return word
+
+
+def _cycles(letters, n):
+    return braidclosure._cycle_count(closure_permutation(ArtinBraidWord(n, tuple(letters))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_knot_words())
+def test_burau_oracle_matches_the_reference_on_mixed_words(w):
+    assert burau_alexander(w) == reference_burau_alexander(w)
 
 
 def test_matrix_size_and_validity():

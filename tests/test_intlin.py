@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from gens import (
     descartes_signature_and_det,
+    fraction_det,
+    fraction_signature_and_det,
     pencil_det,
     random_scrambled_seifert,
     random_skew_unimodular,
@@ -419,6 +421,56 @@ def test_det_or_left_kernel_examples():
     assert det_or_left_kernel(IntMatrix.from_rows([[0, 0], [0, 5]])) == (0, (1, 0))
     # Row 2 is twice row 1: -2 * (2, 1) + (4, 2) = 0.
     assert det_or_left_kernel(IntMatrix.from_rows([[2, 1], [4, 2]])) == (0, (-2, 1))
+
+
+@st.composite
+def sparse_with_zero_rows(draw):
+    # Mostly zero, unit entries elsewhere (the shape of closure Seifert
+    # matrices), with up to three planted zero rows; symmetric forms get
+    # the matching zero columns too.
+    n = draw(st.integers(0, 8))
+    symmetric = draw(st.booleans())
+    entry = st.sampled_from((0, 0, 0, 1, -1))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=3)) if n else set()
+    for q in zero:
+        rows[q] = [0] * n
+        if symmetric:
+            for row in rows:
+                row[q] = 0
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_with_zero_rows())
+def test_sparse_determinants_match_the_fraction_reference(m):
+    expected = fraction_det(m)
+    assert det(m) == expected
+    d, u = det_or_left_kernel(m)
+    assert d == expected
+    zero_rows = [q for q, row in enumerate(m.rows) if not any(row)]
+    if expected:
+        assert u is None
+    elif zero_rows:
+        assert u == tuple(1 if j == zero_rows[0] else 0 for j in range(m.size))
+    else:
+        assert math.gcd(*u) == 1
+        assert all(sum(u[i] * m.rows[i][j] for i in range(m.size)) == 0 for j in range(m.size))
+    if m.is_symmetric():
+        assert signature_and_det(m) == fraction_signature_and_det(m)
+
+
+def test_zero_row_kernel_needs_no_elimination(monkeypatch):
+    def forbidden(a, k, prev):
+        raise AssertionError("_eliminate called")
+
+    monkeypatch.setattr(intlin, "_eliminate", forbidden)
+    # Row 1 is twice row 0, but the first zero row, 2, decides u.
+    m = IntMatrix.from_rows([[1, 2, 0, 1], [2, 4, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert det_or_left_kernel(m) == (0, (0, 0, 1, 0))
+    assert det_or_left_kernel(IntMatrix.from_rows([[0]])) == (0, (1,))
 
 
 def test_wrong_signature_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):
