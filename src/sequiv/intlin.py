@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import add, mul, sub
 from typing import Iterable, Optional
 
 from .textformat import integer, ints, nonblank_lines
@@ -72,7 +73,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -87,24 +88,22 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_size(other)
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return IntMatrix(tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_size(other)
-        return IntMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return IntMatrix(tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The exact product, each entry sum(map(mul, row, column)).
+
+        The columns of other are transposed once, and the inner loop runs
+        in C with no generator per entry; entries stay Python ints.
+        """
         self._check_size(other)
-        cols = other.transpose().rows
+        cols = tuple(zip(*other.rows))
         return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows)
         )
 
     def _check_size(self, other: "IntMatrix") -> None:

@@ -57,8 +57,9 @@ __all__ = [
 class SeifertMatrix:
     """A validated Seifert matrix; construct through validate().
 
-    standardform wraps A * M * A^T directly when A is unimodular, since
-    then det(N - N^T) = det(A)^2 * det(M - M^T) = 1 is already known.
+    standardform wraps A * M * A^T directly and keeps it only once
+    is_standardized certifies it: N - N^T = X makes A unimodular, and then
+    det(N - N^T) = det(A)^2 * det(M - M^T) = 1 is already known.
     """
 
     matrix: IntMatrix

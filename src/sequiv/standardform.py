@@ -22,6 +22,7 @@ and exhibits the identical disk-band data on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .intlin import (
     IntMatrix,
@@ -121,6 +122,11 @@ def to_disk_band(sm: SeifertMatrix) -> DiskBandForm:
     """Read framings off the diagonal and band linking off the lower triangle."""
     if not is_standardized(sm):
         raise ValueError("matrix is not standardized; apply standardize() first")
+    return _disk_band(sm)
+
+
+def _disk_band(sm: SeifertMatrix) -> DiskBandForm:
+    """to_disk_band for a matrix already certified by is_standardized."""
     m = sm.matrix
     n = m.size
     framings = tuple(m.rows[i][i] for i in range(n))
@@ -148,9 +154,26 @@ def _transition(sm: SeifertMatrix, a1: IntMatrix, a2: IntMatrix) -> IntMatrix:
     """C = A1 * A2^-1, with A2^-1 = (M - M^T) * A2^T * X^T.
 
     A2 standardizes M, so A2 * (M - M^T) * A2^T = X and X * X^T = I.
+    X^T is a signed permutation and takes no product: in B * X^T,
+    column 2b is column 2b + 1 of B and column 2b + 1 is minus column 2b.
     """
-    x = standard_symplectic(sm.genus)
-    return a1 * (sm.matrix - sm.matrix.transpose()) * a2.transpose() * x.transpose()
+    m = sm.matrix
+    b = a1 * (m - m.transpose()) * a2.transpose()
+    rows = []
+    for row in b.rows:
+        out = list(row)
+        out[0::2] = row[1::2]
+        out[1::2] = [-v for v in row[0::2]]
+        rows.append(tuple(out))
+    return IntMatrix(tuple(rows))
+
+
+def _standardized_image(m: IntMatrix, a: IntMatrix) -> Optional[SeifertMatrix]:
+    """N = A * M * A^T if A has the size of M and N is standardized, else None."""
+    if a.size != m.size:
+        return None
+    n = SeifertMatrix(a * m * a.transpose())
+    return n if is_standardized(n) else None
 
 
 @dataclass(frozen=True)
@@ -185,25 +208,32 @@ def standardization_witness(
     agree after that basis change, framings included.  For standardizing
     A_i both hold; a false field is a failed check, not bad input.
 
-    congruent checks each A_i, which is outside input, and is_standardized
-    then certifies each N_i; det(A_i)^2 det(M - M^T) = 1 already makes it
-    a Seifert matrix, so no determinant of N_i - N_i^T is taken.  Both
-    fields come from P = C * N2 * C^T, a Seifert matrix because C is
-    unimodular: P - P^T = C * X * C^T because N2 - N2^T = X, so C is
-    symplectic exactly when P is standardized.
+    One determinant is taken, the validate that made sm: det(M - M^T) = 1.
+    is_standardized then certifies each A_i, which is outside input, with
+    no determinant of its own: N_i - N_i^T = X gives
+    det(A_i)^2 det(M - M^T) = det X = 1, so A_i is unimodular and N_i is
+    a Seifert matrix.  Only when a certificate fails does congruent
+    replay its checks on A1, then A2, so a wrong size or a non-unimodular
+    A_i gets its own message, as it would from congruent.  Both fields
+    come from P = C * N2 * C^T, a Seifert matrix because C is unimodular:
+    P - P^T = C * X * C^T because N2 - N2^T = X, so C is symplectic
+    exactly when P is standardized.
     """
-    n1 = SeifertMatrix(congruent(sm.matrix, a1))
-    n2 = SeifertMatrix(congruent(sm.matrix, a2))
-    if not is_standardized(n1) or not is_standardized(n2):
+    m = sm.matrix
+    n1 = _standardized_image(m, a1)
+    n2 = None if n1 is None else _standardized_image(m, a2)
+    if n2 is None:
+        for a in (a1, a2):
+            congruent(m, a)
         raise ValueError("both transforms must standardize the matrix")
     c = _transition(sm, a1, a2)
     p = c * n2.matrix * c.transpose()
-    d1 = to_disk_band(n1)
+    d1 = _disk_band(n1)
     return StandardizationReport(
         c=c,
         c_symplectic=is_standardized(SeifertMatrix(p)),
         form_1=d1,
-        form_2=to_disk_band(n2),
+        form_2=_disk_band(n2),
         forms_match_after_transition=p.rows == n1.matrix.rows,
         framings=d1.framings,
     )

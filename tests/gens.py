@@ -154,7 +154,8 @@ def descartes_signature_and_det(q: IntMatrix) -> tuple[int, int]:
     pos = sign_changes(p)
     neg = sign_changes(-c if k % 2 else c for k, c in enumerate(p))
     zero = next((k for k, c in enumerate(p) if c), len(p))
-    assert pos + neg + zero == q.size
+    if pos + neg + zero != q.size:
+        raise AssertionError(f"Descartes counts {pos} + {neg} + {zero} do not add up to {q.size}")
     return pos - neg, p[0]
 
 
@@ -287,6 +288,28 @@ def random_skew_unimodular(rng: random.Random, genus: int, ops: int = 12) -> Int
     return b * standard_symplectic(genus) * b.transpose()
 
 
+def reference_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The matrix product by the literal triple loop; the reference for IntMatrix.__mul__."""
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def reference_sum(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], sign: int = 1) -> list[list[int]]:
+    """Entrywise a + sign * b by a double loop; the reference for + and -."""
+    n = len(a)
+    return [[a[i][j] + sign * b[i][j] for j in range(n)] for i in range(n)]
+
+
+def reference_transpose(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(a)
+    return [[a[j][i] for j in range(n)] for i in range(n)]
+
+
 def random_symplectic(rng: random.Random, genus: int, ops: int = 6) -> IntMatrix:
     """Product of integer symplectic transvections I + c * v * v^T * X."""
     n = 2 * genus
@@ -302,7 +325,8 @@ def random_symplectic(rng: random.Random, genus: int, ops: int = 6) -> IntMatrix
             [[(1 if i == j else 0) + c * v[i] * vx[j] for j in range(n)] for i in range(n)]
         )
         result = t * result
-    assert (result * x * result.transpose()).rows == x.rows
+    if (result * x * result.transpose()).rows != x.rows:
+        raise AssertionError("random_symplectic built a matrix that does not preserve X")
     return result
 
 
@@ -374,6 +398,8 @@ def random_zero_linking_link(
         extra.extend([(lo, hi, -1 if v > 0 else 1)] * abs(v))
     braid = braid * PureBraidWord(strands, tuple(extra))
     result = DoubledStringLink(n, k, braid, link.framings)
-    assert len(braid.letters) <= max_length
-    assert pairwise_linking(result).is_zero()
+    if len(braid.letters) > max_length:
+        raise AssertionError(f"corrected word has {len(braid.letters)} letters, over {max_length}")
+    if not pairwise_linking(result).is_zero():
+        raise AssertionError("corrected string link still has nonzero linking numbers")
     return result

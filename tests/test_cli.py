@@ -126,6 +126,37 @@ def test_mat_standardize_and_witness(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+GENUS_2 = "4\n-1 1 0 0\n0 -1 0 0\n0 0 -1 1\n0 0 0 -1\n"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param("2\n1 0\n0 1\n", "size mismatch: matrix 4, transform 2", id="size"),
+        pytest.param(
+            "4\n2 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+            "congruence transform must be unimodular",
+            id="singular",
+        ),
+        pytest.param(
+            "4\n1 0 1 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+            "both transforms must standardize the matrix",
+            id="shear",
+        ),
+    ],
+)
+@pytest.mark.parametrize("side", [1, 2], ids=["a1", "a2"])
+def test_std_witness_error_order(tmp_path, capsys, bad, message, side):
+    path = _write(tmp_path, "m.mat", GENUS_2)
+    identity = _write(tmp_path, "i.A", format_matrix(IntMatrix.identity(4)))
+    bad = _write(tmp_path, "bad.A", bad)
+    transforms = [bad, identity] if side == 1 else [identity, bad]
+    assert main(["std", "witness", path, *transforms]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_mat_enlarge_reduce_pipe(tmp_path, capsys):
     path = _write(tmp_path, "t.mat", TREFOIL)
     assert main(["mat", "enlarge", path, "--kind", "column", "--x", "2", "--vector", "1", "0"]) == 0

@@ -15,6 +15,9 @@ from gens import (
     random_scrambled_seifert,
     random_skew_unimodular,
     random_unimodular,
+    reference_product,
+    reference_sum,
+    reference_transpose,
 )
 from sequiv import intlin, seifert
 from sequiv.braidclosure import knot_corpus, seifert_matrix
@@ -57,6 +60,40 @@ def test_det_multiplicative():
             [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         )
         assert det(a * b) == det(a) * det(b)
+
+
+entries = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two n x n row lists, n = 0..7, with small, negative and above-2^64 entries."""
+    n = draw(st.integers(0, 7))
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_matrix_arithmetic_matches_the_triple_loop(pair):
+    a_rows, b_rows = pair
+    a, b = IntMatrix.from_rows(a_rows), IntMatrix.from_rows(b_rows)
+
+    def rows(lists):  # a tuple never equals a list, so this also pins the row types
+        return tuple(map(tuple, lists))
+
+    assert a.rows == rows(a_rows)
+    assert IntMatrix.from_rows(iter(row) for row in a_rows) == a
+    assert (a * b).rows == rows(reference_product(a_rows, b_rows))
+    assert (a + b).rows == rows(reference_sum(a_rows, b_rows))
+    assert (a - b).rows == rows(reference_sum(a_rows, b_rows, -1))
+    assert a.transpose().rows == rows(reference_transpose(a_rows))
+
+
+def test_from_rows_converts_entries_to_int():
+    m = IntMatrix.from_rows([[True, False], [False, True]])
+    assert m == IntMatrix.identity(2)
+    assert all(type(x) is int for row in m.rows for x in row)
 
 
 def test_is_unimodular_examples():

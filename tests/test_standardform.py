@@ -89,8 +89,8 @@ def test_mat_standardize_takes_one_determinant(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_std_witness_takes_three_determinants(tmp_path, capsys, monkeypatch):
-    # validate on M, then congruent's unimodularity check on A1 and on A2.
+def test_std_witness_takes_one_determinant(tmp_path, capsys, monkeypatch):
+    # Only the input's validate; is_standardized certifies N1, N2, A1 and A2.
     calls = _count_dets(monkeypatch)
     rng = random.Random(49)
     for genus in range(5):
@@ -101,7 +101,7 @@ def test_std_witness_takes_three_determinants(tmp_path, capsys, monkeypatch):
         apath.write_text(format_matrix(standardize(sm)[0]))
         calls.clear()
         assert main(["std", "witness", str(path), str(apath), str(apath)]) == 0
-        assert calls == [sm.size] * 3
+        assert calls == [sm.size]
     capsys.readouterr()
 
 
@@ -168,6 +168,8 @@ def test_witness_transition_carries_a2_to_a1(seed, genus):
     a0 = random_unimodular(rng, sm.size, 4)
     a2 = standardize(validate(congruent(sm.matrix, a0)))[0] * a0
     report = standardization_witness(sm, a1, a2)
+    assert report.form_1 == to_disk_band(validate(congruent(sm.matrix, a1)))
+    assert report.form_2 == to_disk_band(validate(congruent(sm.matrix, a2)))
     assert report.c * a2 == a1
     x = standard_symplectic(genus)
     assert (report.c * x * report.c.transpose()).rows == x.rows
@@ -199,15 +201,39 @@ def test_witness_random_symplectic():
         assert report.framings == tuple(n1.rows[i][i] for i in range(2 * g))
 
 
-def test_witness_rejects_non_standardizing_transform():
-    rng = random.Random(47)
-    sm = random_standardized(rng, 2)
-    bad = IntMatrix.from_rows(
-        [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    )
-    # congruence by bad does not keep N - N^T standard
-    with pytest.raises(ValueError):
-        standardization_witness(sm, bad, IntMatrix.identity(4))
+SHEAR = IntMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+SINGULAR = IntMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+WRONG_SIZE = IntMatrix.identity(2)
+WITNESS_ERRORS = [
+    # (bad transform, message, determinants taken with it as A1, as A2):
+    # congruent's checks, A1 first, choose the message once a certificate fails.
+    pytest.param(WRONG_SIZE, "size mismatch: matrix 4, transform 2", 0, 1, id="size"),
+    pytest.param(SINGULAR, "congruence transform must be unimodular", 1, 2, id="singular"),
+    # unimodular, but congruence by it does not keep N - N^T standard
+    pytest.param(SHEAR, "both transforms must standardize the matrix", 2, 2, id="shear"),
+]
+
+
+@pytest.mark.parametrize("bad, message, dets_as_a1, dets_as_a2", WITNESS_ERRORS)
+@pytest.mark.parametrize("side", [1, 2], ids=["a1", "a2"])
+def test_witness_error_order(monkeypatch, bad, message, dets_as_a1, dets_as_a2, side):
+    sm = random_standardized(random.Random(47), 2)
+    identity = IntMatrix.identity(4)
+    calls = _count_dets(monkeypatch)
+    transforms = (bad, identity) if side == 1 else (identity, bad)
+    with pytest.raises(ValueError) as info:
+        standardization_witness(sm, *transforms)
+    assert str(info.value) == message
+    assert calls == [4] * (dets_as_a1 if side == 1 else dets_as_a2)
+
+
+def test_witness_error_order_across_transforms():
+    # A non-unimodular A1 wins over a wrong-sized A2, as in congruent(M, A1).
+    sm = random_standardized(random.Random(47), 2)
+    with pytest.raises(ValueError, match="^congruence transform must be unimodular$"):
+        standardization_witness(sm, SINGULAR, WRONG_SIZE)
+    with pytest.raises(ValueError, match="^size mismatch: matrix 4, transform 2$"):
+        standardization_witness(sm, SHEAR, WRONG_SIZE)
 
 
 def test_witness_fields_are_computed_from_the_transition(monkeypatch):
