@@ -154,24 +154,17 @@ def _cmd_mat_invariants(args) -> Verdict:
     sm = _load_seifert(args.file)
     inv = invariants(sm)
     delta = inv.alexander
-    values = {
-        "alexander": format_laurent(delta),
+    machine = {
+        "alexander_lo": str(delta.lo),
+        "alexander_coeffs": " ".join(str(c) for c in delta.coeffs) or "0",
         "signature": str(inv.signature),
         "determinant": str(inv.determinant),
         "arf": str(inv.arf),
         "genus": str(sm.genus),
         "valid": "true",
     }
-    detail = [f"{k}: {v}" for k, v in values.items()]
-    machine = {
-        "alexander_lo": str(delta.lo),
-        "alexander_coeffs": " ".join(str(c) for c in delta.coeffs) or "0",
-        "signature": values["signature"],
-        "determinant": values["determinant"],
-        "arf": values["arf"],
-        "genus": values["genus"],
-        "valid": "true",
-    }
+    detail = [f"alexander: {format_laurent(delta)}"]
+    detail += [f"{k}: {v}" for k, v in machine.items() if not k.startswith("alexander")]
     return Verdict("ok", detail, machine)
 
 
@@ -188,7 +181,7 @@ def _cmd_mat_standardize(args) -> Verdict:
 
 def _cmd_mat_enlarge(args) -> int:
     sm = _load_seifert(args.file)
-    xi = args.vector or [0] * sm.size
+    xi = [0] * sm.size if args.vector is None else args.vector
     if args.kind == "column":
         enlarged = column_enlarge(sm, xi, args.x)
     else:
@@ -230,11 +223,19 @@ def _cmd_mat_sequiv(args) -> Verdict:
 # braid
 
 
-def _cmd_braid_lk(args) -> Verdict:
-    w = parse_braid(_read(args.file))
-    lm = linking_matrix(w)
+def _lk_verdict(lm) -> Verdict:
+    """The linking table, one "i j lk" line per nonzero entry, for braid lk and slink lk."""
     detail = [f"n {lm.n}"] + [f"{i} {j} {v}" for i, j, v in lm.nonzero_entries()]
     return Verdict("ok", detail, {"n": str(lm.n), "zero": _bool(lm.is_zero())})
+
+
+def _delta_equiv_verdict(same: bool) -> Verdict:
+    status = "equivalent" if same else "distinct"
+    return Verdict(status, [status], {"delta_equivalent": _bool(same)})
+
+
+def _cmd_braid_lk(args) -> Verdict:
+    return _lk_verdict(linking_matrix(parse_braid(_read(args.file))))
 
 
 def _cmd_braid_delta_trivial(args) -> Verdict:
@@ -246,9 +247,7 @@ def _cmd_braid_delta_trivial(args) -> Verdict:
 def _cmd_braid_delta_equiv(args) -> Verdict:
     w1 = parse_braid(_read(args.file1))
     w2 = parse_braid(_read(args.file2))
-    same = delta_equivalent(w1, w2)
-    status = "equivalent" if same else "distinct"
-    return Verdict(status, [status], {"delta_equivalent": _bool(same)})
+    return _delta_equiv_verdict(delta_equivalent(w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +255,7 @@ def _cmd_braid_delta_equiv(args) -> Verdict:
 
 
 def _cmd_slink_lk(args) -> Verdict:
-    link = parse_string_link(_read(args.file))
-    lm = pairwise_linking(link)
-    detail = [f"n {lm.n}"] + [f"{i} {j} {v}" for i, j, v in lm.nonzero_entries()]
-    return Verdict("ok", detail, {"n": str(lm.n), "zero": _bool(lm.is_zero())})
+    return _lk_verdict(pairwise_linking(parse_string_link(_read(args.file))))
 
 
 def _cmd_slink_normalize(args) -> int:
@@ -271,9 +267,7 @@ def _cmd_slink_normalize(args) -> int:
 def _cmd_slink_delta_equiv(args) -> Verdict:
     l1 = parse_string_link(_read(args.file1))
     l2 = parse_string_link(_read(args.file2))
-    same = delta_equivalent_links(l1, l2)
-    status = "equivalent" if same else "distinct"
-    return Verdict(status, [status], {"delta_equivalent": _bool(same)})
+    return _delta_equiv_verdict(delta_equivalent_links(l1, l2))
 
 
 # ---------------------------------------------------------------------------

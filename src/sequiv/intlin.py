@@ -5,19 +5,21 @@ polynomial path on top of it: transpose_pencil_det interpolates
 det(M - tM^T) from g + 1 integer determinants det(M + k(M + M^T)),
 k = 0..g, which sit at t = -k / (k + 1); t = 1 and t = -1 are never
 nodes, so the checks the Alexander polynomial gets there stay
-independent.  det_or_left_kernel returns e_q for the first zero row q
-of M without eliminating; otherwise it runs the same elimination on M^T
-and, when M is singular, back-substitutes exactly to a primitive u with
-u^T M = 0; seifert reduces a Seifert matrix with it and hands its det,
-node k = 0, to the pencil.  The signature and determinant of a
-symmetric matrix come together from one Bareiss pass with symmetric
-pivoting, whose consecutive leading minors give the signs of an LDL^T
-factorization; no rational number occurs anywhere.  All three share one
-elimination step, which leaves a row untouched when its multiplier is 0
-and the pivot equals the previous one, since the update would not change
-it.  Skew-symmetric unimodular forms are brought to the standard
-symplectic shape by paired integer row/column operations, whose pivots
-also decide that the determinant is 1.  All values are immutable and
+independent.  det and det_or_left_kernel share one elimination loop
+with row swaps, which stops at the first column without a pivot.
+det_or_left_kernel returns e_q for the first zero row q of M without
+eliminating; otherwise it runs that loop on M^T and, when M is
+singular, back-substitutes exactly to a primitive u with u^T M = 0;
+seifert reduces a Seifert matrix with it and hands its det, node k = 0,
+to the pencil.  The signature and determinant of a symmetric matrix come
+together from one Bareiss pass with symmetric pivoting, whose
+consecutive leading minors give the signs of an LDL^T factorization; no
+rational number occurs anywhere.  Both loops share one elimination step,
+which leaves a row untouched when its multiplier is 0 and the pivot
+equals the previous one, since the update would not change it.
+Skew-symmetric unimodular forms are brought to the standard symplectic
+shape by paired integer row/column operations, whose pivots also decide
+that the determinant is 1.  All values are immutable and
 every operation is a pure function, so concurrent use is safe.
 """
 
@@ -120,42 +122,22 @@ class IntMatrix:
             for j in range(i, self.size)
         )
 
-    def max_abs_entry(self) -> int:
-        return max((abs(a) for row in self.rows for a in row), default=0)
-
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
-    n = m.size
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        _eliminate(a, k, prev)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss([list(row) for row in m.rows])[0]
 
 
 def det_or_left_kernel(m: IntMatrix) -> tuple[int, Optional[tuple[int, ...]]]:
     """(det M, None) for nonsingular M; (0, u) with u primitive and u^T M = 0 otherwise.
 
     When M has a zero row, u is e_q for the first zero row q, found
-    without elimination.  Otherwise Bareiss elimination runs on M^T with
-    row swaps only, so its columns keep the indices of M.  At the first
-    column k with no pivot left, column k of the reduced matrix lies in
-    the span of the k pivot columns before it, and that dependency is a
-    vector y of M^T's kernel with y_j = 0 for j > k.  Scaled by the last
-    pivot D_k, the leading k x k minor, every y_j is an integer (Cramer's
+    without elimination.  Otherwise the elimination of det runs on M^T,
+    whose row swaps keep the column indices of M.  At the first column k
+    with no pivot left, column k of the reduced matrix lies in the span
+    of the k pivot columns before it, and that dependency is a vector y
+    of M^T's kernel with y_j = 0 for j > k.  Scaled by the last pivot
+    D_k, the leading k x k minor, every y_j is an integer (Cramer's
     rule), so exact back-substitution through the triangular pivot rows
     finds it; a division with a remainder raises InternalCheckError.  u is
     y divided by its gcd.
@@ -163,8 +145,19 @@ def det_or_left_kernel(m: IntMatrix) -> tuple[int, Optional[tuple[int, ...]]]:
     for q, row in enumerate(m.rows):
         if not any(row):
             return 0, tuple(1 if j == q else 0 for j in range(m.size))
-    n = m.size
     a = [list(column) for column in zip(*m.rows)]
+    d, k = _bareiss(a)
+    return (d, None) if k == m.size else (0, _dependency(a, k))
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """(det a, n) after eliminating a in place, or (0, k) at the first column k with no pivot.
+
+    Rows are swapped to find each pivot, and each swap flips the sign;
+    the last pivot is the determinant.  On a return at column k, rows
+    0..k-1 of a are the pivot rows, upper triangular on columns 0..k.
+    """
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n):
@@ -175,20 +168,21 @@ def det_or_left_kernel(m: IntMatrix) -> tuple[int, Optional[tuple[int, ...]]]:
                     sign = -sign
                     break
             else:
-                return 0, _dependency(a, k, prev)
+                return 0, k
         _eliminate(a, k, prev)
         prev = a[k][k]
-    return sign * prev, None
+    return sign * prev, n
 
 
-def _dependency(a: list[list[int]], k: int, pivot: int) -> tuple[int, ...]:
+def _dependency(a: list[list[int]], k: int) -> tuple[int, ...]:
     """The primitive y with y_k != 0, y_j = 0 for j > k, and sum_j a[i][j] y_j = 0 for i < k.
 
     Rows i < k of a are the Bareiss pivot rows, upper triangular on
-    columns 0..k; pivot is the last of their pivots, D_k, or 1 when k = 0.
+    columns 0..k; y_k starts as the last of their pivots, D_k, or 1 when
+    k = 0.
     """
     y = [0] * len(a)
-    y[k] = pivot
+    y[k] = a[k - 1][k - 1] if k else 1
     for i in range(k - 1, -1, -1):
         row = a[i]
         q, r = divmod(-sum(row[j] * y[j] for j in range(i + 1, k + 1)), row[i])

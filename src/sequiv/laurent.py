@@ -4,10 +4,9 @@ Coefficients are arbitrary-precision integers, stored constant-first from
 the lowest exponent.  Canonical form keeps the first and last stored
 coefficients nonzero; the zero polynomial is the empty tuple with lowest
 exponent 0.  Determinants run one Bareiss elimination over Z[t],
-polynomial_matrix_det, on plain coefficient tuples; laurent_matrix_det
-shifts a Laurent matrix into it, and the reduced-Burau oracle of
-braidclosure feeds it integer coefficient rows directly.  Everything here
-is exact, no floating point.
+polynomial_matrix_det, on plain coefficient tuples; the reduced-Burau
+oracle of braidclosure feeds it integer coefficient rows directly.
+Everything here is exact, no floating point.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "format_laurent",
     "parse_laurent",
     "normalize_knot_polynomial",
-    "laurent_matrix_det",
     "polynomial_matrix_det",
 ]
 
@@ -54,10 +52,6 @@ class LaurentPoly:
     @classmethod
     def of(cls, lo: int, coeffs: Sequence[int]) -> "LaurentPoly":
         return cls(*_canonical(lo, coeffs))
-
-    @classmethod
-    def t_power(cls, k: int, c: int = 1) -> "LaurentPoly":
-        return cls.of(k, (c,))
 
     @property
     def hi(self) -> int:
@@ -184,7 +178,6 @@ def normalize_knot_polynomial(p: LaurentPoly) -> LaurentPoly:
 #
 # One Bareiss fraction-free elimination over Z[t], on plain coefficient
 # tuples (constant-first, no trailing zeros); every division is exact.
-# Laurent matrices reach it after clearing a common power of t.
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -281,22 +274,3 @@ def polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[in
         prev = pivot
     final = a[m - 1][m - 1]
     return final if sign > 0 else tuple(-c for c in final)
-
-
-def _as_plain(e: LaurentPoly, up: int) -> tuple[int, ...]:
-    if e.is_zero():
-        return ()
-    pad = e.lo + up
-    return (0,) * pad + e.coeffs
-
-
-def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials.
-
-    Every entry is multiplied by the t**up that clears the lowest
-    exponent, so det = t**(-up * m) * polynomial_matrix_det(...).
-    """
-    los = [e.lo for row in rows for e in row if not e.is_zero()]
-    up = -min(los) if los and min(los) < 0 else 0
-    plain = [[_as_plain(e, up) for e in row] for row in rows]
-    return LaurentPoly.of(-up * len(rows), polynomial_matrix_det(plain))

@@ -57,9 +57,11 @@ __all__ = [
 class SeifertMatrix:
     """A validated Seifert matrix; construct through validate().
 
-    standardform wraps A * M * A^T directly and keeps it only once
-    is_standardized certifies it: N - N^T = X makes A unimodular, and then
-    det(N - N^T) = det(A)^2 * det(M - M^T) = 1 is already known.
+    Results whose det(N - N^T) = 1 follows from a valid input are wrapped
+    directly: enlargements and reductions (see _enlarge and try_reduce),
+    reduce_fully's unimodular moves, and standardform's A * M * A^T, kept
+    only once is_standardized certifies it: N - N^T = X makes A
+    unimodular, and then det(N - N^T) = det(A)^2 * det(M - M^T) = 1.
     """
 
     matrix: IntMatrix
@@ -191,31 +193,40 @@ def column_enlarge(sm: SeifertMatrix, xi: Sequence[int], x: int) -> SeifertMatri
     Preserves the Alexander polynomial, signature, determinant and Arf
     invariant, and multiplies the unnormalized polynomial by exactly t.
     """
-    xi = tuple(int(v) for v in xi)
-    if len(xi) != sm.size:
-        raise ValueError(f"column must have length {sm.size}, got {len(xi)}")
-    return validate(IntMatrix(_column_block(sm.matrix.rows, xi, int(x))))
+    return _enlarge(sm, "column", xi, x)
 
 
 def row_enlarge(sm: SeifertMatrix, eta: Sequence[int], x: int) -> SeifertMatrix:
     """Append the block [[M, 0, 0], [eta, x, 0], [0, 1, 0]]: column_enlarge(M^T, eta, x)^T."""
-    eta = tuple(int(v) for v in eta)
-    if len(eta) != sm.size:
-        raise ValueError(f"row must have length {sm.size}, got {len(eta)}")
-    rows = _column_block(_transpose(sm.matrix.rows), eta, int(x))
-    return validate(IntMatrix(_transpose(rows)))
+    return _enlarge(sm, "row", eta, x)
+
+
+def _enlarge(sm: SeifertMatrix, kind: str, v: Sequence[int], x: int) -> SeifertMatrix:
+    """The enlargement of the given kind, wrapped without a determinant.
+
+    The last row and column of M' - M'^T each hold a single +-1, at index
+    n, so two cofactor expansions give det(M' - M'^T) = +-det(M - M^T);
+    both are determinants of skew forms, hence squares, so the sign is +
+    and det(M' - M'^T) = 1.
+    """
+    v = tuple(int(e) for e in v)
+    if len(v) != sm.size:
+        raise ValueError(f"{kind} must have length {sm.size}, got {len(v)}")
+    return SeifertMatrix(IntMatrix(_enlarged_rows(sm.matrix.rows, kind, v, int(x))))
 
 
 def _transpose(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows))
 
 
-def _column_block(
-    rows: tuple[tuple[int, ...], ...], xi: tuple[int, ...], x: int
+def _enlarged_rows(
+    rows: tuple[tuple[int, ...], ...], kind: str, v: tuple[int, ...], x: int
 ) -> tuple[tuple[int, ...], ...]:
-    """The rows of [[M, xi, 0], [0, x, 1], [0, 0, 0]]."""
+    """The rows of [[M, v, 0], [0, x, 1], [0, 0, 0]]; for kind "row", those of M^T, transposed."""
+    if kind == "row":
+        return _transpose(_enlarged_rows(_transpose(rows), "column", v, x))
     n = len(rows)
-    body = tuple(row + (v, 0) for row, v in zip(rows, xi))
+    body = tuple(row + (e, 0) for row, e in zip(rows, v))
     return body + ((0,) * n + (x, 1), (0,) * (n + 2))
 
 
@@ -273,10 +284,16 @@ def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
     row pattern is matched literally.  Scanning runs bottom-right first,
     so reducing an enlarged matrix undoes the enlargement that produced
     it.  Returns None when no pattern matches.
+
+    The result takes no determinant.  At a site, row q and column q of
+    S = M - M^T each hold a single +-1, at index p, so two cofactor
+    expansions give det S = +-det S', where S' = M' - M'^T strips p and
+    q; det S' is the determinant of a skew form, a square, so
+    det S' = det S = 1.
     """
     rows = sm.matrix.rows
     for p, q, _kind in _reduction_sites(rows, _transpose(rows)):
-        return validate(IntMatrix(_strip(rows, p, q)))
+        return SeifertMatrix(IntMatrix(_strip(rows, p, q)))
     return None
 
 
@@ -449,10 +466,7 @@ class EnlargeMove:
     x: int = 0
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        zeros = (0,) * len(rows)
-        if self.kind == "column":
-            return _column_block(rows, zeros, self.x)
-        return _transpose(_column_block(_transpose(rows), zeros, self.x))
+        return _enlarged_rows(rows, self.kind, (0,) * len(rows), self.x)
 
     def describe(self) -> str:
         return f"enlarge {self.kind} x={self.x}"

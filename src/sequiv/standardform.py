@@ -112,8 +112,8 @@ def standardize(sm: SeifertMatrix) -> tuple[IntMatrix, SeifertMatrix]:
     """
     m = sm.matrix
     a = skew_standardize(m - m.transpose())
-    n = SeifertMatrix(a * m * a.transpose())
-    if not is_standardized(n):
+    n = _standardized_image(m, a)
+    if n is None:
         raise InternalCheckError("standardize produced A with A * M * A^T not in standard form")
     return a, n
 

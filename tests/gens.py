@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sequiv.braidclosure import ArtinBraidWord
 from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
-from sequiv.laurent import LaurentPoly, laurent_matrix_det, normalize_knot_polynomial
+from sequiv.laurent import LaurentPoly, normalize_knot_polynomial, polynomial_matrix_det
 from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
 from sequiv.seifert import (
     CongruenceMove,
@@ -253,6 +253,17 @@ def reference_children(rows, max_size: int, max_entry: int) -> list:
         for kind in ("column", "row"):
             out.append((EnlargeMove(kind), EnlargeMove(kind).apply_rows(rows)))
     return out
+
+
+def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
+    """Exact determinant of a square matrix of Laurent polynomials; for tests.
+
+    Every entry is multiplied by the t**up that clears the lowest
+    exponent, so det = t**(-up * m) * polynomial_matrix_det(...).
+    """
+    up = max(0, -min((e.lo for row in rows for e in row if not e.is_zero()), default=0))
+    plain = [[(0,) * (e.lo + up) + e.coeffs if e.coeffs else () for e in row] for row in rows]
+    return LaurentPoly.of(-up * len(rows), polynomial_matrix_det(plain))
 
 
 def reference_burau_alexander(w: ArtinBraidWord) -> LaurentPoly:

@@ -86,8 +86,8 @@ def test_burau_examples():
         burau_alexander(ArtinBraidWord(2))
 
 
-T = LaurentPoly.t_power(1)
-TINV = LaurentPoly.t_power(-1)
+T = LaurentPoly.of(1, (1,))
+TINV = LaurentPoly.of(-1, (1,))
 ONE = LaurentPoly.one
 Z = LaurentPoly()
 

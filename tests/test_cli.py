@@ -662,6 +662,26 @@ def test_enlarge_vector_is_read_as_integers(tmp_path, capsys):
     assert capsys.readouterr().out == format_matrix(enlarged.matrix)
 
 
+@pytest.mark.parametrize("kind", ["column", "row"])
+def test_enlarge_with_an_empty_vector_exits_1(tmp_path, capsys, kind):
+    # --vector with no values is a vector of length 0, not the zero vector.
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    assert main(["mat", "enlarge", path, "--kind", kind, "--vector"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} must have length 2, got 0\n"
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+def test_enlarge_of_the_empty_matrix_takes_an_empty_vector(tmp_path, capsys, kind):
+    path = _write(tmp_path, "e.mat", EMPTY)
+    assert main(["mat", "enlarge", path, "--kind", kind, "--vector", "--x", "1"]) == 0
+    with_vector = capsys.readouterr().out
+    assert main(["mat", "enlarge", path, "--kind", kind, "--x", "1"]) == 0
+    assert capsys.readouterr().out == with_vector
+    assert parse_matrix(with_vector).size == 2
+
+
 def test_main_reads_sys_argv_without_arguments(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "t.mat", TREFOIL)
     monkeypatch.setattr(sys, "argv", ["sequiv", "mat", "invariants", path])

@@ -11,7 +11,13 @@ import random
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gens import block_sum, block_sum_invariants, random_scrambled_seifert, random_unimodular
+from gens import (
+    block_sum,
+    block_sum_invariants,
+    laurent_matrix_det,
+    random_scrambled_seifert,
+    random_unimodular,
+)
 from sequiv import intlin, seifert
 from sequiv.braidclosure import (
     ArtinBraidWord,
@@ -23,7 +29,7 @@ from sequiv.braidclosure import (
 )
 from sequiv.cli import main
 from sequiv.intlin import IntMatrix, det, format_matrix, signature_and_det
-from sequiv.laurent import LaurentPoly, laurent_matrix_det
+from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
     Invariants,
     alexander,

@@ -10,8 +10,9 @@ from gens import (
     random_unimodular,
     reference_children,
 )
-from sequiv import seifert
-from sequiv.intlin import IntMatrix, congruent
+from sequiv import intlin, seifert
+from sequiv.cli import main
+from sequiv.intlin import IntMatrix, congruent, det, format_matrix
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
     CongruenceMove,
@@ -259,10 +260,10 @@ def test_search_deterministic():
 
 
 @st.composite
-def enlargements(draw):
+def enlargements(draw, max_genus=3):
     """A scrambled Seifert matrix with an enlargement vector and corner entry."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    _, _, sm = random_scrambled_seifert(rng, draw(st.integers(0, 3)))
+    _, _, sm = random_scrambled_seifert(rng, draw(st.integers(0, max_genus)))
     v = draw(st.lists(st.integers(-3, 3), min_size=sm.size, max_size=sm.size))
     return sm, tuple(v), draw(st.integers(-3, 3))
 
@@ -303,6 +304,81 @@ def test_reduce_move_rejects_other_sites(case):
                 for kind in ("column", "row"):
                     with pytest.raises(ValueError, match="does not match"):
                         ReduceMove(p, q, kind).apply_rows(sm.matrix.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(enlargements(max_genus=4), st.sampled_from(("column", "row")), st.integers(0, 2**32 - 1))
+def test_enlargements_and_reductions_pass_validate(case, kind, seed):
+    # column_enlarge, row_enlarge and try_reduce wrap their result without
+    # a determinant; an explicit validate must accept every one of them.
+    sm, v, x = case
+    rng = random.Random(seed)
+    for enlarge in (column_enlarge, row_enlarge):
+        big = enlarge(sm, v, x)
+        assert validate(big.matrix) == big
+        # A second enlargement in a scrambled basis gives try_reduce other sites.
+        bigger = (column_enlarge if kind == "column" else row_enlarge)(
+            big, [rng.randint(-3, 3) for _ in range(big.size)], rng.randint(-3, 3)
+        )
+        a = random_unimodular(rng, bigger.size, ops=4)
+        current = validate(congruent(bigger.matrix, a))
+        while (current := try_reduce(current)) is not None:
+            assert validate(current.matrix) == current
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+def test_reduce_move_off_a_site_raises_in_apply_rows_and_apply_moves(kind):
+    # The trefoil has no site at all; the enlarged trefoil has one, at (2, 3)
+    # 0-indexed, of the kind it was enlarged by, and none at (3, 2).
+    enlarged = (column_enlarge if kind == "column" else row_enlarge)(TREFOIL, (1, 0), 1)
+    assert ReduceMove(2, 3, kind).apply_rows(enlarged.matrix.rows) == TREFOIL.matrix.rows
+    cases = [(TREFOIL, ReduceMove(0, 1, kind)), (enlarged, ReduceMove(3, 2, kind))]
+    for sm, move in cases:
+        with pytest.raises(ValueError) as info:
+            move.apply_rows(sm.matrix.rows)
+        assert str(info.value) == "reduction pattern does not match"
+        with pytest.raises(ValueError) as info:
+            apply_moves(sm, [CongruenceMove(0, 1, 1), CongruenceMove(0, 1, -1), move])
+        assert str(info.value) == "reduction pattern does not match"
+
+
+def _count_dets(monkeypatch) -> list:
+    """Record the size of every determinant taken through intlin or seifert."""
+    calls = []
+
+    def counting(m):
+        calls.append(m.size)
+        return det(m)
+
+    monkeypatch.setattr(intlin, "det", counting)
+    monkeypatch.setattr(seifert, "det", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+def test_mat_enlarge_and_reduce_take_one_determinant_each(tmp_path, capsys, monkeypatch, kind):
+    # Only the input's validate: adding or stripping the block keeps
+    # det(M - M^T) = 1 without a determinant.
+    calls = _count_dets(monkeypatch)
+    rng = random.Random(50)
+    for genus in range(5):
+        sm = random_scrambled_seifert(rng, genus)[2]
+        path = tmp_path / f"genus{genus}.mat"
+        path.write_text(format_matrix(sm.matrix))
+        vector = [str(rng.randint(-2, 2)) for _ in range(sm.size)]
+        calls.clear()
+        assert main(["mat", "enlarge", str(path), "--kind", kind, "--x", "1", "--vector", *vector]) == 0
+        assert calls == [sm.size]
+        enlarged = tmp_path / f"genus{genus}.{kind}.mat"
+        enlarged.write_text(capsys.readouterr().out)
+        calls.clear()
+        assert main(["mat", "reduce", str(enlarged)]) == 0
+        assert calls == [sm.size + 2]
+        assert capsys.readouterr().out == format_matrix(sm.matrix)
+        calls.clear()
+        assert main(["mat", "reduce", str(path)]) == 0
+        assert calls == [sm.size]
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize(
