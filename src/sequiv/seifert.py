@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cache
-from math import inf
+from math import isqrt
 from typing import Optional, Sequence
 
 from .intlin import (
@@ -388,9 +388,10 @@ class CongruenceMove:
     """Congruence by the elementary matrix I + c * e(i, j), 0-indexed.
 
     E M E^T adds c times row j to row i, then c times column j to
-    column i, so it changes only row i and column i.  apply_rows is
-    _congruence_child with no bound on the entries; the search calls
-    that helper directly with its bound.
+    column i, so it changes only row i and column i.  apply_rows runs
+    _congruence, the list routine that reduce_fully uses, with no bound
+    on c or on the entries; the search builds its congruence children
+    on packed states instead (see _PackedStates).
     """
 
     i: int
@@ -398,50 +399,12 @@ class CongruenceMove:
     c: int
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        i, j = self.i, self.j
-        support_j = [(l, row[j]) for l, row in enumerate(rows) if row[j]]
-        return _congruence_child(rows, [row[i] for row in rows], support_j, i, j, self.c, -inf, inf)
+        w = [list(row) for row in rows]
+        _congruence(w, self.i, self.j, self.c)
+        return tuple(tuple(row) for row in w)
 
     def describe(self) -> str:
         return f"congruence E[{self.i + 1},{self.j + 1};{self.c:+d}]"
-
-
-def _congruence_child(
-    rows: tuple[tuple[int, ...], ...],
-    column_i: Sequence[int],
-    support_j: Sequence[tuple[int, int]],
-    i: int,
-    j: int,
-    c: int,
-    lo: float,
-    hi: float,
-) -> Optional[tuple[tuple[int, ...], ...]]:
-    """The rows of E[i,j;c] M E^T, or None when a changed entry leaves [lo, hi].
-
-    column_i is column i of rows, and support_j holds the pairs (l, v)
-    with v = rows[l][j] != 0.  Column i changes only in those rows
-    l != i; their new entries are computed and checked first, then row
-    i.  The child tuple is built only when every changed entry passes,
-    and it reuses each unchanged row tuple.
-    """
-    spliced = []
-    for l, v in support_j:
-        if l != i:
-            x = column_i[l] + c * v
-            if x < lo or x > hi:
-                return None
-            spliced.append((l, x))
-    new = [a + c * b for a, b in zip(rows[i], rows[j])]
-    new[i] += c * new[j]
-    if min(new) < lo or max(new) > hi:
-        return None
-    out = list(rows)
-    for l, x in spliced:
-        row = list(rows[l])
-        row[i] = x
-        out[l] = tuple(row)
-    out[i] = tuple(new)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -563,14 +526,16 @@ def bounded_sequiv_search(
     if start == target:
         return SearchResult("equivalent", witness=())
 
-    parents: dict[tuple, Optional[tuple[tuple, Move]]] = {start: None}
-    frontier: deque[tuple] = deque([start])
+    packed = _PackedStates(budget.max_entry, start, target)
+    start, target = packed.pack(start), packed.pack(target)
+    parents: dict[int, Optional[tuple[int, Move]]] = {start: None}
+    frontier: deque[int] = deque([start])
     while frontier:
-        rows = frontier.popleft()
-        for move, child in _children(rows, max_size, budget.max_entry):
+        state = frontier.popleft()
+        for move, child in _children(state, packed, max_size):
             # One hash per child: setdefault adds it only if it is new.
             known = len(parents)
-            parents.setdefault(child, (rows, move))
+            parents.setdefault(child, (state, move))
             if len(parents) == known:
                 continue
             if known >= budget.max_nodes:
@@ -585,48 +550,128 @@ _ENLARGE_MOVES = (EnlargeMove("column"), EnlargeMove("row"))
 
 
 @cache
-def _congruence_moves(n: int) -> tuple[tuple[CongruenceMove, ...], ...]:
-    """The congruence moves on n x n states in search order, grouped by i."""
+def _congruence_moves(n: int) -> tuple[tuple[CongruenceMove, CongruenceMove], ...]:
+    """The pairs (E[i,j;+1], E[i,j;-1]) on n x n states, in search order."""
     return tuple(
-        tuple(CongruenceMove(i, j, c) for j in range(n) if j != i for c in (1, -1))
+        (CongruenceMove(i, j, 1), CongruenceMove(i, j, -1))
         for i in range(n)
+        for j in range(n)
+        if j != i
     )
 
 
-def _children(rows: tuple[tuple[int, ...], ...], max_size: int, max_entry: int):
-    """Yield (move, child) for each move out of rows, in the fixed search order.
+class _PackedStates:
+    """Search states as Python ints, and their congruence children.
 
-    A congruence child keeps every entry of rows off its row i and
-    column i, and _congruence_child checks the entries it changes
-    before it builds the child.  An entry of rows above max_entry off
-    row i and column i stays in every such child, so that i yields no
-    congruence child at all; one in column i, at row r != i, stays in
-    the children whose column j is zero at r.
+    An n x n matrix is one int: entry (r, k) is the w-bit field at bit
+    w * (r * n + k), holding x + H, with H = 4B + 1 and
+    B = max(1, max_entry, the largest |entry| of the inputs).  The field
+    width leaves one guard bit, of value G = 2^(w - 1) > 8B + 1, above
+    every value a field takes:
+      - a stored entry is at most B in absolute value: a congruence child
+        is stored only within max_entry <= B, a reduction only drops
+        entries, and an enlargement adds 0 and 1;
+      - E[i,j;c] M E^T, c = +-1, adds up at most four stored entries, so
+        before the check a child entry is at most 4B, and its field
+        x + H lies in [1, 8B + 1], below G;
+    so no field carries into its neighbour, and the whole-int sums below
+    are the fieldwise sums.  Every field is nonzero, so an n x n state
+    has between w (n^2 - 1) + 1 and w n^2 bits, and states of different
+    sizes never collide (the empty matrix is 0).
+
+    A congruence child is two shifted adds: c (row j - H ones) at row
+    i, then c (column j - H ones) at column i, with column j read from
+    the updated int through one mask.  A child is kept when every field
+    lies in [H - max_entry, H + max_entry], the whole-matrix bound of
+    tests/gens.py's reference_children, by one guard-bit test: with
+    a = child + (G - lo) ones and b = child + (G - 1 - hi) ones, each
+    field of a and b stays in [0, 2G), the guard bit of a is set exactly
+    when the field is at least lo, that of b exactly when it is above
+    hi, so a ^ b has every guard bit set exactly when every field is in
+    range.
     """
+
+    def __init__(self, max_entry: int, *inputs: tuple[tuple[int, ...], ...]) -> None:
+        bound = max(1, max_entry, *(abs(x) for rows in inputs for row in rows for x in row))
+        self.offset = 4 * bound + 1
+        self.width = (8 * bound + 1).bit_length() + 1
+        self.max_entry = max_entry
+        self._sizes: dict[int, tuple] = {}
+
+    def pack(self, rows: tuple[tuple[int, ...], ...]) -> int:
+        w, h = self.width, self.offset
+        state = 0
+        for row in reversed(rows):
+            for x in reversed(row):
+                state = (state << w) | (x + h)
+        return state
+
+    def unpack(self, state: int) -> tuple[tuple[int, ...], ...]:
+        w, h = self.width, self.offset
+        n = isqrt(-(-state.bit_length() // w))
+        field = (1 << w) - 1
+        entries = [((state >> shift) & field) - h for shift in range(0, w * n * n, w)]
+        return tuple(tuple(entries[r * n : r * n + n]) for r in range(n))
+
+    def _layout(self, n: int) -> tuple:
+        """The masks, offsets and bound constants of n x n states, built once per size."""
+        layout = self._sizes.get(n)
+        if layout is None:
+            w, h = self.width, self.offset
+            field, guard = (1 << w) - 1, 1 << (w - 1)
+            row_ones = sum(1 << (w * k) for k in range(n))
+            column_ones = sum(1 << (w * n * r) for r in range(n))
+            ones = row_ones * column_ones
+            lo, hi = h - self.max_entry, h + self.max_entry
+            shifts = [(w * n * i, w * i) for i in range(n)]
+            layout = self._sizes[n] = (
+                tuple(
+                    (plus, minus, *shifts[plus.i], *shifts[plus.j])
+                    for plus, minus in _congruence_moves(n)
+                ),
+                field * row_ones,
+                h * row_ones,
+                field * column_ones,
+                h * column_ones,
+                (guard - lo) * ones,
+                (guard - 1 - hi) * ones,
+                guard * ones,
+            )
+        return layout
+
+    def congruence_children(self, state: int, n: int):
+        """Yield (E[i,j;c], child) for each child within max_entry, in search order."""
+        moves, row_mask, row_h, column_mask, column_h, low, high, guards = self._layout(n)
+        for plus, minus, row_i, column_i, row_j, column_j in moves:
+            step = (((state >> row_j) & row_mask) - row_h) << row_i
+            half = state + step
+            child = half + ((((half >> column_j) & column_mask) - column_h) << column_i)
+            if ((child + low) ^ (child + high)) & guards == guards:
+                yield plus, child
+            half = state - step
+            child = half - ((((half >> column_j) & column_mask) - column_h) << column_i)
+            if ((child + low) ^ (child + high)) & guards == guards:
+                yield minus, child
+
+
+def _children(state: int, packed: _PackedStates, max_size: int):
+    """Yield (move, child) for each move out of a packed state, in the fixed search order.
+
+    The state is unpacked once, to find its reduction sites and to build
+    its two enlargements; those children are packed again.  Congruence
+    children are built and bound-checked on the packed int by
+    _PackedStates.congruence_children.  The moves, their order and the
+    children are those of tests/gens.py's reference_children, which
+    copies the matrix for every move and checks it whole.
+    """
+    rows = packed.unpack(state)
     n = len(rows)
-    columns = _transpose(rows)
-    for p, q, kind in _reduction_sites(rows, columns):
-        yield ReduceMove(p, q, kind), _strip(rows, p, q)
-    lo, hi = -max_entry, max_entry
-    out_of_bound = [
-        (r, k) for r, row in enumerate(rows) for k, x in enumerate(row) if not lo <= x <= hi
-    ]
-    supports = [[(l, v) for l, v in enumerate(column) if v] for column in columns]
-    for i, moves in enumerate(_congruence_moves(n)):
-        if any(r != i and k != i for r, k in out_of_bound):
-            continue
-        column_i = columns[i]
-        kept = [r for r, k in out_of_bound if k == i and r != i]
-        for move in moves:
-            j = move.j
-            if kept and not all(columns[j][r] for r in kept):
-                continue
-            child = _congruence_child(rows, column_i, supports[j], i, j, move.c, lo, hi)
-            if child is not None:
-                yield move, child
+    for p, q, kind in _reduction_sites(rows, _transpose(rows)):
+        yield ReduceMove(p, q, kind), packed.pack(_strip(rows, p, q))
+    yield from packed.congruence_children(state, n)
     if n + 2 <= max_size:
         for move in _ENLARGE_MOVES:
-            yield move, move.apply_rows(rows)
+            yield move, packed.pack(move.apply_rows(rows))
 
 
 def _unwind(parents, child) -> tuple[Move, ...]:

@@ -1,6 +1,7 @@
 """Seeded random generators and hypothesis strategies shared across the test modules."""
 
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -15,6 +16,7 @@ from sequiv.seifert import (
     EnlargeMove,
     Invariants,
     ReduceMove,
+    SearchResult,
     SeifertMatrix,
     validate,
 )
@@ -253,6 +255,39 @@ def reference_children(rows, max_size: int, max_entry: int) -> list:
         for kind in ("column", "row"):
             out.append((EnlargeMove(kind), EnlargeMove(kind).apply_rows(rows)))
     return out
+
+
+def reference_search(start, target, max_size: int, max_entry: int, max_nodes: int):
+    """(SearchResult, stored states) of a literal breadth-first search over reference_children.
+
+    The search part of seifert.bounded_sequiv_search, with the same
+    budget rule and reason strings: rows tuples as states, a plain
+    membership test, and a state stored only while fewer than max_nodes
+    are stored; a new state found at the limit exhausts the budget.
+    stored maps each stored state to None (the start) or to its parent
+    and the move from it, in the order of discovery.  For tests.
+    """
+    stored = {start: None}
+    if start == target:
+        return SearchResult("equivalent", witness=()), stored
+    frontier = deque([start])
+    while frontier:
+        rows = frontier.popleft()
+        for move, child in reference_children(rows, max_size, max_entry):
+            if child in stored:
+                continue
+            if len(stored) >= max_nodes:
+                reason = f"budget exhausted after {len(stored)} states"
+                return SearchResult("unknown", reason=reason), stored
+            stored[child] = (rows, move)
+            if child == target:
+                witness = []
+                while stored[child] is not None:
+                    child, move = stored[child]
+                    witness.insert(0, move)
+                return SearchResult("equivalent", witness=tuple(witness)), stored
+            frontier.append(child)
+    return SearchResult("unknown", reason=f"move space exhausted ({len(stored)} states)"), stored
 
 
 def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:

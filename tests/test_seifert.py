@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import (
+    block_sum,
     random_scrambled_seifert,
     random_standardized,
     random_unimodular,
     reference_children,
+    reference_search,
 )
 from sequiv import intlin, seifert
 from sequiv.cli import main
@@ -25,6 +27,7 @@ from sequiv.seifert import (
     arf,
     bounded_sequiv_search,
     column_enlarge,
+    invariants,
     is_alexander_trivial,
     knot_determinant,
     knot_signature,
@@ -391,28 +394,28 @@ def test_mat_enlarge_and_reduce_take_one_determinant_each(tmp_path, capsys, monk
     ids=["scrambled", "enlarged-max-entry-1"],
 )
 def test_search_builds_each_congruence_child_once(monkeypatch, target, budget, verdict):
-    built, yielded = [], []
-    congruence_child, children = seifert._congruence_child, seifert._children
+    # Every stored state is expanded at most once, and every expansion
+    # yields each (state, move) once: the moves of reference_children, in
+    # its order, except in the last expansion, which the search leaves
+    # when it decides or exhausts its budget.
+    expanded, yielded = [], []
+    children = seifert._children
 
-    def building(rows, column_i, support_j, i, j, c, lo, hi):
-        child = congruence_child(rows, column_i, support_j, i, j, c, lo, hi)
-        if child is not None:
-            built.append((rows, i, j, c))
-        return child
-
-    def expanding(rows, max_size, max_entry):
-        for move, child in children(rows, max_size, max_entry):
-            if isinstance(move, CongruenceMove):
-                yielded.append(move)
+    def expanding(state, packed, max_size):
+        expanded.append((state, packed.unpack(state), max_size))
+        for move, child in children(state, packed, max_size):
+            yielded.append((state, move))
             yield move, child
 
-    monkeypatch.setattr(seifert, "_congruence_child", building)
     monkeypatch.setattr(seifert, "_children", expanding)
     result = bounded_sequiv_search(TREFOIL, target, budget)
     assert result.verdict == verdict
-    assert len(built) > 0
-    assert len(set(built)) == len(built)
-    assert len(built) == len(yielded)
+    assert len({state for state, _, _ in expanded}) == len(expanded) > 1
+    assert len(set(yielded)) == len(yielded)
+    for state, rows, max_size in expanded[:-1]:
+        moves = [move for parent, move in yielded if parent == state]
+        assert moves == [move for move, _ in reference_children(rows, max_size, budget.max_entry)]
+    assert any(isinstance(move, CongruenceMove) for _, move in yielded)
 
 
 @st.composite
@@ -420,15 +423,17 @@ def search_states(draw):
     """(rows, max_size, max_entry) for one search expansion.
 
     Sizes 0-6 with max_size n or n + 2; entries mostly within max_entry,
-    some states with one or two planted entries just above it and some
-    with random entries well beyond it; some states with a zero row or
+    some states with one or two planted entries just above it, some
+    with random entries well beyond it and some with entries up to
+    +-10^6, which widen the packed fields; some states with a zero row or
     column, or with one or two planted column or row enlargement sites,
     which may share an index.
     """
     n = draw(st.integers(0, 6))
     max_entry = draw(st.integers(0, 12))
     bound = st.integers(-max_entry, max_entry)
-    entry = draw(st.sampled_from((st.integers(-2, 2), bound, st.integers(-14, 14))))
+    wide = st.integers(-(10**6), 10**6)
+    entry = draw(st.sampled_from((st.integers(-2, 2), bound, st.integers(-14, 14), wide)))
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
     if n:
         for _ in range(draw(st.integers(0, 2))):
@@ -460,21 +465,144 @@ def search_states(draw):
     return rows, n + draw(st.sampled_from((0, 2))), max_entry
 
 
+def packed_children(rows, max_size: int, max_entry: int) -> list:
+    """seifert._children on rows, packed as the search packs a start of rows, then unpacked."""
+    packed = seifert._PackedStates(max_entry, rows)
+    return [
+        (move, packed.unpack(child))
+        for move, child in seifert._children(packed.pack(rows), packed, max_size)
+    ]
+
+
 @settings(max_examples=500, deadline=None)
 @given(search_states())
 def test_children_match_the_literal_reference(case):
     rows, max_size, max_entry = case
-    assert list(seifert._children(rows, max_size, max_entry)) == reference_children(
-        rows, max_size, max_entry
-    )
+    expected = reference_children(rows, max_size, max_entry)
+    assert packed_children(rows, max_size, max_entry) == expected
 
 
 def test_children_match_the_reference_on_a_start_above_max_entry():
     # -3 lies above max_entry 2: only moves with i = 0 can change it.
     scrambled = ((-3, -1), (-2, -1))
-    children = list(seifert._children(scrambled, 4, 2))
+    children = packed_children(scrambled, 4, 2)
     assert children == reference_children(scrambled, 4, 2)
     assert children and all(move.i == 0 for move, _ in children if isinstance(move, CongruenceMove))
+
+
+@pytest.mark.parametrize(
+    "rows, max_entry, width",
+    [
+        # B = 1: fields of 5 bits, and only the zero matrix passes the bound.
+        (((0, 1), (0, 0)), 0, 5),
+        (((0, 0, 0), (0, 0, 0), (0, 0, 0)), 0, 5),
+        (((-1, 1), (0, -1)), 0, 5),
+        # B = 10^9: fields of 34 bits; child entries reach 4 * 10^9 (first
+        # case), and only 4 of their 40 congruence children stay within the bound.
+        (((10**9, 10**9), (10**9, 10**9)), 10**9, 34),
+        (((10**9, 10**9), (-(10**9), 10**9)), 10**9, 34),
+        (((10**9, 1, -(10**9)), (0, 10**9 - 1, 2), (-(10**9), 5, 0)), 10**9, 34),
+    ],
+    ids=["0-minimal", "0-zero", "0-trefoil", "1e9-ones", "1e9-2x2", "1e9-3x3"],
+)
+def test_children_match_the_reference_at_extreme_max_entry(rows, max_entry, width):
+    assert seifert._PackedStates(max_entry, rows).width == width
+    for max_size in (len(rows), len(rows) + 2):
+        expected = reference_children(rows, max_size, max_entry)
+        assert packed_children(rows, max_size, max_entry) == expected
+
+
+@pytest.mark.parametrize("max_entry", [0, 10**9])
+def test_search_matches_the_reference_at_extreme_max_entry(max_entry):
+    pairs = [
+        (EMPTY, MINIMAL),
+        (MINIMAL, EMPTY),
+        (TREFOIL, validate(IntMatrix.from_rows([[-3, -1], [-2, -1]]))),
+        (TREFOIL, column_enlarge(TREFOIL, (1, 0), 1)),
+    ]
+    for m1, m2 in pairs:
+        budget = SearchBudget(max_entry=max_entry, max_nodes=300)
+        expected, _ = reference_search(
+            m1.matrix.rows, m2.matrix.rows, max(m1.size, m2.size) + 2, max_entry, budget.max_nodes
+        )
+        assert bounded_sequiv_search(m1, m2, budget) == expected
+
+
+def square_matrices(sizes, entries):
+    """Strategy: square rows tuples of a size drawn from sizes."""
+    return sizes.flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n
+        ).map(tuple)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), square_matrices(st.integers(0, 8), st.integers(-(10**6), 10**6)))
+def test_packed_states_round_trip(max_entry, rows):
+    packed = seifert._PackedStates(max_entry, rows)
+    state = packed.pack(rows)
+    assert packed.unpack(state) == rows
+    # Every field is nonzero, so sizes never collide: an n x n state has
+    # between w (n^2 - 1) + 1 and w n^2 bits.
+    n = len(rows)
+    assert (state == 0) == (n == 0)
+    assert packed.width * (n * n - 1) < state.bit_length() <= packed.width * n * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(st.integers(2, 6), st.integers()), st.data(), st.integers())
+def test_congruence_move_is_the_literal_product(rows, data, c):
+    # Unbounded entries and any integer c: the replay path of apply_moves.
+    n = len(rows)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    e = IntMatrix.from_rows(
+        [[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)]
+    )
+    m = IntMatrix(rows)
+    assert CongruenceMove(i, j, c).apply_rows(rows) == (e * m * e.transpose()).rows
+
+
+@st.composite
+def search_pairs(draw):
+    """(m1, m2, budget): congruence walks, enlargements and scrambled block sums."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("walk", "enlarge", "blocks")))
+    if shape == "walk":
+        m1 = random_standardized(rng, draw(st.integers(1, 2)), bound=draw(st.integers(1, 2)))
+        a = random_unimodular(rng, m1.size, ops=draw(st.integers(1, 4)))
+        m2 = validate(congruent(m1.matrix, a))
+    elif shape == "enlarge":
+        m1 = random_standardized(rng, draw(st.integers(0, 1)), bound=draw(st.integers(1, 2)))
+        enlarge = draw(st.sampled_from((column_enlarge, row_enlarge)))
+        m2 = enlarge(m1, [rng.randint(-1, 1) for _ in range(m1.size)], rng.randint(-1, 1))
+        if draw(st.booleans()):
+            m1, m2 = m2, m1
+    else:
+        block = st.tuples(st.integers(-2, 2), st.integers(-2, 1), st.integers(-2, 2))
+        blocks = st.lists(block, min_size=1, max_size=2)
+        first = draw(blocks)
+        a = random_unimodular(rng, 2 * len(first), ops=3)
+        m1 = validate(congruent(block_sum(first).matrix, a))
+        # The same blocks reordered, or other blocks, whose invariants may still agree.
+        m2 = block_sum(draw(st.permutations(first)) if draw(st.booleans()) else draw(blocks))
+    budget = SearchBudget(max_entry=draw(st.integers(0, 12)), max_nodes=draw(st.integers(1, 300)))
+    return m1, m2, budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_pairs())
+def test_search_matches_the_reference_search(case):
+    m1, m2, budget = case
+    result = bounded_sequiv_search(m1, m2, budget)
+    if invariants(m1) != invariants(m2):
+        assert result.verdict == "distinct"
+        return
+    max_size = max(m1.size, m2.size) + 2
+    expected, _ = reference_search(
+        m1.matrix.rows, m2.matrix.rows, max_size, budget.max_entry, budget.max_nodes
+    )
+    assert result == expected
 
 
 @pytest.mark.parametrize("enlarge", [column_enlarge, row_enlarge], ids=["column", "row"])
@@ -483,19 +611,13 @@ def test_children_match_the_reference_on_every_stored_search_state(enlarge):
     enlarged = enlarge(TREFOIL, (1, 0), 1)
     budget = SearchBudget(max_nodes=4000)
     max_size, max_entry = enlarged.size + 2, budget.max_entry
-    stored = {TREFOIL.matrix.rows: None}
-    frontier = [TREFOIL.matrix.rows]
-    for rows in frontier:
-        for move, child in reference_children(rows, max_size, max_entry):
-            if child not in stored and len(stored) < budget.max_nodes:
-                stored[child] = move
-                frontier.append(child)
-        if len(stored) == budget.max_nodes:
-            break
+    expected, stored = reference_search(
+        TREFOIL.matrix.rows, enlarged.matrix.rows, max_size, max_entry, budget.max_nodes
+    )
     assert len(stored) == 4000
     for rows in stored:
-        assert list(seifert._children(rows, max_size, max_entry)) == reference_children(
-            rows, max_size, max_entry
-        )
+        children = reference_children(rows, max_size, max_entry)
+        assert packed_children(rows, max_size, max_entry) == children
     result = bounded_sequiv_search(TREFOIL, enlarged, budget)
+    assert result == expected
     assert result.reason == "budget exhausted after 4000 states"
