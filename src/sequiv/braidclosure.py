@@ -99,40 +99,37 @@ def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
     for pos, v in enumerate(w.letters):
         columns[abs(v)].append((pos, 1 if v > 0 else -1))
 
-    loops: list[tuple[int, int, int, int, int]] = []  # (col, t1, t2, e1, e2)
-    index_of: dict[tuple[int, int], int] = {}
-    for col in range(1, w.strands):
-        occ = columns[col]
-        for j in range(len(occ) - 1):
-            index_of[(col, j)] = len(loops)
-            (t1, e1), (t2, e2) = occ[j], occ[j + 1]
-            loops.append((col, t1, t2, e1, e2))
+    # Loop j of a column runs from its crossing j to crossing j + 1; its index is first[col] + j.
+    first = {}
+    size = 0
+    for col, occ in columns.items():
+        first[col] = size
+        size += len(occ) - 1
 
-    size = len(loops)
     v = [[0] * size for _ in range(size)]
-    for col in range(1, w.strands):
-        count = len(columns[col]) - 1
+    for col, occ in columns.items():
+        count = len(occ) - 1
         for j in range(count):
-            r = index_of[(col, j)]
-            _, _, _, e1, e2 = loops[r]
+            r = first[col] + j
+            e1, e2 = occ[j][1], occ[j + 1][1]
             v[r][r] = -(e1 + e2) // 2
             if j + 1 < count:
-                s = index_of[(col, j + 1)]
-                if e2 == 1:  # e2 is the crossing shared with the next loop
-                    v[r][s] = 1
+                if e2 == 1:  # e2 is the crossing shared with the next loop, r + 1
+                    v[r][r + 1] = 1
                 else:
-                    v[s][r] = -1
+                    v[r + 1][r] = -1
     # Interleaved loops in adjacent columns contribute a single +-1 in the
     # (left loop, right loop) slot: +1 when the left-column loop opens
     # first, -1 when the right-column loop does.  The side and sign are
     # pinned by exact oracle agreement over generated corpora.
     for col in range(1, w.strands - 1):
-        for j in range(len(columns[col]) - 1):
-            a = index_of[(col, j)]
-            _, t1, t2, _, _ = loops[a]
-            for m in range(len(columns[col + 1]) - 1):
-                b = index_of[(col + 1, m)]
-                _, u1, u2, _, _ = loops[b]
+        left, right = columns[col], columns[col + 1]
+        for j in range(len(left) - 1):
+            a = first[col] + j
+            t1, t2 = left[j][0], left[j + 1][0]
+            for m in range(len(right) - 1):
+                b = first[col + 1] + m
+                u1, u2 = right[m][0], right[m + 1][0]
                 if t1 < u1 < t2 < u2:
                     v[a][b] = 1
                 elif u1 < t1 < u2 < t2:

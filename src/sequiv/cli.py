@@ -9,6 +9,9 @@ Exit codes: 0 success or decided, 1 invalid input or a usage error,
 2 undecided, 3 internal error (an exactness check inside the library
 failed).  Every exit 1 prints one "error: ..." line on stderr.
 
+`build_parser` declares each subcommand in one call, by name, help,
+handler and positional names, to the declarer its group returns; the
+subcommand's own options are added to the parser that call returns.
 `main` builds its parser once per process, on the first call, and
 reuses it: in-process callers pay for argparse construction once, and a
 shell invocation, which calls `main` once, is unaffected.  Each
@@ -213,8 +216,9 @@ def _cmd_mat_sequiv(args) -> Verdict:
         detail = [f"equivalent ({len(result.witness)} moves)"]
         machine = {"moves": str(len(result.witness))}
         for idx, move in enumerate(result.witness, 1):
-            detail.append(f"move {idx}: {move.describe()}")
-            machine[f"move_{idx}"] = move.describe()
+            text = move.describe()
+            detail.append(f"move {idx}: {text}")
+            machine[f"move_{idx}"] = text
         return Verdict("equivalent", detail, machine)
     return Verdict("unknown", [f"unknown ({result.reason})"], {"reason": result.reason})
 
@@ -373,96 +377,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sequiv {__version__}")
     top = parser.add_subparsers(dest="group", required=True)
 
-    mat = top.add_parser("mat", help="Seifert matrix operations").add_subparsers(
-        dest="command", required=True
-    )
-    p = mat.add_parser("invariants", help="Alexander, signature, determinant, Arf")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_mat_invariants)
-    p = mat.add_parser("standardize", help="write A and N with N = A M A^T standardized")
-    p.add_argument("file")
+    def group(name: str, help: str):
+        """Add a group; return its declarer of subcommands by name, help, handler and positionals."""
+        commands = top.add_parser(name, help=help).add_subparsers(dest="command", required=True)
+
+        def command(name: str, help: str, func, *positionals: str) -> argparse.ArgumentParser:
+            p = commands.add_parser(name, help=help)
+            for positional in positionals:
+                p.add_argument(positional)
+            p.set_defaults(func=func)
+            return p
+
+        return command
+
+    mat = group("mat", "Seifert matrix operations")
+    mat("invariants", "Alexander, signature, determinant, Arf", _cmd_mat_invariants, "file")
+    p = mat("standardize", "write A and N with N = A M A^T standardized", _cmd_mat_standardize, "file")
     p.add_argument("--out-a")
     p.add_argument("--out-n")
-    p.set_defaults(func=_cmd_mat_standardize)
-    p = mat.add_parser("enlarge", help="apply a column or row enlargement")
-    p.add_argument("file")
+    p = mat("enlarge", "apply a column or row enlargement", _cmd_mat_enlarge, "file")
     p.add_argument("--kind", choices=("column", "row"), default="column")
     p.add_argument("--x", type=int, default=0)
     p.add_argument("--vector", type=int, nargs="*", help="enlargement column/row entries")
-    p.set_defaults(func=_cmd_mat_enlarge)
-    p = mat.add_parser("reduce", help="strip one enlargement if a pattern matches")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_mat_reduce)
-    p = mat.add_parser("sequiv", help="bounded search for an S-equivalence witness")
-    p.add_argument("file1")
-    p.add_argument("file2")
+    mat("reduce", "strip one enlargement if a pattern matches", _cmd_mat_reduce, "file")
+    p = mat("sequiv", "bounded search for an S-equivalence witness", _cmd_mat_sequiv, "file1", "file2")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--max-entry", type=int, default=8)
     p.add_argument("--max-nodes", type=int, default=20000)
-    p.set_defaults(func=_cmd_mat_sequiv)
 
-    braid = top.add_parser("braid", help="pure braid words").add_subparsers(
-        dest="command", required=True
-    )
-    p = braid.add_parser("lk", help="pairwise linking numbers")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_braid_lk)
-    p = braid.add_parser("delta-trivial", help="can the word be undone by delta moves")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_braid_delta_trivial)
-    p = braid.add_parser("delta-equiv", help="same pairwise linking numbers")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(func=_cmd_braid_delta_equiv)
+    braid = group("braid", "pure braid words")
+    braid("lk", "pairwise linking numbers", _cmd_braid_lk, "file")
+    braid("delta-trivial", "can the word be undone by delta moves", _cmd_braid_delta_trivial, "file")
+    braid("delta-equiv", "same pairwise linking numbers", _cmd_braid_delta_equiv, "file1", "file2")
 
-    slink = top.add_parser("slink", help="doubled string links").add_subparsers(
-        dest="command", required=True
-    )
-    p = slink.add_parser("lk", help="string-link pairwise linking numbers")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_slink_lk)
-    p = slink.add_parser("normalize", help="zero out every braid-level linking number")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_slink_normalize)
-    p = slink.add_parser("delta-equiv", help="same linking numbers and framings")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(func=_cmd_slink_delta_equiv)
+    slink = group("slink", "doubled string links")
+    slink("lk", "string-link pairwise linking numbers", _cmd_slink_lk, "file")
+    slink("normalize", "zero out every braid-level linking number", _cmd_slink_normalize, "file")
+    slink("delta-equiv", "same linking numbers and framings", _cmd_slink_delta_equiv, "file1", "file2")
 
-    std = top.add_parser("std", help="standard form and disk-band data").add_subparsers(
-        dest="command", required=True
+    std = group("std", "standard form and disk-band data")
+    std(
+        "to-disk-band", "framings and band linking of a standardized matrix", _cmd_std_to_disk_band, "file"
     )
-    p = std.add_parser("to-disk-band", help="framings and band linking of a standardized matrix")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_std_to_disk_band)
-    p = std.add_parser("from-disk-band", help="rebuild the standardized matrix")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_std_from_disk_band)
-    p = std.add_parser("witness", help="check two standardizations of one matrix")
-    p.add_argument("matrix")
-    p.add_argument("a1")
-    p.add_argument("a2")
-    p.set_defaults(func=_cmd_std_witness)
+    std("from-disk-band", "rebuild the standardized matrix", _cmd_std_from_disk_band, "file")
+    std("witness", "check two standardizations of one matrix", _cmd_std_witness, "matrix", "a1", "a2")
 
-    closure = top.add_parser("closure", help="braid closures").add_subparsers(
-        dest="command", required=True
-    )
-    p = closure.add_parser("seifert", help="Seifert matrix of a knot closure")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_closure_seifert)
-    p = closure.add_parser("alexander", help="both polynomial paths and agreement flag")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_closure_alexander)
+    closure = group("closure", "braid closures")
+    closure("seifert", "Seifert matrix of a knot closure", _cmd_closure_seifert, "file")
+    closure("alexander", "both polynomial paths and agreement flag", _cmd_closure_alexander, "file")
 
-    corpus = top.add_parser("corpus", help="derived example corpus").add_subparsers(
-        dest="command", required=True
-    )
-    p = corpus.add_parser("generate", help="deterministic knot-closure corpus with invariants")
+    corpus = group("corpus", "derived example corpus")
+    p = corpus("generate", "deterministic knot-closure corpus with invariants", _cmd_corpus_generate)
     p.add_argument("--n", type=int, default=4, help="maximum strand count")
     p.add_argument("--maxlen", type=int, default=12, help="maximum word length")
     p.add_argument("--seed", type=int, default=DEFAULT_CORPUS_SEED)
     p.add_argument("--count", type=int, default=100)
-    p.set_defaults(func=_cmd_corpus_generate)
 
     return parser
 
@@ -476,7 +445,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         outcome = args.func(args)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -19,8 +19,12 @@ which leaves a row untouched when its multiplier is 0 and the pivot
 equals the previous one, since the update would not change it.
 Skew-symmetric unimodular forms are brought to the standard symplectic
 shape by paired integer row/column operations, whose pivots also decide
-that the determinant is 1.  All values are immutable and
-every operation is a pure function, so concurrent use is safe.
+that the determinant is 1.  The three elementary congruences on list
+matrices (adding a multiple of one basis vector to another, swapping
+two, negating one) are written once, in _add_multiple, _swap and
+_negate; signature_and_det, skew_standardize and seifert's reduction
+and move replay all run on them.  All values are immutable and every
+public operation is a pure function, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -215,6 +219,29 @@ def _eliminate(a: list[list[int]], k: int, prev: int) -> None:
             row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
 
 
+def _add_multiple(w: list[list[int]], i: int, j: int, c: int) -> None:
+    """E w E^T in place for E = I + c e(i, j), i != j: row i += c * row j, then column i += c * column j."""
+    wi = w[i]
+    for l, x in enumerate(w[j]):
+        wi[l] += c * x
+    for row in w:
+        row[i] += c * row[j]
+
+
+def _swap(w: list[list[int]], i: int, j: int) -> None:
+    """P w P^T in place for the transposition P of i and j: rows i and j, then columns i and j."""
+    w[i], w[j] = w[j], w[i]
+    for row in w:
+        row[i], row[j] = row[j], row[i]
+
+
+def _negate(w: list[list[int]], i: int) -> None:
+    """D w D in place for D = diag(1, ..., -1, ..., 1), the -1 at i: row i, then column i."""
+    w[i] = [-x for x in w[i]]
+    for row in w:
+        row[i] = -row[i]
+
+
 def is_unimodular(a: IntMatrix) -> bool:
     return det(a) in (1, -1)
 
@@ -310,7 +337,9 @@ def signature_and_det(q: IntMatrix) -> tuple[int, int]:
     unimodular congruence b_i += b_j makes a_ii = 2 a_ij a pivot.  A zero
     trailing block holds zero eigenvalues only, and then det Q = 0;
     otherwise the last pivot is det Q.  Every division is exact
-    (Bareiss 1968), so O(n^3) integer operations suffice.
+    (Bareiss 1968), so O(n^3) integer operations suffice.  The congruence
+    and the symmetric swap run over the whole working matrix: rows and
+    columns before k are never read again.
     """
     if not q.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
@@ -334,17 +363,9 @@ def signature_and_det(q: IntMatrix) -> tuple[int, int]:
                 break
             else:
                 return sig, 0
-            # b_p += b_j: row p += row j, then column p += column j.
-            row_j = a[j]
-            for l in range(k, n):
-                row_p[l] += row_j[l]
-            for i in range(k, n):
-                a[i][p] += a[i][j]
+            _add_multiple(a, p, j, 1)
         if p != k:
-            a[k], a[p] = a[p], a[k]
-            for i in range(k, n):
-                row = a[i]
-                row[k], row[p] = row[p], row[k]
+            _swap(a, k, p)
         pivot = a[k][k]
         sig += 1 if (pivot > 0) == (prev > 0) else -1
         _eliminate(a, k, prev)
@@ -375,21 +396,12 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap(i: int, j: int) -> None:
-        w[i], w[j] = w[j], w[i]
-        for row in w:
-            row[i], row[j] = row[j], row[i]
+        _swap(w, i, j)
         a[i], a[j] = a[j], a[i]
 
     def add_row(i: int, j: int, c: int) -> None:
-        # row_i += c * row_j, mirrored on columns; tracked on A.
-        wi, wj = w[i], w[j]
-        for l in range(n):
-            wi[l] += c * wj[l]
-        for row in w:
-            row[i] += c * row[j]
-        ai, aj = a[i], a[j]
-        for l in range(n):
-            ai[l] += c * aj[l]
+        _add_multiple(w, i, j, c)
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
 
     k = 0
     while k < n:

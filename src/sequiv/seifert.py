@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 from .intlin import (
     IntMatrix,
     InternalCheckError,
+    _add_multiple,
+    _negate,
     _transpose_pencil,
     det,
     det_or_left_kernel,
@@ -59,8 +61,9 @@ class SeifertMatrix:
 
     Results whose det(N - N^T) = 1 follows from a valid input are wrapped
     directly: enlargements and reductions (see _enlarge and try_reduce),
-    reduce_fully's unimodular moves, and standardform's A * M * A^T, kept
-    only once is_standardized certifies it: N - N^T = X makes A
+    reduce_fully's unimodular moves, standardform's from_disk_band, whose
+    N - N^T = X holds by construction, and standardform's A * M * A^T,
+    kept only once is_standardized certifies it: N - N^T = X makes A
     unimodular, and then det(N - N^T) = det(A)^2 * det(M - M^T) = 1.
     """
 
@@ -358,8 +361,7 @@ def _reduce(m: IntMatrix) -> tuple[IntMatrix, list[Move], int]:
         p = support[0]
         # 3. Entry (p, q) to 1; row q is zero, so negating b_q changes column q only.
         if w[p][q] == -1:
-            for row in w:
-                row[q] = -row[q]
+            _negate(w, q)
             moves.append(NegateMove(q))
         # 4. Clear row p outside (p, p) and (p, q), then strip p and q.
         for i in range(n):
@@ -370,12 +372,8 @@ def _reduce(m: IntMatrix) -> tuple[IntMatrix, list[Move], int]:
 
 
 def _congruence(w: list[list[int]], i: int, j: int, c: int) -> CongruenceMove:
-    """E[i,j;c] M E^T in place: row i += c * row j, then column i += c * column j."""
-    wi = w[i]
-    for l, x in enumerate(w[j]):
-        wi[l] += c * x
-    for row in w:
-        row[i] += c * row[j]
+    """E[i,j;c] M E^T in place, by intlin's _add_multiple, and the move that records it."""
+    _add_multiple(w, i, j, c)
     return CongruenceMove(i, j, c)
 
 
@@ -389,9 +387,9 @@ class CongruenceMove:
 
     E M E^T adds c times row j to row i, then c times column j to
     column i, so it changes only row i and column i.  apply_rows runs
-    _congruence, the list routine that reduce_fully uses, with no bound
-    on c or on the entries; the search builds its congruence children
-    on packed states instead (see _PackedStates).
+    intlin's _add_multiple, the list kernel that reduce_fully uses, with
+    no bound on c or on the entries; the search builds its congruence
+    children on packed states instead (see _PackedStates).
     """
 
     i: int
@@ -400,8 +398,8 @@ class CongruenceMove:
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
         w = [list(row) for row in rows]
-        _congruence(w, self.i, self.j, self.c)
-        return tuple(tuple(row) for row in w)
+        _add_multiple(w, self.i, self.j, self.c)
+        return tuple(map(tuple, w))
 
     def describe(self) -> str:
         return f"congruence E[{self.i + 1},{self.j + 1};{self.c:+d}]"
@@ -440,20 +438,16 @@ class NegateMove:
     """Congruence by diag(1, ..., -1, ..., 1), the -1 at index i.
 
     It negates row i and column i, leaving entry (i, i) as it was, has
-    determinant -1 and is its own inverse.  reduce_fully uses it; the
-    search never does.
+    determinant -1 and is its own inverse.  reduce_fully uses it, through
+    the same list kernel, intlin's _negate; the search never does.
     """
 
     i: int
 
     def apply_rows(self, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        i = self.i
-        out = []
-        for l, row in enumerate(rows):
-            new = [-x for x in row] if l == i else list(row)
-            new[i] = -new[i]
-            out.append(tuple(new))
-        return tuple(out)
+        w = [list(row) for row in rows]
+        _negate(w, self.i)
+        return tuple(map(tuple, w))
 
     def describe(self) -> str:
         return f"negate basis vector {self.i + 1}"

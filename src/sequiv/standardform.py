@@ -32,7 +32,7 @@ from .intlin import (
     standard_symplectic,
 )
 from .purebraid import PureBraidWord
-from .seifert import SeifertMatrix, validate
+from .seifert import SeifertMatrix
 from .stringlink import DoubledStringLink
 from .textformat import ints, nonblank_lines, read_framings, read_header
 
@@ -138,7 +138,12 @@ def _disk_band(sm: SeifertMatrix) -> DiskBandForm:
 
 
 def from_disk_band(d: DiskBandForm) -> SeifertMatrix:
-    """Rebuild the standardized matrix; the upper triangle is forced."""
+    """Rebuild the standardized matrix; the upper triangle is forced.
+
+    It takes no determinant: for i < j, entry (j, i) is lk(i, j) and
+    entry (i, j) is lk(i, j) + X_ij, so N - N^T = X by construction and
+    det(N - N^T) = det X = 1.
+    """
     n = 2 * d.genus
     x = standard_symplectic(d.genus)
     rows = [[0] * n for _ in range(n)]
@@ -147,7 +152,7 @@ def from_disk_band(d: DiskBandForm) -> SeifertMatrix:
         for j in range(i + 1, n):
             rows[j][i] = d.linking[i][j]
             rows[i][j] = d.linking[i][j] + x.rows[i][j]
-    return validate(IntMatrix.from_rows(rows))
+    return SeifertMatrix(IntMatrix.from_rows(rows))
 
 
 def _transition(sm: SeifertMatrix, a1: IntMatrix, a2: IntMatrix) -> IntMatrix:
@@ -259,7 +264,7 @@ def to_string_link(d: DiskBandForm) -> DoubledStringLink:
 
 
 def parse_disk_band(text: str) -> DiskBandForm:
-    """Parse: "g <g>", "framings f1 ... f_2g", then "i j lk" lines."""
+    """Parse: "g <g>", "framings f1 ... f_2g", then "i j lk" lines, at most one per band pair."""
     lines = nonblank_lines(text)
     if len(lines) < 2:
         raise ValueError("disk-band file needs a genus line and a framings line")
@@ -271,7 +276,10 @@ def parse_disk_band(text: str) -> DiskBandForm:
         if len(parts) != 3:
             raise ValueError(f"band-linking lines must be 'i j lk', got {line!r}")
         i, j, v = ints(parts, line, "band")
-        entries[(min(i, j), max(i, j))] = v
+        pair = (min(i, j), max(i, j))
+        if pair in entries:
+            raise ValueError(f"band pair {pair} given twice")
+        entries[pair] = v
     return DiskBandForm.build(genus, framings, entries)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from sequiv.braidclosure import (
     seifert_matrix,
     _burau_matrix,
 )
+from sequiv.intlin import format_matrix
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import alexander, knot_determinant, knot_signature, validate
 
@@ -236,6 +238,14 @@ def test_conjugation_invariance():
         assert is_knot_closure(conj)
         assert alexander(seifert_matrix(conj)) == alexander(seifert_matrix(w))
         assert burau_alexander(conj) == burau_alexander(w)
+
+
+def test_closure_matrix_bytes_are_pinned():
+    # The corpus TSV pins only invariants; these bytes pin the matrices themselves.
+    text = "".join(format_matrix(seifert_matrix(w).matrix) for w in knot_corpus(6, 40, 5, 100))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ac969e4baddd7afd6fe62205b1ff045ef516a23d1174dd2a37c9d65d00a9b8d5"
+    )
 
 
 def test_corpus_deterministic():

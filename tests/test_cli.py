@@ -1,3 +1,4 @@
+import argparse
 import ast
 import doctest
 import hashlib
@@ -498,6 +499,19 @@ def test_inexact_burau_division_is_internal_error(tmp_path, capsys, monkeypatch)
     assert len(captured.err.splitlines()) == 1
 
 
+def test_library_index_error_is_not_reported_as_invalid_input(tmp_path, capsys, monkeypatch):
+    # No input raises IndexError, so one from the library is a bug and propagates.
+    path = _write(tmp_path, "t.mat", TREFOIL)
+
+    def out_of_range(sm):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "invariants", out_of_range)
+    with pytest.raises(IndexError):
+        main(["mat", "invariants", path])
+    assert capsys.readouterr().err == ""
+
+
 def test_std_witness_reports_a_wrong_transition(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "t.mat", TREFOIL)
     identity = _write(tmp_path, "i.A", "2\n1 0\n0 1\n")
@@ -576,6 +590,114 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
 
 def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _parser_table(parser, path="", help=None, table=None):
+    """{command path: (help, handler, positionals, options)} for parser and its subcommands.
+
+    An option is (flags, default, type, choices, nargs, help); the table
+    depends on neither the terminal width nor the Python version.
+    """
+    table = {} if table is None else table
+    positionals, options, subcommands = [], [], None
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            subcommands = action
+        elif isinstance(action, argparse._HelpAction):
+            continue
+        elif action.option_strings:
+            kind = getattr(action.type, "__name__", action.type)
+            options.append(
+                (tuple(action.option_strings), action.default, kind, action.choices, action.nargs,
+                 action.help)
+            )
+        else:
+            positionals.append(action.dest)
+    handler = getattr(parser.get_default("func"), "__name__", None)
+    table[path] = (help, handler, tuple(positionals), tuple(options))
+    if subcommands is not None:
+        helps = {action.dest: action.help for action in subcommands._choices_actions}
+        for name, sub in subcommands.choices.items():
+            _parser_table(sub, f"{path} {name}".strip(), helps[name], table)
+    return table
+
+
+PARSER_TABLE = {
+    "": (None, None, (), ((("--version",), argparse.SUPPRESS, None, None, 0,
+                          "show program's version number and exit"),)),
+    "mat": ("Seifert matrix operations", None, (), ()),
+    "mat invariants": ("Alexander, signature, determinant, Arf", "_cmd_mat_invariants", ("file",), ()),
+    "mat standardize": (
+        "write A and N with N = A M A^T standardized", "_cmd_mat_standardize", ("file",),
+        ((("--out-a",), None, None, None, None, None), (("--out-n",), None, None, None, None, None)),
+    ),
+    "mat enlarge": (
+        "apply a column or row enlargement", "_cmd_mat_enlarge", ("file",),
+        (
+            (("--kind",), "column", None, ("column", "row"), None, None),
+            (("--x",), 0, "int", None, None, None),
+            (("--vector",), None, "int", None, "*", "enlargement column/row entries"),
+        ),
+    ),
+    "mat reduce": ("strip one enlargement if a pattern matches", "_cmd_mat_reduce", ("file",), ()),
+    "mat sequiv": (
+        "bounded search for an S-equivalence witness", "_cmd_mat_sequiv", ("file1", "file2"),
+        (
+            (("--max-size",), None, "int", None, None, None),
+            (("--max-entry",), 8, "int", None, None, None),
+            (("--max-nodes",), 20000, "int", None, None, None),
+        ),
+    ),
+    "braid": ("pure braid words", None, (), ()),
+    "braid lk": ("pairwise linking numbers", "_cmd_braid_lk", ("file",), ()),
+    "braid delta-trivial": (
+        "can the word be undone by delta moves", "_cmd_braid_delta_trivial", ("file",), ()
+    ),
+    "braid delta-equiv": (
+        "same pairwise linking numbers", "_cmd_braid_delta_equiv", ("file1", "file2"), ()
+    ),
+    "slink": ("doubled string links", None, (), ()),
+    "slink lk": ("string-link pairwise linking numbers", "_cmd_slink_lk", ("file",), ()),
+    "slink normalize": (
+        "zero out every braid-level linking number", "_cmd_slink_normalize", ("file",), ()
+    ),
+    "slink delta-equiv": (
+        "same linking numbers and framings", "_cmd_slink_delta_equiv", ("file1", "file2"), ()
+    ),
+    "std": ("standard form and disk-band data", None, (), ()),
+    "std to-disk-band": (
+        "framings and band linking of a standardized matrix", "_cmd_std_to_disk_band", ("file",), ()
+    ),
+    "std from-disk-band": (
+        "rebuild the standardized matrix", "_cmd_std_from_disk_band", ("file",), ()
+    ),
+    "std witness": (
+        "check two standardizations of one matrix", "_cmd_std_witness", ("matrix", "a1", "a2"), ()
+    ),
+    "closure": ("braid closures", None, (), ()),
+    "closure seifert": ("Seifert matrix of a knot closure", "_cmd_closure_seifert", ("file",), ()),
+    "closure alexander": (
+        "both polynomial paths and agreement flag", "_cmd_closure_alexander", ("file",), ()
+    ),
+    "corpus": ("derived example corpus", None, (), ()),
+    "corpus generate": (
+        "deterministic knot-closure corpus with invariants", "_cmd_corpus_generate", (),
+        (
+            (("--n",), 4, "int", None, None, "maximum strand count"),
+            (("--maxlen",), 12, "int", None, None, "maximum word length"),
+            (("--seed",), 7, "int", None, None, None),
+            (("--count",), 100, "int", None, None, None),
+        ),
+    ),
+}
+
+
+def test_parser_structure_is_pinned():
+    # Every group, subcommand, handler and option, with its help, default and type.
+    table = _parser_table(cli.build_parser())
+    assert list(table) == list(PARSER_TABLE)
+    for path, row in PARSER_TABLE.items():
+        assert table[path] == row, path
 
 
 def test_cli_output_is_the_same_in_process_and_in_a_fresh_process(tmp_path, capsys):
@@ -737,6 +859,7 @@ def test_corpus_generate_zero_count_prints_the_header(capsys):
         ("slink lk", "n 2 k 1\nframings 0 0\n1.1 2.1 q\n", "bad letter line: '1.1 2.1 q'"),
         ("std from-disk-band", "g 1\nframings 1 x\n", "bad framings line: 'framings 1 x'"),
         ("std from-disk-band", "g 1\nframings 1 0\n1 2 y\n", "bad band line: '1 2 y'"),
+        ("std from-disk-band", "g 1\nframings 0 0\n1 2 3\n2 1 5\n", "band pair (1, 2) given twice"),
     ],
 )
 def test_parsers_name_the_bad_body_line(tmp_path, capsys, command, text, message):

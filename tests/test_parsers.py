@@ -96,6 +96,7 @@ PARSERS = {
         ("band", "g 1\nframings 1 0\n1 2 y\n", "bad band line: '1 2 y'"),
         ("band", "g -1\nframings\n", "genus must be non-negative, got -1"),
         ("band", "g 1\nframings 0\n", "expected 2 framings, got 1"),
+        ("band", "g 1\nframings 0 0\n1 2 3\n2 1 5\n", "band pair (1, 2) given twice"),
     ],
 )
 def test_parser_error_messages_are_pinned(fmt, text, message):

@@ -105,6 +105,20 @@ def test_std_witness_takes_one_determinant(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_std_from_disk_band_takes_no_determinant(tmp_path, capsys, monkeypatch):
+    # N - N^T = X holds by construction, so N is wrapped without validate.
+    calls = _count_dets(monkeypatch)
+    rng = random.Random(50)
+    for genus in range(5):
+        n = random_standardized(rng, genus)
+        path = tmp_path / f"genus{genus}.dband"
+        path.write_text(format_disk_band(to_disk_band(n)))
+        calls.clear()
+        assert main(["std", "from-disk-band", str(path)]) == 0
+        assert calls == []
+        assert capsys.readouterr().out == format_matrix(n.matrix)
+
+
 def test_wrong_standardizing_transform_makes_mat_standardize_exit_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "trefoil.mat"
     path.write_text(format_matrix(TREFOIL.matrix))
