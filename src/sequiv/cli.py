@@ -229,7 +229,7 @@ def _cmd_mat_sequiv(args) -> Verdict:
 
 def _lk_verdict(lm) -> Verdict:
     """The linking table, one "i j lk" line per nonzero entry, for braid lk and slink lk."""
-    detail = [f"n {lm.n}"] + [f"{i} {j} {v}" for i, j, v in lm.nonzero_entries()]
+    detail = [f"n {lm.n}"] + [f"{i} {j} {v}" for i, j, v in lm.entries]
     return Verdict("ok", detail, {"n": str(lm.n), "zero": _bool(lm.is_zero())})
 
 

@@ -9,12 +9,19 @@ Summing exponents per strand pair is a homomorphism onto the
 abelianization, and two words are delta-equivalent exactly when those
 pairwise linking numbers agree.  Free reduction is a separate
 normalizing pass: linking numbers never need it.
+
+LinkingMatrix is the one linking table of the package: pure braids,
+string links (stringlink.pairwise_linking) and disk-band forms
+(standardform.DiskBandForm) all hold their pairwise linking numbers in
+it.  It keeps only the sorted nonzero (i, j, v) above the diagonal, so
+its cost grows with the letters of a word, not with n^2: a header that
+names 2^62 strands is valid input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .textformat import ints, nonblank_lines, read_header
 
@@ -92,55 +99,58 @@ class PureBraidWord:
 
 @dataclass(frozen=True)
 class LinkingMatrix:
-    """Pairwise linking numbers: symmetric with zero diagonal."""
+    """Pairwise linking numbers of n strands, stored sparsely.
+
+    entries is the nonzero upper triangle of the symmetric table, whose
+    diagonal is zero: the sorted tuple of (i, j, v) with 1 <= i < j <= n
+    and v != 0.  Equal tables have equal entries, and the size of a
+    table is its count of linked pairs, not n^2.
+    """
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[int, int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        last = (0, 0)
+        for i, j, v in self.entries:
+            if not (last < (i, j) and 1 <= i < j <= self.n and v):
+                raise ValueError(
+                    f"linking entries must be sorted (i, j, v) with 1 <= i < j <= {self.n}"
+                    f" and v != 0, got {(i, j, v)}"
+                )
+            last = (i, j)
 
     @classmethod
-    def from_entries(cls, n: int, entries: dict[tuple[int, int], int]) -> "LinkingMatrix":
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), v in entries.items():
+    def summed(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "LinkingMatrix":
+        """The table whose (i, j) entry sums v over the triples (i, j, v) and (j, i, v)."""
+        sums: dict[tuple[int, int], int] = {}
+        for i, j, v in triples:
             if i == j:
                 raise ValueError("diagonal entries must be zero")
-            rows[i - 1][j - 1] += v
-            rows[j - 1][i - 1] += v
-        return cls(n, tuple(tuple(row) for row in rows))
+            key = (i, j) if i < j else (j, i)
+            sums[key] = sums.get(key, 0) + v
+        return cls(n, tuple(sorted((i, j, v) for (i, j), v in sums.items() if v)))
 
     def entry(self, i: int, j: int) -> int:
         """Linking number of strands i and j, 1-indexed."""
-        return self.rows[i - 1][j - 1]
+        key = (i, j) if i < j else (j, i)
+        return next((v for p, q, v in self.entries if (p, q) == key), 0)
 
     def __add__(self, other: "LinkingMatrix") -> "LinkingMatrix":
         if self.n != other.n:
             raise ValueError("strand-count mismatch")
-        return LinkingMatrix(
-            self.n,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        return LinkingMatrix.summed(self.n, self.entries + other.entries)
 
     def __neg__(self) -> "LinkingMatrix":
-        return LinkingMatrix(self.n, tuple(tuple(-a for a in row) for row in self.rows))
+        return LinkingMatrix(self.n, tuple((i, j, -v) for i, j, v in self.entries))
 
     def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self.rows)
-
-    def nonzero_entries(self) -> list[tuple[int, int, int]]:
-        return [
-            (i + 1, j + 1, self.rows[i][j])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.rows[i][j]
-        ]
+        return not self.entries
 
 
 def linking_matrix(w: PureBraidWord) -> LinkingMatrix:
     """Sum of exponents per strand pair; a homomorphism to the abelianization."""
-    rows = [[0] * w.strands for _ in range(w.strands)]
-    for i, j, e in w.letters:
-        rows[i - 1][j - 1] += e
-        rows[j - 1][i - 1] += e
-    return LinkingMatrix(w.strands, tuple(tuple(row) for row in rows))
+    return LinkingMatrix.summed(w.strands, w.letters)
 
 
 def delta_relator(i: int, j: int, k: int, strands: Optional[int] = None) -> PureBraidWord:

@@ -4,9 +4,10 @@ A Seifert matrix N is standardized when N - N^T is the standard
 symplectic form; any Seifert matrix reaches that shape by a unimodular
 congruence.  A standardized matrix is the same data as a disk-band form:
 one framing per band (the diagonal of N) plus the band-linking numbers
-(the lower triangle).  The symplectic correction on dual band pairs is
-carried by the surface, not by the band string link, which makes the
-correspondence a bijection.
+(the lower triangle), held as a purebraid.LinkingMatrix on the 2g bands,
+which keeps only the nonzero pairs.  The symplectic correction on dual
+band pairs is carried by the surface, not by the band string link, which
+makes the correspondence a bijection.
 
 The identity N - N^T = X, the standard symplectic form, is the only
 certificate a standard form gets, and it costs O(n^2).  It needs no
@@ -31,7 +32,7 @@ from .intlin import (
     skew_standardize,
     standard_symplectic,
 )
-from .purebraid import PureBraidWord
+from .purebraid import LinkingMatrix, PureBraidWord
 from .seifert import SeifertMatrix
 from .stringlink import DoubledStringLink
 from .textformat import ints, nonblank_lines, read_framings, read_header
@@ -52,49 +53,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiskBandForm:
-    """Genus, one framing per band, and band-linking numbers lk(i, j)."""
+    """Genus, one framing per band, and the band-linking table of the 2g bands."""
 
     genus: int
     framings: tuple[int, ...]
-    linking: tuple[tuple[int, ...], ...]  # full symmetric 2g x 2g, zero diagonal
+    linking: LinkingMatrix
 
     def __post_init__(self) -> None:
-        n = _band_count(self.genus, self.framings)
-        if len(self.linking) != n or any(len(row) != n for row in self.linking):
-            raise ValueError("band-linking table must be 2g x 2g")
-        for i in range(n):
-            if self.linking[i][i]:
-                raise ValueError("band-linking diagonal must be zero")
-            for j in range(n):
-                if self.linking[i][j] != self.linking[j][i]:
-                    raise ValueError("band-linking table must be symmetric")
-
-    @classmethod
-    def build(
-        cls, genus: int, framings, entries: dict[tuple[int, int], int]
-    ) -> "DiskBandForm":
-        framings = tuple(int(f) for f in framings)
-        n = _band_count(genus, framings)
-        table = [[0] * n for _ in range(n)]
-        for (i, j), v in entries.items():
-            if not (1 <= i < j <= n):
-                raise ValueError(f"band pair must satisfy 1 <= i < j <= {n}, got ({i}, {j})")
-            table[i - 1][j - 1] = v
-            table[j - 1][i - 1] = v
-        return cls(genus, framings, tuple(tuple(r) for r in table))
-
-    def lk(self, i: int, j: int) -> int:
-        """Band-linking number, 1-indexed."""
-        return self.linking[i - 1][j - 1]
-
-
-def _band_count(genus: int, framings: tuple[int, ...]) -> int:
-    """2g, after checking the genus and that there is one framing per band."""
-    if genus < 0:
-        raise ValueError(f"genus must be non-negative, got {genus}")
-    if len(framings) != 2 * genus:
-        raise ValueError(f"expected {2 * genus} framings, got {len(framings)}")
-    return 2 * genus
+        if self.genus < 0:
+            raise ValueError(f"genus must be non-negative, got {self.genus}")
+        n = 2 * self.genus
+        if len(self.framings) != n:
+            raise ValueError(f"expected {n} framings, got {len(self.framings)}")
+        if self.linking.n != n:
+            raise ValueError(f"band-linking table must have {n} bands, got {self.linking.n}")
 
 
 def is_standardized(sm: SeifertMatrix) -> bool:
@@ -127,14 +99,13 @@ def to_disk_band(sm: SeifertMatrix) -> DiskBandForm:
 
 def _disk_band(sm: SeifertMatrix) -> DiskBandForm:
     """to_disk_band for a matrix already certified by is_standardized."""
-    m = sm.matrix
-    n = m.size
-    framings = tuple(m.rows[i][i] for i in range(n))
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i][j] = table[j][i] = m.rows[j][i]
-    return DiskBandForm(sm.genus, framings, tuple(tuple(r) for r in table))
+    rows = sm.matrix.rows
+    n = len(rows)
+    framings = tuple(rows[i][i] for i in range(n))
+    entries = tuple(
+        (i + 1, j + 1, rows[j][i]) for i in range(n) for j in range(i + 1, n) if rows[j][i]
+    )
+    return DiskBandForm(sm.genus, framings, LinkingMatrix(n, entries))
 
 
 def from_disk_band(d: DiskBandForm) -> SeifertMatrix:
@@ -145,13 +116,14 @@ def from_disk_band(d: DiskBandForm) -> SeifertMatrix:
     det(N - N^T) = det X = 1.
     """
     n = 2 * d.genus
-    x = standard_symplectic(d.genus)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = d.framings[i]
-        for j in range(i + 1, n):
-            rows[j][i] = d.linking[i][j]
-            rows[i][j] = d.linking[i][j] + x.rows[i][j]
+    for i in range(0, n, 2):
+        rows[i][i + 1] = 1  # X above the diagonal: +1 on each dual band pair
+    for i, j, v in d.linking.entries:
+        rows[j - 1][i - 1] = v
+        rows[i - 1][j - 1] += v
     return SeifertMatrix(IntMatrix.from_rows(rows))
 
 
@@ -253,11 +225,8 @@ def to_string_link(d: DiskBandForm) -> DoubledStringLink:
     n = 2 * d.genus
     strands = max(n, 1)
     letters = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = d.lk(i, j)
-            e = 1 if v > 0 else -1
-            letters.extend([(i, j, e)] * abs(v))
+    for i, j, v in d.linking.entries:
+        letters.extend([(i, j, 1 if v > 0 else -1)] * abs(v))
     braid = PureBraidWord(strands, tuple(letters))
     framings = d.framings if n else (0,)
     return DoubledStringLink(strands, 1, braid, framings)
@@ -280,15 +249,17 @@ def parse_disk_band(text: str) -> DiskBandForm:
         if pair in entries:
             raise ValueError(f"band pair {pair} given twice")
         entries[pair] = v
-    return DiskBandForm.build(genus, framings, entries)
+    n = 2 * genus
+    DiskBandForm(genus, framings, LinkingMatrix(n))  # genus and framings come first
+    for i, j in entries:
+        if not (1 <= i < j <= n):
+            raise ValueError(f"band pair must satisfy 1 <= i < j <= {n}, got ({i}, {j})")
+    linking = LinkingMatrix.summed(n, ((i, j, v) for (i, j), v in entries.items()))
+    return DiskBandForm(genus, framings, linking)
 
 
 def format_disk_band(d: DiskBandForm) -> str:
     lines = [f"g {d.genus}"]
     lines.append("framings " + " ".join(str(f) for f in d.framings))
-    n = 2 * d.genus
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if d.lk(i, j):
-                lines.append(f"{i} {j} {d.lk(i, j)}")
+    lines.extend(f"{i} {j} {v}" for i, j, v in d.linking.entries)
     return "\n".join(lines) + "\n"

@@ -12,6 +12,12 @@ over passes of the braid linking numbers; stabilizing multiplications
 slide linking between consecutive passes without changing the underlying
 string link, and normalize_linking uses them to push every braid-level
 linking number to zero whenever the string-link linking numbers vanish.
+
+Both tables are purebraid.LinkingMatrix, the braid-level one on k*n
+strands and the string-link one on n, so each costs O(letters).  The
+fold in normalize_linking visits only the strand pairs and the single
+strands that a nonzero braid-level entry joins: clearing one pair adds
+letters only between passes of its two strands.
 """
 
 from __future__ import annotations
@@ -99,13 +105,13 @@ def pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
     a letter between two passes of one strand adds nothing.
     """
     n, k = link.n, link.k
-    entries: dict[tuple[int, int], int] = {}
+    triples = []
     for p, q, e in link.braid.letters:
         i, a = strand_label(p, n, k)
         j, b = strand_label(q, n, k)
         if i != j:
-            entries[(i, j)] = entries.get((i, j), 0) + (e if (a + b) % 2 == 0 else -e)
-    return LinkingMatrix.from_entries(n, entries)
+            triples.append((i, j, e if (a + b) % 2 == 0 else -e))
+    return LinkingMatrix.summed(n, triples)
 
 
 def _pair_letters(
@@ -164,17 +170,20 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
     passes of one strand is folded the same way and the final entry is
     cleared by the single-generator move.  The result represents the
     same framed string link and its braid is delta-trivial.
+
+    Folding a pair adds letters only between passes of its two strands,
+    and folding a strand only between its own passes, so only the pairs
+    and the strands that a nonzero braid-level entry joins are visited,
+    in sorted order: the cost grows with the linked pairs, not with n^2.
     """
     pairwise = pairwise_linking(link)
-    for i, j, value in pairwise.nonzero_entries():
+    for i, j, value in pairwise.entries:
         raise ValueError(f"string-link linking must vanish; lk({i},{j}) = {value}")
 
     n, k = link.n, link.k
     letters = list(link.braid.letters)
-    lk: dict[tuple[int, int], int] = {}
-    for p, q, e in letters:
-        key = (p, q)
-        lk[key] = lk.get(key, 0) + e
+    lk = {(p, q): v for p, q, v in linking_matrix(link.braid).entries}
+    joined = {tuple(sorted((strand_label(p, n, k)[0], strand_label(q, n, k)[0]))) for p, q in lk}
 
     def entry(idx1: DoubleIndex, idx2: DoubleIndex) -> int:
         p1 = position_of(idx1, n, k)
@@ -193,18 +202,17 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
         for p, q, e in words:
             lk[p, q] = lk.get((p, q), 0) + e
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            # fold the pass grid of (i, j) onto lk((i,1),(j,1))
-            for c in range(k, 1, -1):
-                for a in range(1, k + 1):
-                    clear(i, a, j, c - 1)
-            for c in range(k, 1, -1):
-                clear(j, 1, i, c - 1)
-            leftover = entry((i, 1), (j, 1))
-            if leftover:
-                raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
-    for i in range(1, n + 1):
+    for i, j in sorted(pair for pair in joined if pair[0] < pair[1]):
+        # fold the pass grid of (i, j) onto lk((i,1),(j,1))
+        for c in range(k, 1, -1):
+            for a in range(1, k + 1):
+                clear(i, a, j, c - 1)
+        for c in range(k, 1, -1):
+            clear(j, 1, i, c - 1)
+        leftover = entry((i, 1), (j, 1))
+        if leftover:
+            raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
+    for i in sorted(i for i, j in joined if i == j):
         # self linking between passes of strand i; the a == c-1 case is
         # the single-generator move and clears the entry outright
         for c in range(k, 1, -1):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sequiv.braidclosure import ArtinBraidWord
 from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
 from sequiv.laurent import LaurentPoly, normalize_knot_polynomial, polynomial_matrix_det
-from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
+from sequiv.purebraid import LinkingMatrix, PureBraidWord
 from sequiv.seifert import (
     CongruenceMove,
     EnlargeMove,
@@ -41,16 +41,16 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 8) -> IntMatrix:
 def random_standardized(rng: random.Random, genus: int, bound: int = 3) -> SeifertMatrix:
     """Random N with N - N^T in standard form and entries within the bound."""
     n = 2 * genus
-    framings = [rng.randint(-bound, bound) for _ in range(n)]
-    entries = {}
+    framings = tuple(rng.randint(-bound, bound) for _ in range(n))
+    entries = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             # dual band pairs pick up +1 above the diagonal; keep within bound
             hi = bound - 1 if (j == i + 1 and i % 2 == 1) else bound
             v = rng.randint(-bound, hi)
             if v:
-                entries[(i, j)] = v
-    return from_disk_band(DiskBandForm.build(genus, framings, entries))
+                entries.append((i, j, v))
+    return from_disk_band(DiskBandForm(genus, framings, LinkingMatrix(n, tuple(entries))))
 
 
 # The genus-1 block [[a, b + 1], [b, d]] has M - M^T = [[0, 1], [-1, 0]].
@@ -394,15 +394,28 @@ def pure_braid_words(n: int):
     return st.lists(letters, max_size=12).map(lambda ls: PureBraidWord(n, tuple(ls)))
 
 
+def reference_linking_table(w: PureBraidWord) -> list[list[int]]:
+    """The dense, symmetric n x n braid linking table, 0-indexed.
+
+    Adds each letter's exponent to both of its cells.  The reference for
+    purebraid.linking_matrix; for tests on small strand counts.
+    """
+    table = [[0] * w.strands for _ in range(w.strands)]
+    for i, j, e in w.letters:
+        table[i - 1][j - 1] += e
+        table[j - 1][i - 1] += e
+    return table
+
+
 def reference_pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
     """String-link linking numbers: alternating pass sums of braid linking.
 
-    Builds the whole braid linking table and sums it over all pass pairs.
-    The reference for stringlink.pairwise_linking; for tests.
+    Builds the whole dense braid linking table and sums it over all pass
+    pairs.  The reference for stringlink.pairwise_linking; for tests.
     """
     n, k = link.n, link.k
-    lm = linking_matrix(link.braid)
-    entries: dict[tuple[int, int], int] = {}
+    table = reference_linking_table(link.braid)
+    entries = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             total = 0
@@ -410,10 +423,10 @@ def reference_pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
                 pa = position_of((i, a), n, k)
                 for b in range(1, k + 1):
                     pb = position_of((j, b), n, k)
-                    total += (-1) ** (a + b) * lm.entry(pa, pb)
+                    total += (-1) ** (a + b) * table[pa - 1][pb - 1]
             if total:
-                entries[(i, j)] = total
-    return LinkingMatrix.from_entries(n, entries)
+                entries.append((i, j, total))
+    return LinkingMatrix(n, tuple(entries))
 
 
 def random_zero_linking_link(
@@ -436,7 +449,7 @@ def random_zero_linking_link(
     link = DoubledStringLink(n, k, braid, tuple(rng.randint(-2, 2) for _ in range(n)))
     lm = pairwise_linking(link)
     extra = []
-    for i, j, v in lm.nonzero_entries():
+    for i, j, v in lm.entries:
         p1 = position_of((i, 1), n, k)
         p2 = position_of((j, 1), n, k)
         lo, hi = min(p1, p2), max(p1, p2)

@@ -3,6 +3,7 @@ import ast
 import doctest
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +193,26 @@ def test_braid_commands(tmp_path, capsys):
     assert _machine(capsys.readouterr().out)["status"] == "equivalent"
 
 
+HUGE_BRAID = "n 4611686018427387904\n1 2 1\n"  # 2^62 strands, one letter
+
+
+@pytest.mark.parametrize(
+    "command, stdout",
+    [
+        ("lk", "n 4611686018427387904\n1 2 1\nstatus=ok\nn=4611686018427387904\nzero=false\n"),
+        ("delta-trivial", "delta-trivial: false\nstatus=ok\ndelta_trivial=false\n"),
+        ("delta-equiv", "equivalent\nstatus=equivalent\ndelta_equivalent=true\n"),
+    ],
+    ids=["lk", "delta-trivial", "delta-equiv"],
+)
+def test_braid_commands_take_a_huge_strand_count(tmp_path, capsys, command, stdout):
+    # The linking table holds only linked pairs, so its size follows the letters.
+    path = _write(tmp_path, "huge.braid", HUGE_BRAID)
+    files = [path, path] if command == "delta-equiv" else [path]
+    assert main(["braid", command, *files]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_slink_commands(tmp_path, capsys):
     sl = "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.2 2.2 -1\n"
     path = _write(tmp_path, "sl.txt", sl)
@@ -238,6 +259,77 @@ def test_std_disk_band_roundtrip(tmp_path, capsys):
     path2 = _write(tmp_path, "t.dband", document)
     assert main(["std", "from-disk-band", path2]) == 0
     assert parse_matrix(capsys.readouterr().out).rows == ((-1, 1), (0, -1))
+
+
+def _random_link_text(rng, n, k, zero_linking):
+    """A seeded string-link document; its string-link linking vanishes if asked."""
+    lines = [f"n {n} k {k}", "framings " + " ".join(str(rng.randint(-2, 2)) for _ in range(n))]
+    lk = {}
+    for _ in range(rng.randint(0, 12) if n * k >= 2 else 0):
+        (i, a), (j, b) = rng.sample([(i, a) for i in range(1, n + 1) for a in range(1, k + 1)], 2)
+        e = rng.choice((1, -1))
+        lines.append(f"{i}.{a} {j}.{b} {e}")
+        if i != j:
+            key = (min(i, j), max(i, j))
+            lk[key] = lk.get(key, 0) + (-1) ** (a + b) * e
+    if zero_linking:
+        # a first-pass letter moves the string-link linking number by its exponent
+        for (i, j), v in sorted(lk.items()):
+            lines += [f"{i}.1 {j}.1 {-1 if v > 0 else 1}"] * abs(v)
+    return "\n".join(lines) + "\n"
+
+
+def _random_disk_band_text(rng, genus):
+    """A seeded disk-band document: pairs in either order, shuffled, zeros allowed."""
+    n = 2 * genus
+    body = [
+        f"{i} {j} {rng.randint(-3, 3)}" if rng.random() < 0.5 else f"{j} {i} {rng.randint(-3, 3)}"
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < 0.6
+    ]
+    rng.shuffle(body)
+    framings = " ".join(str(rng.randint(-3, 3)) for _ in range(n))
+    return "\n".join([f"g {genus}", f"framings {framings}", *body]) + "\n"
+
+
+def _linking_outputs(tmp_path, capsys, seed):
+    """Concatenated stdout of the five linking-table commands over a seeded input set."""
+    rng = random.Random(seed)
+    out = []
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        out.append(capsys.readouterr().out)
+        return out[-1]
+
+    for t in range(40):
+        n = rng.randint(1, 9)
+        letters = [f"n {n}"]
+        for _ in range(rng.randint(0, 15) if n >= 2 else 0):
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            letters.append(f"{i} {j} {rng.choice((1, -1))}")
+        run("braid", "lk", _write(tmp_path, f"{t}.braid", "\n".join(letters) + "\n"))
+    for t in range(40):
+        text = _random_link_text(rng, rng.randint(1, 4), rng.randint(1, 4), False)
+        run("slink", "lk", _write(tmp_path, f"{t}.slink", text))
+    for t in range(40):
+        text = _random_link_text(rng, rng.randint(1, 4), rng.randint(1, 4), True)
+        run("slink", "normalize", _write(tmp_path, f"{t}.zlink", text))
+    for t in range(30):
+        band = _write(tmp_path, f"{t}.dband", _random_disk_band_text(rng, rng.randint(0, 4)))
+        matrix = run("std", "from-disk-band", band)
+        run("std", "to-disk-band", _write(tmp_path, f"{t}.mat", matrix))
+    return "".join(out)
+
+
+def test_linking_outputs_are_pinned(tmp_path, capsys):
+    # braid lk, slink lk, slink normalize, std from-disk-band and
+    # std to-disk-band over 190 seeded inputs, byte for byte
+    out = _linking_outputs(tmp_path, capsys, 20)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c87bba5f15a90dfddc30b7b84845ffcf45f1abc50fd4f20de0cfca4e19866f99"
+    )
 
 
 def test_closure_commands(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from sequiv.braidclosure import ArtinBraidWord, parse_artin_word
 from sequiv.intlin import IntMatrix, parse_matrix
-from sequiv.purebraid import PureBraidWord, parse_braid
+from sequiv.purebraid import LinkingMatrix, PureBraidWord, parse_braid
 from sequiv.standardform import DiskBandForm, parse_disk_band
 from sequiv.stringlink import DoubledStringLink, parse_string_link
 
@@ -97,6 +97,11 @@ PARSERS = {
         ("band", "g -1\nframings\n", "genus must be non-negative, got -1"),
         ("band", "g 1\nframings 0\n", "expected 2 framings, got 1"),
         ("band", "g 1\nframings 0 0\n1 2 3\n2 1 5\n", "band pair (1, 2) given twice"),
+        ("braid", "n 2\n1 3 1\n", "letter indices must satisfy 1 <= i < j <= 2, got (1, 3)"),
+        ("band", "g 1\nframings 0 0\n1 3 2\n", "band pair must satisfy 1 <= i < j <= 2, got (1, 3)"),
+        ("band", "g 1\nframings 0 0\n1 1 5\n", "band pair must satisfy 1 <= i < j <= 2, got (1, 1)"),
+        # the framings count is checked before any band pair
+        ("band", "g 3\nframings 0\n2 1 1\n", "expected 6 framings, got 1"),
     ],
 )
 def test_parser_error_messages_are_pinned(fmt, text, message):
@@ -121,7 +126,7 @@ def test_parser_error_messages_are_pinned(fmt, text, message):
             "\n n 2  k 2 \nframings  0\t-1\n1.1 2.1 1\n\n 1.2 2.2 -1 \n",
             DoubledStringLink(2, 2, PureBraidWord(4, ((1, 2, 1), (3, 4, -1))), (0, -1)),
         ),
-        ("band", "g 1\nframings -1 +1\n\n 2  1 3 \n", DiskBandForm(1, (-1, 1), ((0, 3), (3, 0)))),
+        ("band", "g 1\nframings -1 +1\n\n 2  1 3 \n", DiskBandForm(1, (-1, 1), LinkingMatrix(2, ((1, 2, 3),)))),
     ],
 )
 def test_parser_values_are_pinned(fmt, text, value):

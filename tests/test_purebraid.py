@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import pure_braid_words, random_pure_braid
+from gens import pure_braid_words, random_pure_braid, reference_linking_table
 from sequiv.purebraid import (
     LinkingMatrix,
     PureBraidWord,
@@ -122,11 +122,40 @@ def test_free_reduce():
 
 
 def test_linking_matrix_type():
-    lm = LinkingMatrix.from_entries(3, {(1, 3): 2})
-    assert lm.entry(3, 1) == 2
-    assert lm.nonzero_entries() == [(1, 3, 2)]
+    lm = LinkingMatrix.summed(3, [(3, 1, 2)])
+    assert lm.entry(3, 1) == 2 and lm.entry(1, 3) == 2 and lm.entry(2, 2) == 0
+    assert lm.entries == ((1, 3, 2),)
+    assert LinkingMatrix.summed(3, [(2, 3, 1), (1, 2, 0), (3, 2, -1)]).is_zero()
     with pytest.raises(ValueError):
-        LinkingMatrix.from_entries(3, {(2, 2): 1})
+        LinkingMatrix.summed(3, [(2, 2, 1)])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((2, 1, 1),),
+        ((1, 4, 1),),
+        ((0, 1, 1),),
+        ((1, 2, 0),),
+        ((1, 3, 1), (1, 2, 1)),
+        ((1, 2, 1), (1, 2, 1)),
+    ],
+    ids=["lower", "past-n", "zero-index", "zero-value", "unsorted", "repeated"],
+)
+def test_linking_matrix_rejects_malformed_entries(entries):
+    with pytest.raises(ValueError, match="linking entries must be sorted"):
+        LinkingMatrix(3, entries)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8).flatmap(pure_braid_words))
+def test_linking_matrix_is_the_nonzero_upper_triangle_of_the_reference(w):
+    table = reference_linking_table(w)
+    n = w.strands
+    expected = tuple(
+        (i + 1, j + 1, table[i][j]) for i in range(n) for j in range(i + 1, n) if table[i][j]
+    )
+    assert linking_matrix(w).entries == expected
 
 
 def test_format_parse_roundtrip():

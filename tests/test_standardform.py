@@ -20,6 +20,7 @@ from sequiv.intlin import (
     standard_symplectic,
 )
 from sequiv import intlin, seifert, standardform
+from sequiv.purebraid import LinkingMatrix
 from sequiv.seifert import alexander, validate
 from sequiv.standardform import (
     DiskBandForm,
@@ -136,10 +137,10 @@ def test_wrong_standardizing_transform_makes_mat_standardize_exit_3(tmp_path, ca
 
 def test_to_disk_band_examples():
     d = to_disk_band(validate(IntMatrix.from_rows([[0, 1], [0, 0]])))
-    assert d.genus == 1 and d.framings == (0, 0) and d.lk(1, 2) == 0
+    assert d.genus == 1 and d.framings == (0, 0) and d.linking == LinkingMatrix(2)
 
     d = to_disk_band(TREFOIL)
-    assert d.framings == (-1, -1) and d.lk(1, 2) == 0
+    assert d.framings == (-1, -1) and d.linking == LinkingMatrix(2)
 
     block = validate(
         IntMatrix.from_rows(
@@ -148,7 +149,7 @@ def test_to_disk_band_examples():
     )
     d = to_disk_band(block)
     assert d.framings == (-1, -1, -1, -1)
-    assert all(d.lk(i, j) == 0 for i in range(1, 5) for j in range(i + 1, 5))
+    assert d.linking == LinkingMatrix(4)
 
 
 def test_to_disk_band_requires_standard_form():
@@ -157,9 +158,9 @@ def test_to_disk_band_requires_standard_form():
 
 
 def test_from_disk_band_examples():
-    d = DiskBandForm.build(1, (0, 0), {})
+    d = DiskBandForm(1, (0, 0), LinkingMatrix(2))
     assert from_disk_band(d).matrix.rows == ((0, 1), (0, 0))
-    d = DiskBandForm.build(1, (-1, -1), {})
+    d = DiskBandForm(1, (-1, -1), LinkingMatrix(2))
     assert from_disk_band(d).matrix == TREFOIL.matrix
 
 
@@ -263,17 +264,19 @@ def test_witness_fields_are_computed_from_the_transition(monkeypatch):
 
 def test_disk_band_rejects_negative_genus():
     with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
-        DiskBandForm(-1, (), ())
+        DiskBandForm(-1, (), LinkingMatrix(0))
     with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
-        DiskBandForm.build(-1, [], {(1, 2): 1})
+        parse_disk_band("g -1\nframings\n1 2 1\n")
     with pytest.raises(ValueError, match="genus must be non-negative"):
         parse_disk_band("g -1\nframings\n")
 
 
 def test_disk_band_build_checks_framings_before_pairs():
-    # The framings count is checked before any band pair is placed.
+    # Reading a document checks the framings count before any band pair.
     with pytest.raises(ValueError, match="expected 6 framings, got 1"):
-        DiskBandForm.build(3, [0], {(2, 1): 1})
+        parse_disk_band("g 3\nframings 0\n2 1 1\n")
+    with pytest.raises(ValueError, match="band-linking table must have 6 bands, got 4"):
+        DiskBandForm(3, (0,) * 6, LinkingMatrix(4))
 
 
 def test_to_string_link_carries_data():
@@ -284,10 +287,7 @@ def test_to_string_link_carries_data():
         assert link.k == 1
         if d.genus:
             assert link.framings == d.framings
-            lm = pairwise_linking(link)
-            for i in range(1, 2 * d.genus + 1):
-                for j in range(i + 1, 2 * d.genus + 1):
-                    assert lm.entry(i, j) == d.lk(i, j)
+            assert pairwise_linking(link) == d.linking
 
 
 def test_disk_band_format_roundtrip():
@@ -306,7 +306,8 @@ def disk_bands(draw):
     framings = draw(st.lists(st.integers(), min_size=n, max_size=n))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     entries = draw(st.dictionaries(st.sampled_from(pairs), st.integers())) if pairs else {}
-    return DiskBandForm.build(genus, framings, entries)
+    linking = LinkingMatrix.summed(n, ((i, j, v) for (i, j), v in entries.items()))
+    return DiskBandForm(genus, tuple(framings), linking)
 
 
 @settings(deadline=None)

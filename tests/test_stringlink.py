@@ -10,8 +10,10 @@ from gens import (
     pure_braid_words,
     random_pure_braid,
     random_zero_linking_link,
+    reference_linking_table,
     reference_pairwise_linking,
 )
+from sequiv import stringlink
 from sequiv.purebraid import PureBraidWord, delta_relator, is_delta_trivial, linking_matrix
 from sequiv.stringlink import (
     DoubledStringLink,
@@ -73,7 +75,7 @@ def test_pairwise_linking_examples():
         n = rng.randint(2, 5)
         braid = random_pure_braid(rng, n, rng.randint(0, 15))
         link = DoubledStringLink(n, 1, braid, (0,) * n)
-        assert pairwise_linking(link).rows == linking_matrix(braid).rows
+        assert pairwise_linking(link) == linking_matrix(braid)
 
     # single generator between (1,1) and (2,2): alternating sign gives -1
     p1 = position_of((1, 1), 2, 2)
@@ -127,16 +129,16 @@ def test_stabilizing_multiply_effects():
         b = rng.randint(1, k - 1)
         sign = rng.choice((1, -1))
         before_pairwise = pairwise_linking(link)
-        before = linking_matrix(link.braid)
+        before = reference_linking_table(link.braid)
         out = stabilizing_multiply(link, i, a, j, b, sign)
-        after = linking_matrix(out.braid)
+        after = reference_linking_table(out.braid)
         assert pairwise_linking(out) == before_pairwise
         assert out.framings == link.framings
         changed = {
-            (p, q): after.rows[p][q] - before.rows[p][q]
+            (p, q): after[p][q] - before[p][q]
             for p in range(n * k)
             for q in range(p + 1, n * k)
-            if after.rows[p][q] != before.rows[p][q]
+            if after[p][q] != before[p][q]
         }
         if i == j and a in (b, b + 1):
             key = tuple(
@@ -157,7 +159,7 @@ def test_stabilizing_multiply_round_trip():
     link = _link(2, 2, [(1, 2, 1), (3, 4, 1)])
     once = stabilizing_multiply(link, 1, 2, 2, 1, 1)
     back = stabilizing_multiply(once, 1, 2, 2, 1, -1)
-    assert linking_matrix(back.braid).rows == linking_matrix(link.braid).rows
+    assert linking_matrix(back.braid) == linking_matrix(link.braid)
 
 
 def test_stabilizing_multiply_prepend_append():
@@ -278,6 +280,22 @@ def test_normalize_output_is_pinned():
     )
 
 
+def test_normalize_visits_only_linked_strands(monkeypatch):
+    # One linked strand pair among n strands: the fold's work must not grow with n.
+    pair_letters = stringlink._pair_letters
+    calls = []
+    monkeypatch.setattr(
+        stringlink, "_pair_letters", lambda *args: calls.append(args) or pair_letters(*args)
+    )
+    counts = []
+    for n in (50, 400):
+        calls.clear()
+        link = parse_string_link(f"n {n} k 2\nframings{' 0' * n}\n1.1 2.1 1\n1.2 2.2 -1\n")
+        assert is_delta_trivial(normalize_linking(link).braid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_normalize_precondition_error():
     link = _link(2, 1, [(1, 2, 1)])
     with pytest.raises(ValueError, match=r"lk\(1,2\)"):
@@ -307,10 +325,7 @@ def test_pass_one_composition_law():
         q = random_pure_braid(rng, n, rng.randint(0, 12))
         l1 = DoubledStringLink(n, 1, w, (0,) * n)
         l2 = DoubledStringLink(n, 1, w * q, (0,) * n)
-        assert (
-            pairwise_linking(l2).rows
-            == (pairwise_linking(l1) + linking_matrix(q)).rows
-        )
+        assert pairwise_linking(l2) == pairwise_linking(l1) + linking_matrix(q)
 
 
 def test_format_parse_roundtrip():
