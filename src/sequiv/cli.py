@@ -5,6 +5,12 @@ deterministic given identical inputs and flags.  Decision commands end
 with a machine block of stable key=value lines; document commands print
 bare documents in the same formats the parsers accept.
 
+Handlers never write stdout.  A decision handler returns a
+Verdict and a document handler returns its document text; `main` is the
+only code that writes stdout, after the handler has returned.  So a
+document is printed whole or not at all: `corpus generate` writes its
+TSV once, at the end, and an error part-way prints no partial rows.
+
 Exit codes: 0 success or decided, 1 invalid input or a usage error,
 2 undecided, 3 internal error (an exactness check inside the library
 failed).  Every exit 1 prints one "error: ..." line on stderr.
@@ -182,25 +188,19 @@ def _cmd_mat_standardize(args) -> Verdict:
     return Verdict("ok", detail, {"a_file": out_a, "n_file": out_n})
 
 
-def _cmd_mat_enlarge(args) -> int:
+def _cmd_mat_enlarge(args) -> str:
     sm = _load_seifert(args.file)
     xi = [0] * sm.size if args.vector is None else args.vector
-    if args.kind == "column":
-        enlarged = column_enlarge(sm, xi, args.x)
-    else:
-        enlarged = row_enlarge(sm, xi, args.x)
-    sys.stdout.write(format_matrix(enlarged.matrix))
-    return 0
+    enlarge = column_enlarge if args.kind == "column" else row_enlarge
+    return format_matrix(enlarge(sm, xi, args.x).matrix)
 
 
-def _cmd_mat_reduce(args) -> int:
+def _cmd_mat_reduce(args) -> str:
     sm = _load_seifert(args.file)
     reduced = try_reduce(sm)
     if reduced is None:
-        print("irreducible")
-    else:
-        sys.stdout.write(format_matrix(reduced.matrix))
-    return 0
+        return "irreducible\n"
+    return format_matrix(reduced.matrix)
 
 
 def _cmd_mat_sequiv(args) -> Verdict:
@@ -262,10 +262,9 @@ def _cmd_slink_lk(args) -> Verdict:
     return _lk_verdict(pairwise_linking(parse_string_link(_read(args.file))))
 
 
-def _cmd_slink_normalize(args) -> int:
+def _cmd_slink_normalize(args) -> str:
     link = parse_string_link(_read(args.file))
-    sys.stdout.write(format_string_link(normalize_linking(link)))
-    return 0
+    return format_string_link(normalize_linking(link))
 
 
 def _cmd_slink_delta_equiv(args) -> Verdict:
@@ -278,16 +277,14 @@ def _cmd_slink_delta_equiv(args) -> Verdict:
 # std
 
 
-def _cmd_std_to_disk_band(args) -> int:
+def _cmd_std_to_disk_band(args) -> str:
     sm = _load_seifert(args.file)
-    sys.stdout.write(format_disk_band(to_disk_band(sm)))
-    return 0
+    return format_disk_band(to_disk_band(sm))
 
 
-def _cmd_std_from_disk_band(args) -> int:
+def _cmd_std_from_disk_band(args) -> str:
     d = parse_disk_band(_read(args.file))
-    sys.stdout.write(format_matrix(from_disk_band(d).matrix))
-    return 0
+    return format_matrix(from_disk_band(d).matrix)
 
 
 def _cmd_std_witness(args) -> Verdict:
@@ -307,10 +304,9 @@ def _cmd_std_witness(args) -> Verdict:
 # closure
 
 
-def _cmd_closure_seifert(args) -> int:
+def _cmd_closure_seifert(args) -> str:
     w = parse_artin_word(_read(args.file))
-    sys.stdout.write(format_matrix(seifert_matrix(w).matrix))
-    return 0
+    return format_matrix(seifert_matrix(w).matrix)
 
 
 def _cmd_closure_alexander(args) -> Verdict:
@@ -330,13 +326,13 @@ def _cmd_closure_alexander(args) -> Verdict:
 # corpus
 
 
-def _cmd_corpus_generate(args) -> int:
+def _cmd_corpus_generate(args) -> str:
     words = knot_corpus(args.n, args.maxlen, args.seed, args.count)
-    print("word\tn\tlength\talexander\tsignature\tdeterminant\tarf\tagree")
+    lines = ["word\tn\tlength\talexander\tsignature\tdeterminant\tarf\tagree"]
     for w in words:
         inv = invariants(seifert_matrix(w))
         agree = inv.alexander == burau_alexander(w)
-        print(
+        lines.append(
             "%s\t%d\t%d\t%s\t%d\t%d\t%d\t%s"
             % (
                 " ".join(str(v) for v in w.letters),
@@ -349,7 +345,7 @@ def _cmd_corpus_generate(args) -> int:
                 _bool(agree),
             )
         )
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +450,8 @@ def main(argv=None) -> int:
     if isinstance(outcome, Verdict):
         outcome.emit()
         return outcome.exit_code
-    return int(outcome)
+    sys.stdout.write(outcome)
+    return 0
 
 
 if __name__ == "__main__":

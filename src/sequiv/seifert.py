@@ -457,8 +457,25 @@ Move = CongruenceMove | ReduceMove | EnlargeMove | NegateMove
 
 
 def apply_moves(sm: SeifertMatrix, moves: Sequence[Move]) -> SeifertMatrix:
+    """Replay moves from sm, one after another, and validate the result.
+
+    Each move is checked against the size n of the matrix it meets: an
+    index outside 0..n-1, or two equal indices (i == j, p == q), raises
+    ValueError naming the move.  A reduction whose pattern does not match
+    raises ValueError too.
+    """
     rows = sm.matrix.rows
     for move in moves:
+        n = len(rows)
+        match move:
+            case CongruenceMove(i, j) | ReduceMove(i, j):
+                bad = i == j or not (0 <= i < n and 0 <= j < n)
+            case NegateMove(i):
+                bad = not 0 <= i < n
+            case _:
+                bad = False
+        if bad:
+            raise ValueError(f"{move!r} is not a move of a {n}x{n} matrix")
         rows = move.apply_rows(rows)
     return validate(IntMatrix(rows))
 

@@ -17,7 +17,10 @@ Both tables are purebraid.LinkingMatrix, the braid-level one on k*n
 strands and the string-link one on n, so each costs O(letters).  The
 fold in normalize_linking visits only the strand pairs and the single
 strands that a nonzero braid-level entry joins: clearing one pair adds
-letters only between passes of its two strands.
+letters only between passes of its two strands.  Within a pair it
+visits only the passes of the first strand that carry an entry, and the
+passes of the second up to the highest one an entry reaches, so its
+cost grows with the passes the entries reach, not with k^2.
 """
 
 from __future__ import annotations
@@ -175,6 +178,11 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
     and folding a strand only between its own passes, so only the pairs
     and the strands that a nonzero braid-level entry joins are visited,
     in sorted order: the cost grows with the linked pairs, not with n^2.
+    A clear moves lk((i,a),(j,c)) onto lk((i,a),(j,c-1)) and leaves pass
+    a of i as it was, and a clear of a zero entry adds no letters, so
+    each fold visits only the passes a that carry an entry, and c only
+    up to the highest pass an entry reaches: the cost grows with those
+    passes, not with k^2.
     """
     pairwise = pairwise_linking(link)
     for i, j, value in pairwise.entries:
@@ -183,7 +191,12 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
     n, k = link.n, link.k
     letters = list(link.braid.letters)
     lk = {(p, q): v for p, q, v in linking_matrix(link.braid).entries}
-    joined = {tuple(sorted((strand_label(p, n, k)[0], strand_label(q, n, k)[0]))) for p, q in lk}
+    # cells[i, j]: the pass pairs (a, b) of the entries lk((i,a),(j,b)),
+    # with i <= j, and a < b when i == j
+    cells: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for p, q in lk:
+        (i, a), (j, b) = sorted((strand_label(p, n, k), strand_label(q, n, k)))
+        cells.setdefault((i, j), set()).add((a, b))
 
     def entry(idx1: DoubleIndex, idx2: DoubleIndex) -> int:
         p1 = position_of(idx1, n, k)
@@ -202,22 +215,26 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
         for p, q, e in words:
             lk[p, q] = lk.get((p, q), 0) + e
 
-    for i, j in sorted(pair for pair in joined if pair[0] < pair[1]):
-        # fold the pass grid of (i, j) onto lk((i,1),(j,1))
-        for c in range(k, 1, -1):
-            for a in range(1, k + 1):
-                clear(i, a, j, c - 1)
-        for c in range(k, 1, -1):
-            clear(j, 1, i, c - 1)
-        leftover = entry((i, 1), (j, 1))
-        if leftover:
-            raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
-    for i in sorted(i for i, j in joined if i == j):
-        # self linking between passes of strand i; the a == c-1 case is
-        # the single-generator move and clears the entry outright
-        for c in range(k, 1, -1):
-            for a in range(1, c):
-                clear(i, a, i, c - 1)
+    def fold(i: int, passes: list[int], j: int, top: int) -> None:
+        # Move lk((i,a),(j,c)) onto lk((i,a),(j,c-1)) for c = top .. 2,
+        # each a in passes (a < c when i == j); pass a of i is never changed.
+        for c in range(top, 1, -1):
+            for a in passes:
+                if i != j or a < c:
+                    clear(i, a, j, c - 1)
+
+    # strand pairs first, then single strands, each in sorted order; for a
+    # single strand the a == c-1 case is the single-generator move and
+    # clears the entry outright
+    for i, j in sorted(cells, key=lambda pair: (pair[0] == pair[1], pair)):
+        passes = sorted({a for a, _ in cells[i, j]})
+        fold(i, passes, j, max(b for _, b in cells[i, j]))
+        if i != j:
+            # pass 1 of j now meets only passes of i: fold them onto (i,1)
+            fold(j, [1], i, passes[-1])
+            leftover = entry((i, 1), (j, 1))
+            if leftover:
+                raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
 
     braid = PureBraidWord(n * k, tuple(letters))
     result = DoubledStringLink(n, k, braid, link.framings)

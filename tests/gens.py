@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sequiv.braidclosure import ArtinBraidWord
 from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
 from sequiv.laurent import LaurentPoly, normalize_knot_polynomial, polynomial_matrix_det
-from sequiv.purebraid import LinkingMatrix, PureBraidWord
+from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
 from sequiv.seifert import (
     CongruenceMove,
     EnlargeMove,
@@ -21,7 +21,14 @@ from sequiv.seifert import (
     validate,
 )
 from sequiv.standardform import DiskBandForm, from_disk_band
-from sequiv.stringlink import DoubledStringLink, pairwise_linking, position_of
+from sequiv.stringlink import (
+    DoubleIndex,
+    DoubledStringLink,
+    _pair_letters,
+    pairwise_linking,
+    position_of,
+    strand_label,
+)
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 8) -> IntMatrix:
@@ -429,6 +436,23 @@ def reference_pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
     return LinkingMatrix(n, tuple(entries))
 
 
+def cancel_string_linking(link: DoubledStringLink) -> DoubledStringLink:
+    """link with each pairwise linking number cancelled by first-pass generators."""
+    n, k = link.n, link.k
+    extra = []
+    for i, j, v in pairwise_linking(link).entries:
+        p1 = position_of((i, 1), n, k)
+        p2 = position_of((j, 1), n, k)
+        lo, hi = min(p1, p2), max(p1, p2)
+        # a first-pass generator shifts the pairwise number by its exponent
+        extra.extend([(lo, hi, -1 if v > 0 else 1)] * abs(v))
+    braid = link.braid * PureBraidWord(n * k, tuple(extra))
+    result = DoubledStringLink(n, k, braid, link.framings)
+    if not pairwise_linking(result).is_zero():
+        raise AssertionError("corrected string link still has nonzero linking numbers")
+    return result
+
+
 def random_zero_linking_link(
     rng: random.Random, n: int, k: int, max_length: int
 ) -> DoubledStringLink:
@@ -447,18 +471,82 @@ def random_zero_linking_link(
         else PureBraidWord(strands)
     )
     link = DoubledStringLink(n, k, braid, tuple(rng.randint(-2, 2) for _ in range(n)))
-    lm = pairwise_linking(link)
-    extra = []
-    for i, j, v in lm.entries:
-        p1 = position_of((i, 1), n, k)
-        p2 = position_of((j, 1), n, k)
-        lo, hi = min(p1, p2), max(p1, p2)
-        # a first-pass generator shifts the pairwise number by its exponent
-        extra.extend([(lo, hi, -1 if v > 0 else 1)] * abs(v))
-    braid = braid * PureBraidWord(strands, tuple(extra))
+    result = cancel_string_linking(link)
+    if len(result.braid.letters) > max_length:
+        raise AssertionError(
+            f"corrected word has {len(result.braid.letters)} letters, over {max_length}"
+        )
+    return result
+
+
+@st.composite
+def zero_linking_links(draw) -> DoubledStringLink:
+    """Strategy: doubled string links whose string-link linking numbers vanish.
+
+    A pure braid word on n*k strands, n <= 4 and k <= 6, with each
+    pairwise linking number cancelled by first-pass generators.  A
+    letter between two passes of one strand gives a self entry.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    braid = draw(pure_braid_words(n * k))
+    framings = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    return cancel_string_linking(DoubledStringLink(n, k, braid, framings))
+
+
+def reference_normalize(link: DoubledStringLink) -> DoubledStringLink:
+    """stringlink.normalize_linking with the full k x k pass-grid fold.
+
+    Folds every pass cell of every linked strand pair and of every
+    strand with self linking, including the cells that hold zero.  The
+    reference that normalize_linking, which visits only the passes the
+    entries reach, must match letter for letter; for tests on small k.
+    """
+    pairwise = pairwise_linking(link)
+    for i, j, value in pairwise.entries:
+        raise ValueError(f"string-link linking must vanish; lk({i},{j}) = {value}")
+
+    n, k = link.n, link.k
+    letters = list(link.braid.letters)
+    lk = {(p, q): v for p, q, v in linking_matrix(link.braid).entries}
+    joined = {tuple(sorted((strand_label(p, n, k)[0], strand_label(q, n, k)[0]))) for p, q in lk}
+
+    def entry(idx1: DoubleIndex, idx2: DoubleIndex) -> int:
+        p1 = position_of(idx1, n, k)
+        p2 = position_of(idx2, n, k)
+        return lk.get((p1, p2) if p1 < p2 else (p2, p1), 0)
+
+    def clear(mi: int, ma: int, mj: int, mb: int) -> None:
+        # Each pair word moves lk((mi,ma),(mj,mb+1)) by its sign, so |v|
+        # copies of the word with the cancelling sign clear the entry.
+        v = entry((mi, ma), (mj, mb + 1))
+        words = _pair_letters(n, k, mi, ma, mj, mb, -1 if v > 0 else 1) * abs(v)
+        if mb % 2 == 0:
+            letters[:0] = words
+        else:
+            letters.extend(words)
+        for p, q, e in words:
+            lk[p, q] = lk.get((p, q), 0) + e
+
+    for i, j in sorted(pair for pair in joined if pair[0] < pair[1]):
+        # fold the pass grid of (i, j) onto lk((i,1),(j,1))
+        for c in range(k, 1, -1):
+            for a in range(1, k + 1):
+                clear(i, a, j, c - 1)
+        for c in range(k, 1, -1):
+            clear(j, 1, i, c - 1)
+        leftover = entry((i, 1), (j, 1))
+        if leftover:
+            raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
+    for i in sorted(i for i, j in joined if i == j):
+        # self linking between passes of strand i; the a == c-1 case is
+        # the single-generator move and clears the entry outright
+        for c in range(k, 1, -1):
+            for a in range(1, c):
+                clear(i, a, i, c - 1)
+
+    braid = PureBraidWord(n * k, tuple(letters))
     result = DoubledStringLink(n, k, braid, link.framings)
-    if len(braid.letters) > max_length:
-        raise AssertionError(f"corrected word has {len(braid.letters)} letters, over {max_length}")
-    if not pairwise_linking(result).is_zero():
-        raise AssertionError("corrected string link still has nonzero linking numbers")
+    if not linking_matrix(braid).is_zero():
+        raise InternalCheckError("normalization left a nonzero linking number")
     return result

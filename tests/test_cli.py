@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sequiv import braidclosure, cli, standardform
 from sequiv.braidclosure import parse_artin_word
 from sequiv.cli import main
-from sequiv.intlin import IntMatrix, format_matrix, parse_matrix
+from sequiv.intlin import IntMatrix, InternalCheckError, format_matrix, parse_matrix
 from sequiv.laurent import parse_laurent
 from sequiv.purebraid import is_delta_trivial, parse_braid
 from sequiv.seifert import column_enlarge, validate
@@ -993,3 +993,73 @@ def test_mat_sequiv_output_is_pinned(tmp_path, capsys, start, target, flags, cod
     assert main(["mat", "sequiv", p1, p2, *flags]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _one_of_each_command(tmp_path) -> list[list[str]]:
+    """A valid command line for each of the 17 subcommands, mat reduce both ways."""
+    trefoil = _write(tmp_path, "trefoil.mat", TREFOIL)
+    scrambled = _write(tmp_path, "scrambled.mat", SCRAMBLED)
+    enlarged = _write(tmp_path, "enlarged.mat", MINIMAL)
+    identity = _write(tmp_path, "i.A", "2\n1 0\n0 1\n")
+    braid = _write(tmp_path, "rel.pb", "n 3\n1 2 1\n2 3 1\n1 2 -1\n2 3 -1\n")
+    link = _write(tmp_path, "link.sl", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.2 2.2 -1\n")
+    band = _write(tmp_path, "t.dband", "g 1\nframings -1 -1\n")
+    word = _write(tmp_path, "tre.bw", "n 2\n1 1 1\n")
+    return [
+        ["mat", "invariants", trefoil],
+        ["mat", "standardize", trefoil],
+        ["mat", "enlarge", trefoil, "--vector", "1", "0"],
+        ["mat", "reduce", enlarged],
+        ["mat", "reduce", trefoil],
+        ["mat", "sequiv", trefoil, scrambled],
+        ["braid", "lk", braid],
+        ["braid", "delta-trivial", braid],
+        ["braid", "delta-equiv", braid, braid],
+        ["slink", "lk", link],
+        ["slink", "normalize", link],
+        ["slink", "delta-equiv", link, link],
+        ["std", "to-disk-band", trefoil],
+        ["std", "from-disk-band", band],
+        ["std", "witness", trefoil, identity, identity],
+        ["closure", "seifert", word],
+        ["closure", "alexander", word],
+        ["corpus", "generate", "--count", "3"],
+    ]
+
+
+def test_handlers_return_their_output_and_main_alone_writes_it(tmp_path, capsys):
+    # A decision handler returns a Verdict and a document handler its text;
+    # neither writes stdout, and main prints exactly what was returned.
+    parser = cli.build_parser()
+    commands = _one_of_each_command(tmp_path)
+    handlers = {row[1] for row in _parser_table(parser).values() if row[1]}
+    assert {parser.parse_args(argv).func.__name__ for argv in commands} == handlers
+    for argv in commands:
+        args = parser.parse_args(argv)
+        outcome = args.func(args)
+        assert capsys.readouterr().out == "", argv
+        assert isinstance(outcome, (str, cli.Verdict)), argv
+        code, out, err = _run_in_process(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        if isinstance(outcome, str):
+            assert out == outcome and outcome.endswith("\n"), argv
+        else:
+            outcome.emit()
+            assert capsys.readouterr().out == out, argv
+
+
+def test_corpus_generate_prints_no_partial_rows_on_an_internal_error(capsys, monkeypatch):
+    burau = cli.burau_alexander
+    calls = []
+
+    def fail_on_the_third_word(w):
+        calls.append(w)
+        if len(calls) == 3:
+            raise InternalCheckError("injected")
+        return burau(w)
+
+    monkeypatch.setattr(cli, "burau_alexander", fail_on_the_third_word)
+    assert _run_in_process(capsys, ["corpus", "generate", "--count", "5"]) == (
+        3, "", "internal error: injected\n"
+    )
+    assert len(calls) == 3

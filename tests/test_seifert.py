@@ -19,6 +19,7 @@ from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
     CongruenceMove,
     EnlargeMove,
+    NegateMove,
     ReduceMove,
     SearchBudget,
     alexander,
@@ -343,6 +344,38 @@ def test_reduce_move_off_a_site_raises_in_apply_rows_and_apply_moves(kind):
         with pytest.raises(ValueError) as info:
             apply_moves(sm, [CongruenceMove(0, 1, 1), CongruenceMove(0, 1, -1), move])
         assert str(info.value) == "reduction pattern does not match"
+
+
+@pytest.mark.parametrize(
+    "move, text",
+    [
+        # printed as "congruence E[0,1;+1]", it used to act on the last row
+        (CongruenceMove(-1, 0, 1), "CongruenceMove(i=-1, j=0, c=1)"),
+        (CongruenceMove(0, 2, 1), "CongruenceMove(i=0, j=2, c=1)"),
+        # printed as "E[1,1;-2]", it used to act as a negation
+        (CongruenceMove(0, 0, -2), "CongruenceMove(i=0, j=0, c=-2)"),
+        # printed as "negate basis vector -1", it used to negate row 0
+        (NegateMove(-2), "NegateMove(i=-2)"),
+        (NegateMove(2), "NegateMove(i=2)"),
+        # used to raise IndexError
+        (ReduceMove(3, 4, "column"), "ReduceMove(p=3, q=4, kind='column')"),
+        # used to say only that the reduction pattern does not match
+        (ReduceMove(1, 1, "row"), "ReduceMove(p=1, q=1, kind='row')"),
+    ],
+)
+def test_apply_moves_rejects_moves_that_are_not_moves(move, text):
+    message = f"{text} is not a move of a 2x2 matrix"
+    with pytest.raises(ValueError) as info:
+        apply_moves(TREFOIL, [move])
+    assert str(info.value) == message
+
+
+def test_apply_moves_checks_each_move_against_the_size_it_meets():
+    # Index 2 fits once the enlargement has made the matrix 4x4, not before.
+    grown = apply_moves(TREFOIL, [EnlargeMove("column"), CongruenceMove(2, 0, 1), NegateMove(3)])
+    assert grown.size == 4
+    with pytest.raises(ValueError, match=r"^CongruenceMove\(i=2, j=0, c=1\) is not a move of a 2x2"):
+        apply_moves(TREFOIL, [CongruenceMove(2, 0, 1), EnlargeMove("column")])
 
 
 def _count_dets(monkeypatch) -> list:

@@ -11,7 +11,9 @@ from gens import (
     random_pure_braid,
     random_zero_linking_link,
     reference_linking_table,
+    reference_normalize,
     reference_pairwise_linking,
+    zero_linking_links,
 )
 from sequiv import stringlink
 from sequiv.purebraid import PureBraidWord, delta_relator, is_delta_trivial, linking_matrix
@@ -389,3 +391,29 @@ def string_links(draw):
 @given(string_links())
 def test_format_parse_roundtrip_property(link):
     assert parse_string_link(format_string_link(link)) == link
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_linking_links())
+def test_normalize_matches_the_full_grid_reference(link):
+    # The fold visits only the passes the entries reach; the literal full
+    # k x k grid fold must give the same letters, in the same order.
+    assert format_string_link(normalize_linking(link)) == format_string_link(
+        reference_normalize(link)
+    )
+
+
+def test_normalize_work_does_not_grow_with_k(monkeypatch):
+    # Two letters on passes 1 and 2: the fold's work must not grow with k.
+    pair_letters = stringlink._pair_letters
+    calls = []
+    monkeypatch.setattr(
+        stringlink, "_pair_letters", lambda *args: calls.append(args) or pair_letters(*args)
+    )
+    counts = []
+    for k in (10, 1000):
+        calls.clear()
+        link = parse_string_link(f"n 2 k {k}\nframings 0 0\n1.1 2.1 1\n1.2 2.2 -1\n")
+        assert is_delta_trivial(normalize_linking(link).braid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
