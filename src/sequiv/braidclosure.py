@@ -1,11 +1,13 @@
 """Seifert matrices of knots presented as braid closures.
 
 The closure of a braid word is a knot exactly when the underlying
-permutation is a single cycle.  Applying the standard spanning-surface
-construction to the closed diagram gives one disk per strand and one
-band per crossing; the homology basis consists of the loops through
-consecutive same-index crossings, so the matrix has size
-length(word) - strands + 1.
+permutation is a single cycle.  Only the positions some letter moves
+are walked, so the test costs O(letters) whatever strand count the
+header names; a knot closure uses every generator index.  Applying the
+standard spanning-surface construction to the closed diagram gives one
+disk per strand and one band per crossing; the homology basis consists
+of the loops through consecutive same-index crossings, so the matrix
+has size length(word) - strands + 1.
 
 Crossing conventions are pinned operationally: the positive trefoil
 braid on two strands must produce a matrix with signature -2, and the
@@ -15,7 +17,9 @@ code path and serves as the oracle.  The oracle builds the reduced
 Burau matrix by one column update per letter, with no matrix product,
 on dense integer coefficient lists over one exponent window shared by
 every entry, and takes its determinant with laurent's Z[t] Bareiss
-elimination; it never calls intlin.
+elimination; it never calls intlin.  An inconsistency inside the oracle
+raises InternalCheckError, never ValueError, so it is not reported as
+invalid input.
 """
 
 from __future__ import annotations
@@ -59,21 +63,47 @@ class ArtinBraidWord:
         return ArtinBraidWord(self.strands, tuple(-v for v in reversed(self.letters)))
 
 
-def closure_permutation(w: ArtinBraidWord) -> tuple[int, ...]:
-    """The permutation of strand start positions; entry s-1 holds the end of s."""
-    at = list(range(w.strands + 1))  # at[p] = strand currently at position p
+def _moved(w: ArtinBraidWord) -> dict[int, int]:
+    """{p: s} over the positions p some letter moves: strand s ends at p.
+
+    A strand no letter moves ends where it starts, so one walk over the
+    letters, O(letters) whatever the strand count, gives the whole
+    permutation; the values are a permutation of the keys.
+    """
+    at: dict[int, int] = {}
     for v in w.letters:
         i = abs(v)
-        at[i], at[i + 1] = at[i + 1], at[i]
-    ends = [0] * w.strands
-    for p in range(1, w.strands + 1):
-        ends[at[p] - 1] = p
+        at[i], at[i + 1] = at.get(i + 1, i + 1), at.get(i, i)
+    return at
+
+
+def closure_permutation(w: ArtinBraidWord) -> tuple[int, ...]:
+    """The permutation of strand start positions; entry s-1 holds the end of s."""
+    ends = list(range(1, w.strands + 1))
+    for p, s in _moved(w).items():
+        ends[s - 1] = p
     return tuple(ends)
+
+
+def _components(w: ArtinBraidWord) -> int:
+    """The number of components of the closure of w, in O(letters).
+
+    Each cycle of _moved(w) is one component, and so is each of the
+    strands - len(moved) strands no letter moves.
+    """
+    at = _moved(w)
+    count = w.strands - len(at)
+    while at:
+        count += 1
+        p, s = at.popitem()
+        while s != p:
+            s = at.pop(s)
+    return count
 
 
 def is_knot_closure(w: ArtinBraidWord) -> bool:
     """True when the closure has a single component."""
-    return _cycle_count(closure_permutation(w)) == 1
+    return _components(w) == 1
 
 
 def missing_generators(w: ArtinBraidWord) -> list[int]:
@@ -84,16 +114,16 @@ def missing_generators(w: ArtinBraidWord) -> list[int]:
 def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
     """Seifert matrix of the knot closure of w.
 
-    Requires a one-component closure using every generator index at
-    least once.  The matrix passes validation and its normalized
-    polynomial equals the reduced-Burau value.
+    Requires a one-component closure, counted in O(letters), so a header
+    naming 2^62 strands is rejected without a list of that length.  A
+    knot closure uses every generator index: were i missing, no strand
+    would cross between positions i and i + 1, so the closure would have
+    two components at least.  The matrix passes validation and its
+    normalized polynomial equals the reduced-Burau value.
     """
-    count = _cycle_count(closure_permutation(w))
+    count = _components(w)
     if count != 1:
         raise ValueError(f"closure has {count} components, not a knot")
-    missing = missing_generators(w)
-    if missing:
-        raise ValueError(f"generator index {missing[0]} never occurs; surface is disconnected")
 
     columns: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, w.strands)}
     for pos, v in enumerate(w.letters):
@@ -135,19 +165,6 @@ def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
                 elif u1 < t1 < u2 < t2:
                     v[a][b] = -1
     return validate(IntMatrix.from_rows(v))
-
-
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for s in range(1, len(perm) + 1):
-        if not seen[s - 1]:
-            count += 1
-            t = s
-            while not seen[t - 1]:
-                seen[t - 1] = True
-                t = perm[t - 1]
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +234,9 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     coefficient lists over one exponent window; the low zeros common to
     every entry of rho(w) - I are dropped before polynomial_matrix_det.
     The exact value of det(rho(w) - I) * (1 - t) / (1 - t**n), normalized
-    to value 1 at t=1 and palindromic, is returned; an inexact division
-    is a bug.
+    to value 1 at t=1 and palindromic, is returned.  Both exact steps sit
+    under one error boundary: an inexact division, or a quotient that no
+    unit normalizes, is a bug and raises InternalCheckError.
     """
     if not is_knot_closure(w):
         raise ValueError("closure is not a knot")
@@ -230,10 +248,9 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     numerator = LaurentPoly.of((lo + low) * len(rho), polynomial_matrix_det(plain))
     quotient = LaurentPoly.of(0, (1,) * w.strands)  # 1 + t + ... + t**(n-1)
     try:
-        reduced = numerator.divexact(quotient)
+        return normalize_knot_polynomial(numerator.divexact(quotient))
     except ValueError as exc:
-        raise InternalCheckError("Burau determinant not divisible by 1 + t + ... + t^(n-1)") from exc
-    return normalize_knot_polynomial(reduced)
+        raise InternalCheckError(f"Burau determinant over 1 + t + ... + t^(n-1): {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +297,7 @@ def knot_corpus(
             continue
         seen.add(key)
         word = ArtinBraidWord(n, letters)
-        if is_knot_closure(word) and not missing_generators(word):
+        if is_knot_closure(word):
             out.append(word)
     return out
 

@@ -23,7 +23,6 @@ from .intlin import (
     _transpose_pencil,
     det,
     det_or_left_kernel,
-    signature,
     signature_and_det,
 )
 from .laurent import LaurentPoly
@@ -131,44 +130,23 @@ def is_alexander_trivial(sm: SeifertMatrix) -> bool:
 
 
 def knot_signature(sm: SeifertMatrix) -> int:
-    return signature(sm.matrix + sm.matrix.transpose())
+    """The signature of M + M^T: the signature field of invariants(sm).
 
-
-def _signature_and_determinant(sm: SeifertMatrix, delta: LaurentPoly) -> tuple[int, int]:
-    """Signature and |det(M + M^T)| from one pass, cross-checked against delta.
-
-    delta(-1) = (-1)^g det(M + M^T) and det(M + M^T) has the sign
-    (-1)^((n - sigma) / 2), so |delta(-1)| = |det(M + M^T)| and
-    sign delta(-1) = (-1)^(sigma / 2).  delta comes from
-    transpose_pencil_det, whose nodes leave out t = -1: independent code;
-    a failure raises InternalCheckError.
+    It is read from the cross-checked gate, so it also pays for the
+    Alexander polynomial: a reduction and s/2 determinants for the
+    reduced size s, on top of the one signature pass.
     """
-    sig, d = signature_and_det(sm.matrix + sm.matrix.transpose())
-    at_minus_one = delta.evaluate(-1)
-    if abs(d) != abs(at_minus_one):
-        raise InternalCheckError(
-            f"determinant cross-check failed: |det(M + M^T)| = {abs(d)}, delta(-1) = {at_minus_one}"
-        )
-    if sig % 2 or (at_minus_one < 0) != (sig % 4 == 2):
-        raise InternalCheckError(
-            f"signature cross-check failed: signature {sig}, delta(-1) = {at_minus_one}"
-        )
-    return sig, abs(d)
-
-
-def _arf(delta: LaurentPoly) -> int:
-    """0 when delta(-1) is congruent to +-1 mod 8, else 1."""
-    return 0 if delta.evaluate(-1) % 8 in (1, 7) else 1
+    return invariants(sm).signature
 
 
 def knot_determinant(sm: SeifertMatrix) -> int:
-    """|det(M + M^T)|, cross-checked against |delta(-1)|."""
-    return _signature_and_determinant(sm, alexander(sm))[1]
+    """|det(M + M^T)|, cross-checked against |delta(-1)|: a field of invariants(sm)."""
+    return invariants(sm).determinant
 
 
 def arf(sm: SeifertMatrix) -> int:
-    """0 when delta(-1) is congruent to +-1 mod 8, else 1."""
-    return _arf(alexander(sm))
+    """0 when delta(-1) is congruent to +-1 mod 8, else 1: a field of invariants(sm)."""
+    return invariants(sm).arf
 
 
 @dataclass(frozen=True)
@@ -182,7 +160,27 @@ class Invariants:
 
 
 def _invariants(sm: SeifertMatrix, delta: LaurentPoly) -> Invariants:
-    return Invariants(delta, *_signature_and_determinant(sm, delta), _arf(delta))
+    """The record of sm, whose Alexander polynomial is delta, with delta(-1) read once.
+
+    The signature and |det(M + M^T)| come from one pass.  delta(-1) =
+    (-1)^g det(M + M^T) and det(M + M^T) has the sign
+    (-1)^((n - sigma) / 2), so |delta(-1)| = |det(M + M^T)| and
+    sign delta(-1) = (-1)^(sigma / 2).  delta comes from
+    transpose_pencil_det, whose nodes leave out t = -1: independent code;
+    a failure raises InternalCheckError.  The Arf invariant is 0 when
+    delta(-1) is congruent to +-1 mod 8, else 1.
+    """
+    sig, d = signature_and_det(sm.matrix + sm.matrix.transpose())
+    at_minus_one = delta.evaluate(-1)
+    if abs(d) != abs(at_minus_one):
+        raise InternalCheckError(
+            f"determinant cross-check failed: |det(M + M^T)| = {abs(d)}, delta(-1) = {at_minus_one}"
+        )
+    if sig % 2 or (at_minus_one < 0) != (sig % 4 == 2):
+        raise InternalCheckError(
+            f"signature cross-check failed: signature {sig}, delta(-1) = {at_minus_one}"
+        )
+    return Invariants(delta, sig, abs(d), 0 if at_minus_one % 8 in (1, 7) else 1)
 
 
 def invariants(sm: SeifertMatrix) -> Invariants:
@@ -461,13 +459,16 @@ def apply_moves(sm: SeifertMatrix, moves: Sequence[Move]) -> SeifertMatrix:
 
     Each move is checked against the size n of the matrix it meets: an
     index outside 0..n-1, or two equal indices (i == j, p == q), raises
-    ValueError naming the move.  A reduction whose pattern does not match
-    raises ValueError too.
+    ValueError naming the move, and so does a reduction or enlargement
+    whose kind is not "column" or "row".  A reduction whose pattern does
+    not match raises ValueError too.
     """
     rows = sm.matrix.rows
     for move in moves:
         n = len(rows)
         match move:
+            case ReduceMove(kind=kind) | EnlargeMove(kind=kind) if kind not in ("column", "row"):
+                raise ValueError(f"{move!r} has kind {kind!r}, not column or row")
             case CongruenceMove(i, j) | ReduceMove(i, j):
                 bad = i == j or not (0 <= i < n and 0 <= j < n)
             case NegateMove(i):

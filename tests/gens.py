@@ -308,6 +308,39 @@ def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     return LaurentPoly.of(-up * len(rows), polynomial_matrix_det(plain))
 
 
+def reference_closure_permutation(w: ArtinBraidWord) -> tuple[int, ...]:
+    """The permutation by a dense walk over every position; entry s-1 holds the end of s.
+
+    The reference for braidclosure.closure_permutation; for tests.
+    """
+    at = list(range(w.strands + 1))  # at[p] = strand currently at position p
+    for v in w.letters:
+        i = abs(v)
+        at[i], at[i + 1] = at[i + 1], at[i]
+    ends = [0] * w.strands
+    for p in range(1, w.strands + 1):
+        ends[at[p] - 1] = p
+    return tuple(ends)
+
+
+def reference_components(w: ArtinBraidWord) -> int:
+    """The cycles of reference_closure_permutation(w), counted with one flag per strand.
+
+    The reference for braidclosure._components; for tests.
+    """
+    perm = reference_closure_permutation(w)
+    seen = [False] * len(perm)
+    count = 0
+    for s in range(1, len(perm) + 1):
+        if not seen[s - 1]:
+            count += 1
+            t = s
+            while not seen[t - 1]:
+                seen[t - 1] = True
+                t = perm[t - 1]
+    return count
+
+
 def reference_burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     """det(rho(w) - I) / (1 + t + ... + t^(n-1)) over LaurentPoly objects, normalized.
 

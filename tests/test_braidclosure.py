@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import reference_burau_alexander
+from gens import reference_burau_alexander, reference_closure_permutation, reference_components
 from sequiv import braidclosure
 from sequiv.braidclosure import (
     ArtinBraidWord,
@@ -78,6 +78,30 @@ def test_seifert_matrix_preconditions():
     with pytest.raises(ValueError, match="components"):
         seifert_matrix(ArtinBraidWord(3, (1, 1)))
     assert missing_generators(ArtinBraidWord(3, (1, 1))) == [2]
+
+
+@st.composite
+def _words_with_unused_and_cancelling_letters(draw):
+    # 0-16 letters on 2-9 strands, drawn from a subset of the generators,
+    # some followed at once by their inverse.
+    n = draw(st.integers(2, 9))
+    generators = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1)))
+    letters = []
+    for _ in range(draw(st.integers(0, 8))):
+        v = draw(st.sampled_from(generators)) * draw(st.sampled_from((1, -1)))
+        letters += [v, -v] if draw(st.booleans()) else [v]
+    return ArtinBraidWord(n, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words_with_unused_and_cancelling_letters())
+def test_components_and_permutation_match_the_dense_walk(w):
+    assert closure_permutation(w) == reference_closure_permutation(w)
+    count = braidclosure._components(w)
+    assert count == reference_components(w)
+    assert is_knot_closure(w) == (count == 1)
+    if count == 1:  # so seifert_matrix needs no separate generator check
+        assert not missing_generators(w)
 
 
 def test_burau_examples():
@@ -190,7 +214,7 @@ def _mixed_knot_words(draw):
 
 
 def _cycles(letters, n):
-    return braidclosure._cycle_count(closure_permutation(ArtinBraidWord(n, tuple(letters))))
+    return braidclosure._components(ArtinBraidWord(n, tuple(letters)))
 
 
 @settings(max_examples=150, deadline=None)

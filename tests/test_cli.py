@@ -213,6 +213,17 @@ def test_braid_commands_take_a_huge_strand_count(tmp_path, capsys, command, stdo
     assert capsys.readouterr().out == stdout
 
 
+@pytest.mark.parametrize("command", ["seifert", "alexander"])
+def test_closure_commands_reject_a_huge_strand_count_in_one_line(tmp_path, capsys, command):
+    # The knot test walks only the positions the letters move, so a header
+    # naming 2^62 strands costs its one letter, not a list of 2^62 slots.
+    path = _write(tmp_path, "huge.braid", "n 4611686018427387904\n1\n")
+    assert main(["closure", command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closure has 4611686018427387903 components, not a knot\n"
+
+
 def test_slink_commands(tmp_path, capsys):
     sl = "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.2 2.2 -1\n"
     path = _write(tmp_path, "sl.txt", sl)
@@ -585,6 +596,30 @@ def test_inexact_burau_division_is_internal_error(tmp_path, capsys, monkeypatch)
     # 1 is not divisible by 1 + t, the quotient for two strands.
     monkeypatch.setattr(braidclosure, "polynomial_matrix_det", lambda rows: (1,))
     assert main(["closure", "alexander", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "alexander", "tre.braid"],
+        ["corpus", "generate", "--n", "2", "--maxlen", "5", "--count", "3"],
+    ],
+    ids=["closure-alexander", "corpus-generate"],
+)
+def test_burau_quotient_that_does_not_normalize_is_internal_error(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # (2 + 3t + t^2) / (1 + t) = 2 + t divides exactly, but its exponent
+    # span is odd, so no unit normalizes it: a bug in the oracle, not
+    # invalid input.
+    _write(tmp_path, "tre.braid", "n 2\n1 1 1\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(braidclosure, "polynomial_matrix_det", lambda rows: (2, 3, 1))
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gens import (
     block_sum,
     block_sum_invariants,
+    fraction_signature_and_det,
     laurent_matrix_det,
     random_scrambled_seifert,
     random_unimodular,
@@ -31,7 +32,6 @@ from sequiv.cli import main
 from sequiv.intlin import IntMatrix, det, format_matrix, signature_and_det
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
-    Invariants,
     alexander,
     arf,
     bounded_sequiv_search,
@@ -99,12 +99,30 @@ def test_scrambled_block_sums_match_closed_form(blocks, seed, ops):
 
 
 def test_record_equals_separate_functions():
+    # The three functions read fields of invariants(sm), so each is checked
+    # against a value computed apart from it: the closed form of block
+    # sums, and the fraction-field signature and determinant of M + M^T,
+    # with Arf 0 exactly when that determinant is +-1 mod 8 (Levine).
     rng = random.Random(301)
     cases = [TREFOIL, FIG8, MIRROR_TREFOIL, validate(IntMatrix())]
     cases += [random_scrambled_seifert(rng, g)[2] for g in range(5) for _ in range(6)]
     for sm in cases:
-        expected = Invariants(alexander(sm), knot_signature(sm), knot_determinant(sm), arf(sm))
-        assert invariants(sm) == expected
+        sig, d = fraction_signature_and_det(sm.matrix + sm.matrix.transpose())
+        expected = (sig, abs(d), 0 if abs(d) % 8 in (1, 7) else 1)
+        assert (knot_signature(sm), knot_determinant(sm), arf(sm)) == expected
+        record = invariants(sm)
+        assert (record.signature, record.determinant, record.arf) == expected
+    for _ in range(20):
+        blocks = [
+            (rng.randint(-2, 2), rng.randint(-2, 1), rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 4))
+        ]
+        sm, expected = block_sum(blocks), block_sum_invariants(blocks)
+        assert (knot_signature(sm), knot_determinant(sm), arf(sm)) == (
+            expected.signature,
+            expected.determinant,
+            expected.arf,
+        )
 
 
 def test_gate_split_by_alexander_skips_signature(monkeypatch):
@@ -129,9 +147,9 @@ def test_signature_sign_of_delta_at_minus_one_on_large_closures():
     sizes = []
     for word in knot_corpus(6, 40, 5, 40):
         sm = seifert_matrix(word)
-        sigma = knot_signature(sm)
-        assert sigma % 2 == 0
-        assert (alexander(sm).evaluate(-1) > 0) == (sigma % 4 == 0)
+        inv = invariants(sm)
+        assert inv.signature % 2 == 0
+        assert (inv.alexander.evaluate(-1) > 0) == (inv.signature % 4 == 0)
         sizes.append(sm.size)
     assert max(sizes) >= 36
 

@@ -378,6 +378,31 @@ def test_apply_moves_checks_each_move_against_the_size_it_meets():
         apply_moves(TREFOIL, [CongruenceMove(2, 0, 1), EnlargeMove("column")])
 
 
+@pytest.mark.parametrize(
+    "start, move, text",
+    [
+        (
+            TREFOIL,
+            EnlargeMove("diagonal", 1),
+            "EnlargeMove(kind='diagonal', x=1) has kind 'diagonal'",
+        ),
+        (
+            row_enlarge(TREFOIL, [1, 0], 1),
+            ReduceMove(2, 3, "sideways"),
+            "ReduceMove(p=2, q=3, kind='sideways') has kind 'sideways'",
+        ),
+    ],
+    ids=["enlarge", "reduce"],
+)
+def test_apply_moves_rejects_a_kind_other_than_column_or_row(start, move, text):
+    # Replayed, any kind but "row" would act as "column" ("sideways" would
+    # strip this row site), so a misspelt witness would print as one move
+    # and replay as another.
+    with pytest.raises(ValueError) as info:
+        apply_moves(start, [move])
+    assert str(info.value) == f"{text}, not column or row"
+
+
 def _count_dets(monkeypatch) -> list:
     """Record the size of every determinant taken through intlin or seifert."""
     calls = []
