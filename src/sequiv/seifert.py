@@ -386,8 +386,9 @@ class CongruenceMove:
     E M E^T adds c times row j to row i, then c times column j to
     column i, so it changes only row i and column i.  apply_rows runs
     intlin's _add_multiple, the list kernel that reduce_fully uses, with
-    no bound on c or on the entries; the search builds its congruence
-    children on packed states instead (see _PackedStates).
+    no bound on c or on the entries.  The search never calls it: it
+    builds each congruence child on the packed int of its parent, and
+    keeps it only within max_entry (see _PackedStates.children).
     """
 
     i: int
@@ -558,9 +559,6 @@ def bounded_sequiv_search(
     return SearchResult("unknown", reason=f"move space exhausted ({len(parents)} states)")
 
 
-_ENLARGE_MOVES = (EnlargeMove("column"), EnlargeMove("row"))
-
-
 @cache
 def _congruence_moves(n: int) -> tuple[tuple[CongruenceMove, CongruenceMove], ...]:
     """The pairs (E[i,j;+1], E[i,j;-1]) on n x n states, in search order."""
@@ -573,7 +571,7 @@ def _congruence_moves(n: int) -> tuple[tuple[CongruenceMove, CongruenceMove], ..
 
 
 class _PackedStates:
-    """Search states as Python ints, and their congruence children.
+    """Search states as Python ints, and the children of each state.
 
     An n x n matrix is one int: entry (r, k) is the w-bit field at bit
     w * (r * n + k), holding x + H, with H = 4B + 1 and
@@ -601,6 +599,14 @@ class _PackedStates:
     when the field is at least lo, that of b exactly when it is above
     hi, so a ^ b has every guard bit set exactly when every field is in
     range.
+
+    An enlargement keeps M in its top left block, so its child is M's
+    int with each of the n row blocks moved from stride w n to stride
+    w (n + 2), plus a constant tail of its kind: H in every new field
+    and 1 more at (n, n + 1), or at (n + 1, n) for a row enlargement.
+    Only the reduction sites are found on the unpacked rows.  Each
+    search builds its own instance, and the per-size layouts die with
+    it.
     """
 
     def __init__(self, max_entry: int, *inputs: tuple[tuple[int, ...], ...]) -> None:
@@ -626,7 +632,7 @@ class _PackedStates:
         return tuple(tuple(entries[r * n : r * n + n]) for r in range(n))
 
     def _layout(self, n: int) -> tuple:
-        """The masks, offsets and bound constants of n x n states, built once per size."""
+        """Masks, offsets, bound constants and enlargement tails of n x n states, once per size."""
         layout = self._sizes.get(n)
         if layout is None:
             w, h = self.width, self.offset
@@ -636,6 +642,16 @@ class _PackedStates:
             ones = row_ones * column_ones
             lo, hi = h - self.max_entry, h + self.max_entry
             shifts = [(w * n * i, w * i) for i in range(n)]
+            # An enlargement moves row r from bit w n r to bit w (n + 2) r,
+            # and adds a tail: H in each new field, plus 1 at (n, n + 1) for
+            # a column enlargement or at (n + 1, n) for a row one.
+            stride = w * (n + 2)
+            kept_rows = sum(1 << (stride * r) for r in range(n))
+            new_columns = (1 | 1 << w) << (w * n)
+            new_rows = (1 | 1 << stride) << (stride * n)
+            tail = h * ((row_ones | new_columns) * (kept_rows | new_rows) - row_ones * kept_rows)
+            column_tail = tail + (1 << (stride * n + w * (n + 1)))
+            row_tail = tail + (1 << (stride * (n + 1) + w * n))
             layout = self._sizes[n] = (
                 tuple(
                     (plus, minus, *shifts[plus.i], *shifts[plus.j])
@@ -648,12 +664,29 @@ class _PackedStates:
                 (guard - lo) * ones,
                 (guard - 1 - hi) * ones,
                 guard * ones,
+                tuple((w * n * r, stride * r) for r in range(n)),
+                ((EnlargeMove("column"), column_tail), (EnlargeMove("row"), row_tail)),
             )
         return layout
 
-    def congruence_children(self, state: int, n: int):
-        """Yield (E[i,j;c], child) for each child within max_entry, in search order."""
-        moves, row_mask, row_h, column_mask, column_h, low, high, guards = self._layout(n)
+    def children(self, state: int, max_size: int):
+        """Yield (move, child) for each move out of state, in the fixed search order.
+
+        Reduction children come first, from the sites of the unpacked
+        rows, each packed again.  Congruence children follow, built on
+        the int and kept within max_entry; then, when n + 2 <= max_size,
+        the column and the row enlargement, also built on the int: the
+        re-strided rows plus the tail of the kind.  The layout is
+        fetched only after the reductions, so a search that stops at a
+        reduction builds none.
+        """
+        rows = self.unpack(state)
+        n = len(rows)
+        for p, q, kind in _reduction_sites(rows, _transpose(rows)):
+            yield ReduceMove(p, q, kind), self.pack(_strip(rows, p, q))
+        moves, row_mask, row_h, column_mask, column_h, low, high, guards, strides, tails = (
+            self._layout(n)
+        )
         for plus, minus, row_i, column_i, row_j, column_j in moves:
             step = (((state >> row_j) & row_mask) - row_h) << row_i
             half = state + step
@@ -664,26 +697,22 @@ class _PackedStates:
             child = half - ((((half >> column_j) & column_mask) - column_h) << column_i)
             if ((child + low) ^ (child + high)) & guards == guards:
                 yield minus, child
+        if n + 2 <= max_size:
+            wide = 0
+            for old, new in strides:
+                wide |= ((state >> old) & row_mask) << new
+            for move, tail in tails:
+                yield move, wide + tail
 
 
 def _children(state: int, packed: _PackedStates, max_size: int):
-    """Yield (move, child) for each move out of a packed state, in the fixed search order.
+    """Yield (move, child) for each move out of a packed state: packed.children.
 
-    The state is unpacked once, to find its reduction sites and to build
-    its two enlargements; those children are packed again.  Congruence
-    children are built and bound-checked on the packed int by
-    _PackedStates.congruence_children.  The moves, their order and the
-    children are those of tests/gens.py's reference_children, which
-    copies the matrix for every move and checks it whole.
+    The moves, their order and the children are those of tests/gens.py's
+    reference_children, which copies the matrix for every move and
+    checks it whole.
     """
-    rows = packed.unpack(state)
-    n = len(rows)
-    for p, q, kind in _reduction_sites(rows, _transpose(rows)):
-        yield ReduceMove(p, q, kind), packed.pack(_strip(rows, p, q))
-    yield from packed.congruence_children(state, n)
-    if n + 2 <= max_size:
-        for move in _ENLARGE_MOVES:
-            yield move, packed.pack(move.apply_rows(rows))
+    return packed.children(state, max_size)
 
 
 def _unwind(parents, child) -> tuple[Move, ...]:

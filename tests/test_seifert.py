@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -476,6 +478,41 @@ def test_search_builds_each_congruence_child_once(monkeypatch, target, budget, v
     assert any(isinstance(move, CongruenceMove) for _, move in yielded)
 
 
+def test_search_keeps_no_packed_states_alive(monkeypatch):
+    # A cache on a _PackedStates method would keep each search's instance,
+    # and every layout it built, alive for the life of the process.
+    refs = []
+    init = seifert._PackedStates.__init__
+
+    def tracking(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(seifert._PackedStates, "__init__", tracking)
+    searches = [
+        (TREFOIL, validate(IntMatrix.from_rows([[-3, -1], [-2, -1]])), 400, "equivalent"),
+        (TREFOIL, column_enlarge(TREFOIL, (1, 0), 1), 300, "unknown"),
+        (row_enlarge(TREFOIL, (1, 0), 1), TREFOIL, 300, "equivalent"),
+    ]
+    for m1, m2, max_nodes, verdict in searches:
+        assert bounded_sequiv_search(m1, m2, SearchBudget(max_nodes=max_nodes)).verdict == verdict
+    gc.collect()
+    assert len(refs) == len(searches)
+    assert [ref() for ref in refs] == [None] * len(searches)
+
+
+def test_search_decided_by_a_reduction_builds_no_layout(monkeypatch):
+    # The first child of the row-enlarged trefoil, a reduction, is the
+    # trefoil: the search stops there, before any congruence child is due,
+    # so the children are generated lazily and no layout is built.
+    sizes = []
+    monkeypatch.setattr(seifert._PackedStates, "_layout", lambda self, n: sizes.append(n))
+    result = bounded_sequiv_search(row_enlarge(TREFOIL, (1, 0), 1), TREFOIL)
+    assert result.verdict == "equivalent"
+    assert result.witness == (ReduceMove(2, 3, "row"),)
+    assert sizes == []
+
+
 @st.composite
 def search_states(draw):
     """(rows, max_size, max_entry) for one search expansion.
@@ -552,6 +589,7 @@ def test_children_match_the_reference_on_a_start_above_max_entry():
     "rows, max_entry, width",
     [
         # B = 1: fields of 5 bits, and only the zero matrix passes the bound.
+        ((), 0, 5),
         (((0, 1), (0, 0)), 0, 5),
         (((0, 0, 0), (0, 0, 0), (0, 0, 0)), 0, 5),
         (((-1, 1), (0, -1)), 0, 5),
@@ -560,8 +598,11 @@ def test_children_match_the_reference_on_a_start_above_max_entry():
         (((10**9, 10**9), (10**9, 10**9)), 10**9, 34),
         (((10**9, 10**9), (-(10**9), 10**9)), 10**9, 34),
         (((10**9, 1, -(10**9)), (0, 10**9 - 1, 2), (-(10**9), 5, 0)), 10**9, 34),
+        ((), 10**9, 34),
     ],
-    ids=["0-minimal", "0-zero", "0-trefoil", "1e9-ones", "1e9-2x2", "1e9-3x3"],
+    ids=[
+        "0-empty", "0-minimal", "0-zero", "0-trefoil", "1e9-ones", "1e9-2x2", "1e9-3x3", "1e9-empty"
+    ],
 )
 def test_children_match_the_reference_at_extreme_max_entry(rows, max_entry, width):
     assert seifert._PackedStates(max_entry, rows).width == width
