@@ -438,6 +438,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Entries and coefficients are exact integers of any length, so the
+    # interpreter's int <-> str digit limit is lifted for this call only.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
         outcome = args.func(args)
@@ -447,12 +451,11 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if isinstance(outcome, Verdict):
-        outcome.emit()
-        return outcome.exit_code
-    sys.stdout.write(outcome)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    else:
+        if isinstance(outcome, Verdict):
+            outcome.emit()
+            return outcome.exit_code
+        sys.stdout.write(outcome)
+        return 0
+    finally:
+        sys.set_int_max_str_digits(limit)

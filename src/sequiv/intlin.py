@@ -90,7 +90,7 @@ class IntMatrix:
         return len(self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
+        return IntMatrix(tuple(zip(*self.rows)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_size(other)
@@ -377,10 +377,13 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
     """Unimodular A with A * S * A^T equal to the standard symplectic form.
 
     Requires S skew-symmetric of even size with determinant 1.  Pivots on
-    a minimal-absolute-value nonzero entry (ties broken by lowest row,
-    then column, index) and applies paired row/column operations until
-    the leading 2x2 block is [[0, p], [-p, 0]] and splits off; then
-    recurses on the rest.  The pivot rule makes the output deterministic.
+    a minimal-absolute-value nonzero entry above the diagonal (ties broken
+    by lowest row, then column, index).  The operations are congruences,
+    so the working matrix stays skew: its diagonal is 0 and each entry
+    below it negates one above that comes first in row-major order.  So
+    the pivot is the first minimal entry of the whole block.  Paired
+    row/column operations then run until the leading 2x2 block is
+    [[0, p], [-p, 0]] and splits off; then recurses on the rest.  The pivot rule makes the output deterministic.
     The pivots decide det S = 1 without a determinant: the operations are
     unimodular, so det S = p^2 * det(rest), where det(rest) is the square
     of a Pfaffian, and an all-zero block means det S = 0.  So det S = 1
@@ -407,7 +410,7 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
     while k < n:
         best: tuple[int, int] | None = None
         for i in range(k, n):
-            for j in range(k, n):
+            for j in range(i + 1, n):
                 v = w[i][j]
                 if v != 0 and (best is None or abs(v) < abs(w[best[0]][best[1]])):
                     best = (i, j)
@@ -416,10 +419,6 @@ def skew_standardize(s: IntMatrix) -> IntMatrix:
         i, j = best
         if i != k:
             swap(i, k)
-            if j == k:
-                j = i
-            elif j == i:
-                j = k
         if j != k + 1:
             swap(j, k + 1)
         pivot = w[k][k + 1]

@@ -62,7 +62,7 @@ class LaurentPoly:
         return not self.coeffs
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.lo if self.coeffs else 0, tuple(-c for c in self.coeffs))
+        return LaurentPoly(self.lo, tuple(-c for c in self.coeffs))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -224,8 +224,6 @@ def _pdivexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
                 rem[k + m] -= qk * bc
     if any(rem):
         raise ValueError("inexact polynomial division")
-    while q and q[-1] == 0:
-        q.pop()
     return tuple(q)
 
 
@@ -270,7 +268,6 @@ def polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[in
             for j in range(k + 1, m):
                 num = _psub(_pmul(row_i[j], pivot), _pmul(aik, row_k[j]))
                 row_i[j] = _pdivexact(num, prev)
-            row_i[k] = ()
         prev = pivot
     final = a[m - 1][m - 1]
     return final if sign > 0 else tuple(-c for c in final)

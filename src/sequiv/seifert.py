@@ -545,7 +545,7 @@ def bounded_sequiv_search(
     frontier: deque[int] = deque([start])
     while frontier:
         state = frontier.popleft()
-        for move, child in _children(state, packed, max_size):
+        for move, child in packed.children(state, max_size):
             # One hash per child: setdefault adds it only if it is new.
             known = len(parents)
             parents.setdefault(child, (state, move))
@@ -678,7 +678,9 @@ class _PackedStates:
         the column and the row enlargement, also built on the int: the
         re-strided rows plus the tail of the kind.  The layout is
         fetched only after the reductions, so a search that stops at a
-        reduction builds none.
+        reduction builds none.  The moves, their order and the children
+        are those of tests/gens.py's reference_children, which copies the
+        matrix for every move and checks it whole.
         """
         rows = self.unpack(state)
         n = len(rows)
@@ -703,16 +705,6 @@ class _PackedStates:
                 wide |= ((state >> old) & row_mask) << new
             for move, tail in tails:
                 yield move, wide + tail
-
-
-def _children(state: int, packed: _PackedStates, max_size: int):
-    """Yield (move, child) for each move out of a packed state: packed.children.
-
-    The moves, their order and the children are those of tests/gens.py's
-    reference_children, which copies the matrix for every move and
-    checks it whole.
-    """
-    return packed.children(state, max_size)
 
 
 def _unwind(parents, child) -> tuple[Move, ...]:

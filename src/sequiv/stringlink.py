@@ -156,8 +156,6 @@ def stabilizing_multiply(
         raise ValueError("sign must be +-1")
     if not (1 <= b < k):
         raise ValueError(f"pass index b must satisfy 1 <= b < k = {k}, got {b}")
-    position_of((i, a), n, k)
-    position_of((j, b), n, k)
     word = PureBraidWord(n * k, _pair_letters(n, k, i, a, j, b, sign))
     braid = word * link.braid if b % 2 == 0 else link.braid * word
     return DoubledStringLink(n, k, braid, link.framings)

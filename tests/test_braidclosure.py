@@ -282,6 +282,16 @@ def test_corpus_deterministic():
         assert is_knot_closure(w) and not missing_generators(w)
 
 
+def test_corpus_skips_strand_counts_its_length_cannot_close():
+    # A knot closure on n strands needs n - 1 letters, so with 5 strands and
+    # 2 letters the draws of 4 and 5 strands are skipped; the 10 words are
+    # every knot-closure word on 2 strands with 1 letter or 3 with 2.
+    words = knot_corpus(5, 2, 7, 10)
+    assert words == knot_corpus(5, 2, 7, 10)
+    assert len(set(words)) == 10
+    assert {(w.strands, len(w.letters)) for w in words} == {(2, 1), (3, 2)}
+
+
 class _CountingRandom(random.Random):
     draws = 0
 

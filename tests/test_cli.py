@@ -72,6 +72,23 @@ def test_mat_invariants_empty(tmp_path, capsys):
     assert _machine(out)["determinant"] == "1"
 
 
+@pytest.mark.parametrize("zeros", [2200, 5000], ids=["long-output", "long-input"])
+def test_mat_invariants_reads_and_prints_integers_of_any_length(tmp_path, capsys, zeros):
+    # Python refuses int <-> str conversions past 4300 digits by default:
+    # entries of 2201 digits give coefficients of 4401, and entries of 5001
+    # digits are past the limit themselves.  main lifts it for the call only.
+    e = "1" + "0" * zeros
+    path = _write(tmp_path, "big.mat", f"2\n{e} 1\n0 {e}\n")
+    limit = sys.get_int_max_str_digits()
+    assert main(["mat", "invariants", path]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    # det(V - t V^T) = e^2 - (2 e^2 - 1) t + e^2 t^2, and 2 e^2 - 1 is 1 then 2 * zeros nines.
+    square = "1" + "0" * (2 * zeros)
+    machine = _machine(capsys.readouterr().out)
+    assert machine["alexander_lo"] == "-1"
+    assert machine["alexander_coeffs"] == f"{square} -1{'9' * (2 * zeros)} {square}"
+
+
 def test_mat_invariants_invalid_input(tmp_path, capsys):
     path = _write(tmp_path, "bad.mat", "2\n0 2\n0 0\n")
     assert main(["mat", "invariants", path]) == 1
@@ -882,14 +899,19 @@ def test_main_works_after_argparse_exits(tmp_path, capsys):
         (["mat", "invariants", "{t}", "--extra"], "unrecognized arguments: --extra"),
         (["corpus"], "the following arguments are required: command"),
         ([], "the following arguments are required: group"),
+        (
+            ["mat", "invariants", "{t}.missing"],
+            "cannot read {t}.missing: [Errno 2] No such file or directory: '{t}.missing'",
+        ),
+        (["mat", "invariants", "{d}"], "cannot read {d}: [Errno 21] Is a directory: '{d}'"),
     ],
 )
 def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, message):
     path = _write(tmp_path, "t.mat", TREFOIL)
-    assert main([arg.format(t=path) for arg in argv]) == 1
+    assert main([arg.format(t=path, d=tmp_path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message.format(t=path, d=tmp_path)}\n"
 
 
 def test_usage_error_exits_1_with_one_line_in_a_fresh_process(tmp_path):
@@ -1020,6 +1042,11 @@ ROW_ENLARGED = "4\n-1 1 0 0\n0 -1 0 0\n1 0 1 0\n0 0 1 0\n"  # row_enlarge(trefoi
         # The start's entry -3 lies above the limit.
         (SCRAMBLED, TREFOIL, ["--max-entry", "2"], 0,
          "d2fbdd2554362c792726e2a003706c17055974bd6375dcf6644f7d949bd56419"),
+        # Decided in 5 moves, the first `enlarge column x=0` (`enlarge row x=0`).
+        (TREFOIL, COLUMN_ENLARGED, ["--max-size", "4", "--max-nodes", "100000"], 0,
+         "9f3e08dc012f6424c1a1f9ad9b3fb2373273ea750bdf40dd5327c9a7a85dbee0"),
+        (TREFOIL, ROW_ENLARGED, ["--max-size", "4", "--max-nodes", "100000"], 0,
+         "27bbde24a0c90021c2df6a70f7c789eaf01ee67a17fb9831b8d137deef14fb7d"),
     ],
 )
 def test_mat_sequiv_output_is_pinned(tmp_path, capsys, start, target, flags, code, digest):

@@ -110,6 +110,8 @@ def test_matrix_det_empty_and_scalars():
     assert polynomial_matrix_det([]) == (1,)
     assert polynomial_matrix_det([[(2, 1)]]) == (2, 1)
     assert polynomial_matrix_det([[()]]) == ()
+    # A zero column leaves no pivot at the first step.
+    assert polynomial_matrix_det([[(), (1, 1)], [(), (2,)]]) == ()
 
 
 def test_matrix_det_against_integer_evaluation():

@@ -459,15 +459,15 @@ def test_search_builds_each_congruence_child_once(monkeypatch, target, budget, v
     # its order, except in the last expansion, which the search leaves
     # when it decides or exhausts its budget.
     expanded, yielded = [], []
-    children = seifert._children
+    children = seifert._PackedStates.children
 
-    def expanding(state, packed, max_size):
+    def expanding(packed, state, max_size):
         expanded.append((state, packed.unpack(state), max_size))
-        for move, child in children(state, packed, max_size):
+        for move, child in children(packed, state, max_size):
             yielded.append((state, move))
             yield move, child
 
-    monkeypatch.setattr(seifert, "_children", expanding)
+    monkeypatch.setattr(seifert._PackedStates, "children", expanding)
     result = bounded_sequiv_search(TREFOIL, target, budget)
     assert result.verdict == verdict
     assert len({state for state, _, _ in expanded}) == len(expanded) > 1
@@ -561,11 +561,11 @@ def search_states(draw):
 
 
 def packed_children(rows, max_size: int, max_entry: int) -> list:
-    """seifert._children on rows, packed as the search packs a start of rows, then unpacked."""
+    """_PackedStates.children on rows, packed as the search packs a start of rows, then unpacked."""
     packed = seifert._PackedStates(max_entry, rows)
     return [
         (move, packed.unpack(child))
-        for move, child in seifert._children(packed.pack(rows), packed, max_size)
+        for move, child in packed.children(packed.pack(rows), max_size)
     ]
 
 
