@@ -203,11 +203,14 @@ def _burau_matrix(w: ArtinBraidWord) -> tuple[int, list[list[list[int]]]]:
     return -neg, [list(row) for row in zip(*cols[:m])]
 
 
-def _plain_rows(rows: list[list[list[int]]]) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """(low, plain): the entries without the low zeros common to all of them.
+def _plain_rows(rows: list[list[list[int]]]) -> list[list[tuple[int, ...]]]:
+    """The entries as coefficient tuples, without the low zeros common to all of them.
 
-    plain[a][b] is rows[a][b][low:] as a coefficient tuple without
-    trailing zeros, so each entry is t**low times its plain tuple.
+    Entry (a, b) is rows[a][b][low:] without trailing zeros, low being the
+    first index at which some entry is nonzero, so each entry is
+    t**low times its tuple (in the window's variable).  The determinant
+    changes only by the unit t**(low * size), which burau_alexander does
+    not track.
     """
     firsts = [next(k for k, x in enumerate(e) if x) for row in rows for e in row if any(e)]
     low = min(firsts, default=0)
@@ -220,7 +223,7 @@ def _plain_rows(rows: list[list[list[int]]]) -> tuple[int, list[list[tuple[int, 
                 end -= 1
             out.append(tuple(e[low:end]))
         plain.append(out)
-    return low, plain
+    return plain
 
 
 def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
@@ -233,10 +236,14 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     and the 1x1 block [[-t^(+-1)]] for n = 2.  Entries are integer
     coefficient lists over one exponent window; the low zeros common to
     every entry of rho(w) - I are dropped before polynomial_matrix_det.
-    The exact value of det(rho(w) - I) * (1 - t) / (1 - t**n), normalized
-    to value 1 at t=1 and palindromic, is returned.  Both exact steps sit
-    under one error boundary: an inexact division, or a quotient that no
-    unit normalizes, is a bug and raises InternalCheckError.
+    The exponent of the determinant is not tracked: the quotient is
+    multiplied by whichever unit +-t**m centres it, and a shift by s
+    moves the exponent span by 2s, so neither the answer nor the
+    odd-span check depends on it.  The exact value of
+    det(rho(w) - I) * (1 - t) / (1 - t**n), normalized to value 1 at
+    t=1 and palindromic, is returned.  Both exact steps sit under one
+    error boundary: an inexact division, or a quotient that no unit
+    normalizes, is a bug and raises InternalCheckError.
     """
     if not is_knot_closure(w):
         raise ValueError("closure is not a knot")
@@ -244,8 +251,7 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     for d, row in enumerate(rho):
         row[d] = row[d].copy()
         row[d][-lo] -= 1
-    low, plain = _plain_rows(rho)
-    numerator = LaurentPoly.of((lo + low) * len(rho), polynomial_matrix_det(plain))
+    numerator = LaurentPoly.of(0, polynomial_matrix_det(_plain_rows(rho)))
     quotient = LaurentPoly.of(0, (1,) * w.strands)  # 1 + t + ... + t**(n-1)
     try:
         return normalize_knot_polynomial(numerator.divexact(quotient))

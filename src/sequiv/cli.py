@@ -165,7 +165,7 @@ def _cmd_mat_invariants(args) -> Verdict:
     delta = inv.alexander
     machine = {
         "alexander_lo": str(delta.lo),
-        "alexander_coeffs": " ".join(str(c) for c in delta.coeffs) or "0",
+        "alexander_coeffs": " ".join(str(c) for c in delta.coeffs),
         "signature": str(inv.signature),
         "determinant": str(inv.determinant),
         "arf": str(inv.arf),
@@ -397,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", type=int, nargs="*", help="enlargement column/row entries")
     mat("reduce", "strip one enlargement if a pattern matches", _cmd_mat_reduce, "file")
     p = mat("sequiv", "bounded search for an S-equivalence witness", _cmd_mat_sequiv, "file1", "file2")
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-entry", type=int, default=8)
-    p.add_argument("--max-nodes", type=int, default=20000)
+    p.add_argument("--max-size", type=int, default=SearchBudget.max_size)
+    p.add_argument("--max-entry", type=int, default=SearchBudget.max_entry)
+    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
 
     braid = group("braid", "pure braid words")
     braid("lk", "pairwise linking numbers", _cmd_braid_lk, "file")

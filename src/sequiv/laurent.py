@@ -67,10 +67,6 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
         out = [0] * (hi - lo + 1)
@@ -94,15 +90,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t**k."""
-        if self.is_zero():
-            return self
-        return LaurentPoly(self.lo + k, self.coeffs)
+        return LaurentPoly.of(self.lo + k, self.coeffs)
 
     def mirror(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
-        if self.is_zero():
-            return self
-        return LaurentPoly(-self.hi, tuple(reversed(self.coeffs)))
+        return LaurentPoly.of(-self.hi, self.coeffs[::-1])
 
     def is_palindromic(self) -> bool:
         return self == self.mirror()
@@ -121,8 +113,6 @@ class LaurentPoly:
         """Exact division; raises ValueError if the quotient is not exact."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly()
         q = _pdivexact(self.coeffs, other.coeffs)
         return LaurentPoly.of(self.lo - other.lo, q)
 
@@ -204,8 +194,6 @@ def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _pdivexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not b:
-        raise ZeroDivisionError
     if not a:
         return ()
     if len(a) < len(b):
@@ -233,8 +221,10 @@ def polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[in
     Entries and result are constant-first coefficient tuples without
     trailing zeros; the zero polynomial is ().  Bareiss elimination
     replaces each later row by (row * pivot - a_ik * row_k) / prev, an
-    exact division; a row with a_ik = 0 is left as it is when the pivot
-    equals the previous one, since the update would not change it.
+    exact division, for every later row at every step.  Unlike intlin's
+    elimination it skips no row with a_ik = 0: that skip needs the pivot
+    to equal the previous one, which over Z[t] the measured corpora never
+    showed.
     """
     m = len(rows)
     for row in rows:
@@ -259,12 +249,9 @@ def polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[in
                 return ()
         row_k = a[k]
         pivot = row_k[k]
-        same = pivot == prev
         for i in range(k + 1, m):
             row_i = a[i]
             aik = row_i[k]
-            if same and not aik:
-                continue
             for j in range(k + 1, m):
                 num = _psub(_pmul(row_i[j], pivot), _pmul(aik, row_k[j]))
                 row_i[j] = _pdivexact(num, prev)

@@ -4,10 +4,18 @@ Seifert matrices, Artin braid words, pure braids, doubled string links
 and disk-band forms are read alike: blank lines are skipped, the first
 line is a header, and a token that is not an integer raises one
 ValueError line quoting the line that holds it.  Every parser reads its
-integers through integer or ints, so that rule lives here only.
+integers through integer or ints, so that rule lives here only.  A
+well-formed integer past the interpreter's int <-> str digit limit is
+not a bad line: it raises the interpreter's own one-line error, which
+names sys.set_int_max_str_digits.
 """
 
 from __future__ import annotations
+
+import re
+
+# What int accepts in base 10; it rejects such a token only past the digit limit.
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def nonblank_lines(text: str, strip: bool = True) -> list[str]:
@@ -20,22 +28,25 @@ def nonblank_lines(text: str, strip: bool = True) -> list[str]:
 def integer(token: str, line: str, what: str) -> int:
     """The token, taken from line, as an integer.
 
-    A token that is not an integer raises "bad <what> line: '<line>'".
+    A token that is not an integer raises "bad <what> line: '<line>'";
+    one that int only rejects for its length re-raises int's error.
     For a single token this is several times cheaper than ints, which
     matters once per string-link letter.
     """
     try:
         return int(token)
     except ValueError as exc:
+        if _INTEGER.fullmatch(token):
+            raise
         raise ValueError(f"bad {what} line: {line!r}") from exc
 
 
 def ints(tokens: list[str], line: str, what: str) -> tuple[int, ...]:
-    """The tokens, taken from line, as integers; a non-integer raises as in integer."""
+    """The tokens, taken from line, as integers; a bad token raises as in integer."""
     try:
         return tuple(map(int, tokens))
-    except ValueError as exc:
-        raise ValueError(f"bad {what} line: {line!r}") from exc
+    except ValueError:
+        return tuple(integer(token, line, what) for token in tokens)
 
 
 def read_header(lines: list[str], keys: str, message: str) -> tuple[int, ...]:

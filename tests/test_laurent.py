@@ -133,3 +133,73 @@ def test_matrix_det_against_integer_evaluation():
                 [[e.evaluate(c) for e in row] for row in entries]
             )
             assert p.evaluate(c) == det(evaluated)
+
+
+def _terms(p: LaurentPoly) -> dict[int, int]:
+    return {p.lo + m: c for m, c in enumerate(p.coeffs) if c}
+
+
+def _reference_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_sum(a: dict[int, int], b: dict[int, int], sign: int) -> dict[int, int]:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+# The zero polynomial is drawn as often as all other operands together.
+operands = st.one_of(
+    st.just(LaurentPoly()),
+    st.builds(
+        LaurentPoly.of,
+        st.integers(-6, 6),
+        st.lists(st.integers(-5, 5), max_size=6),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(operands, operands, st.integers(-8, 8))
+def test_arithmetic_matches_the_exponent_dict_reference(a, b, k):
+    ta, tb = _terms(a), _terms(b)
+    assert _terms(a + b) == _reference_sum(ta, tb, 1)
+    assert _terms(a - b) == _reference_sum(ta, tb, -1)
+    assert _terms(a * b) == _reference_product(ta, tb)
+    assert _terms(a.shift(k)) == {e + k: c for e, c in ta.items()}
+    assert _terms(a.mirror()) == {-e: c for e, c in ta.items()}
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divexact(b)
+    else:
+        assert _terms((a * b).divexact(b)) == ta
+
+
+def _random_tuple(rng: random.Random) -> tuple[int, ...]:
+    """A coefficient tuple without trailing zeros; its constant term may be 0."""
+    coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def test_matrix_det_with_a_unit_first_pivot_over_zero_rows():
+    # First column (1, 0, ..., 0): the pivot equals the initial prev = 1 and
+    # a_i0 = 0 for every later row, so each row update leaves the row as it is.
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        rows = [[(1,)] + [_random_tuple(rng) for _ in range(n - 1)]]
+        rows += [[()] + [_random_tuple(rng) for _ in range(n - 1)] for _ in range(n - 1)]
+        p = LaurentPoly.of(0, polynomial_matrix_det(rows))
+        for c in (-2, -1, 0, 1, 2, 3):
+            evaluated = IntMatrix.from_rows(
+                [[LaurentPoly.of(0, e).evaluate(c) for e in row] for row in rows]
+            )
+            assert p.evaluate(c) == det(evaluated)

@@ -8,6 +8,7 @@ in one input is reported first.
 
 import ast
 import inspect
+import sys
 
 import pytest
 
@@ -139,3 +140,46 @@ def test_parser_reads_integers_only_through_textformat(fmt):
     for node in ast.walk(tree):
         assert not isinstance(node, ast.Try)
         assert not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int")
+
+
+LONG = "1" + "0" * 5000  # 5001 digits, past the interpreter's default limit of 4300
+
+
+@pytest.fixture
+def default_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("matrix", f"2\n{LONG} 1\n0 {LONG}\n"),
+        ("matrix", f"{LONG}\n"),
+        ("artin", f"n {LONG}\n"),
+        ("braid", f"n 2\n1 2 {LONG}\n"),
+        ("link", f"n 1 k 1\nframings 0\n1.1 1.2 {LONG}\n"),
+        ("band", f"g 1\nframings {LONG} 0\n"),
+    ],
+    ids=["matrix-row", "matrix-size", "artin-header", "braid-letter", "link-letter", "band-framings"],
+)
+def test_integers_past_the_digit_limit_raise_the_interpreters_error(fmt, text, default_digit_limit):
+    # A valid integer is not a bad line: the one-line error names the limit and how to lift it.
+    with pytest.raises(ValueError) as info:
+        PARSERS[fmt](text)
+    message = str(info.value)
+    assert "set_int_max_str_digits" in message
+    assert "\n" not in message and "bad" not in message
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["x" + LONG, LONG + "x", "+-" + LONG, LONG + "_"],
+    ids=["leading-letter", "trailing-letter", "two-signs", "trailing-underscore"],
+)
+def test_long_tokens_that_are_not_integers_stay_bad_lines(token, default_digit_limit):
+    with pytest.raises(ValueError) as info:
+        parse_matrix(f"1\n{token}\n")
+    assert str(info.value) == f"bad row line: {token!r}"
