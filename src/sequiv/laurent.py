@@ -4,16 +4,21 @@ Coefficients are arbitrary-precision integers, stored constant-first from
 the lowest exponent.  Canonical form keeps the first and last stored
 coefficients nonzero; the zero polynomial is the empty tuple with lowest
 exponent 0.  Determinants run one Bareiss elimination over Z[t],
-polynomial_matrix_det, on plain coefficient tuples; the reduced-Burau
-oracle of braidclosure feeds it integer coefficient rows directly.
-Everything here is exact, no floating point.
+polynomial_matrix_det, which takes plain coefficient tuples and packs
+each into one integer, its value at t = 2**b (Kronecker substitution),
+with b wide enough that the packing loses nothing; the reduced-Burau
+oracle of braidclosure feeds it directly, and signed_digits reads a
+packed value back.  Everything here is exact, no floating point.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
+
+from .intlin import InternalCheckError
 
 __all__ = [
     "LaurentPoly",
@@ -21,6 +26,7 @@ __all__ = [
     "parse_laurent",
     "normalize_knot_polynomial",
     "polynomial_matrix_det",
+    "signed_digits",
 ]
 
 
@@ -164,10 +170,8 @@ def normalize_knot_polynomial(p: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Determinants of polynomial matrices.
-#
-# One Bareiss fraction-free elimination over Z[t], on plain coefficient
-# tuples (constant-first, no trailing zeros); every division is exact.
+# Polynomial arithmetic on coefficient tuples, and the determinant of a
+# polynomial matrix on Kronecker-packed integers.
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -175,21 +179,8 @@ def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for m, x in enumerate(a):
-        if x:
-            for p, y in enumerate(b):
-                out[m + p] += x * y
-    return tuple(out)
-
-
-def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for m, x in enumerate(a):
-        out[m] = x
-    for m, y in enumerate(b):
-        out[m] -= y
-    while out and out[-1] == 0:
-        out.pop()
+        for p, y in enumerate(b):
+            out[m + p] += x * y
     return tuple(out)
 
 
@@ -207,37 +198,83 @@ def _pdivexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             raise ValueError("inexact polynomial division")
         qk = c // lead
         q[k] = qk
-        if qk:
-            for m, bc in enumerate(b):
-                rem[k + m] -= qk * bc
+        for m, bc in enumerate(b):
+            rem[k + m] -= qk * bc
     if any(rem):
         raise ValueError("inexact polynomial division")
     return tuple(q)
+
+
+def signed_digits(v: int, b: int) -> list[int]:
+    """The coefficients, constant first, of the polynomial p with p(2**b) = v.
+
+    Each coefficient must lie strictly between -2**(b-1) and 2**(b-1);
+    then p is unique and its last coefficient is nonzero ([] for v = 0).
+    Raises ValueError for b < 2, which leaves no room for a nonzero digit.
+    """
+    if b < 2:
+        raise ValueError(f"slot width must be at least 2 bits, got {b}")
+    out = []
+    mask = (1 << b) - 1
+    half = 1 << (b - 1)
+    while v:
+        d = v & mask
+        v >>= b
+        if d >= half:
+            d -= mask + 1
+            v += 1
+        out.append(d)
+    return out
+
+
+def _pack(coeffs: Sequence[int], b: int) -> int:
+    """The value at t = 2**b of the polynomial with these coefficients."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << b) + c
+    return v
 
 
 def polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, ...]:
     """Exact determinant of a square matrix over Z[t], as a plain coefficient tuple.
 
     Entries and result are constant-first coefficient tuples without
-    trailing zeros; the zero polynomial is ().  Bareiss elimination
-    replaces each later row by (row * pivot - a_ik * row_k) / prev, an
-    exact division, for every later row at every step.  Unlike intlin's
-    elimination it skips no row with a_ik = 0: that skip needs the pivot
-    to equal the previous one, which over Z[t] the measured corpora never
-    showed.
+    trailing zeros; the zero polynomial is ().  Every entry is packed
+    into one integer, its value at t = 2**b (Kronecker substitution),
+    and one fraction-free Bareiss elimination runs over those integers:
+    each later row becomes (row * pivot - a_ik * row_k) / prev, and a
+    nonzero remainder raises InternalCheckError.
+
+    The slot width b comes from Hadamard's bound on the unit circle.
+    For |t| = 1 an entry is at most its l1 norm in absolute value, so
+    every minor M(t) on rows I is at most the product over I of
+    sqrt(sum of the squared l1 norms of the row); clamping each row's
+    factor at 1 makes one bound H, the product over all rows, cover every
+    minor.  A coefficient of a polynomial is at most its maximum on the
+    unit circle, so every coefficient of every Bareiss pivot and entry,
+    each a minor of the row-permuted matrix, is at most H < 2**(b-1).
+    Then a packed value is zero exactly when its polynomial is, the
+    pivot search needs no decoding, and the determinant is read back
+    from its signed base-2**b digits.
     """
     m = len(rows)
+    square = 1  # H**2
     for row in rows:
         if len(row) != m:
             raise ValueError("matrix must be square")
+        norms = 0
         for e in row:
             if e and not e[-1]:
                 raise ValueError("coefficient tuple has trailing zeros")
+            l1 = sum(map(abs, e))
+            norms += l1 * l1
+        square *= max(norms, 1)
     if m == 0:
         return (1,)
-    a = [list(row) for row in rows]
+    b = isqrt(square).bit_length() + 1
+    a = [[_pack(e, b) for e in row] for row in rows]
     sign = 1
-    prev: tuple[int, ...] = (1,)
+    prev = 1
     for k in range(m - 1):
         if not a[k][k]:
             for r in range(k + 1, m):
@@ -249,12 +286,13 @@ def polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[in
                 return ()
         row_k = a[k]
         pivot = row_k[k]
-        for i in range(k + 1, m):
-            row_i = a[i]
+        for row_i in a[k + 1:]:
             aik = row_i[k]
             for j in range(k + 1, m):
-                num = _psub(_pmul(row_i[j], pivot), _pmul(aik, row_k[j]))
-                row_i[j] = _pdivexact(num, prev)
+                q, r = divmod(row_i[j] * pivot - aik * row_k[j], prev)
+                if r:
+                    raise InternalCheckError("inexact Bareiss step over Z[t]")
+                row_i[j] = q
         prev = pivot
-    final = a[m - 1][m - 1]
-    return final if sign > 0 else tuple(-c for c in final)
+    return tuple(signed_digits(sign * a[m - 1][m - 1], b))
+

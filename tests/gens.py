@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sequiv.braidclosure import ArtinBraidWord
 from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
-from sequiv.laurent import LaurentPoly, normalize_knot_polynomial, polynomial_matrix_det
+from sequiv.laurent import LaurentPoly, _pdivexact, _pmul, normalize_knot_polynomial
 from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
 from sequiv.seifert import (
     CongruenceMove,
@@ -297,15 +297,64 @@ def reference_search(start, target, max_size: int, max_entry: int, max_nodes: in
     return SearchResult("unknown", reason=f"move space exhausted ({len(stored)} states)"), stored
 
 
+def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for m, x in enumerate(a):
+        out[m] = x
+    for m, y in enumerate(b):
+        out[m] -= y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_polynomial_matrix_det(rows: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, ...]:
+    """Bareiss elimination over Z[t] on coefficient tuples, one coefficient at a time.
+
+    Entries and result are constant-first tuples without trailing zeros.
+    Each later row becomes (row * pivot - a_ik * row_k) / prev, with the
+    tuple product _pmul and the exact tuple division _pdivexact of
+    sequiv.laurent, which the packed-integer polynomial_matrix_det does
+    not use.  The reference for laurent.polynomial_matrix_det; for tests.
+    """
+    m = len(rows)
+    if m == 0:
+        return (1,)
+    a = [list(row) for row in rows]
+    sign = 1
+    prev: tuple[int, ...] = (1,)
+    for k in range(m - 1):
+        if not a[k][k]:
+            for r in range(k + 1, m):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return ()
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(k + 1, m):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, m):
+                num = _psub(_pmul(row_i[j], pivot), _pmul(aik, row_k[j]))
+                row_i[j] = _pdivexact(num, prev)
+        prev = pivot
+    final = a[m - 1][m - 1]
+    return final if sign > 0 else tuple(-c for c in final)
+
+
 def laurent_matrix_det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials; for tests.
 
     Every entry is multiplied by the t**up that clears the lowest
-    exponent, so det = t**(-up * m) * polynomial_matrix_det(...).
+    exponent, so det = t**(-up * m) * reference_polynomial_matrix_det(...).
     """
     up = max(0, -min((e.lo for row in rows for e in row if not e.is_zero()), default=0))
     plain = [[(0,) * (e.lo + up) + e.coeffs if e.coeffs else () for e in row] for row in rows]
-    return LaurentPoly.of(-up * len(rows), polynomial_matrix_det(plain))
+    return LaurentPoly.of(-up * len(rows), reference_polynomial_matrix_det(plain))
 
 
 def reference_closure_permutation(w: ArtinBraidWord) -> tuple[int, ...]:

@@ -197,6 +197,13 @@ def test_burau_oracle_matches_the_reference_on_the_corpus():
         assert burau_alexander(w) == reference_burau_alexander(w)
 
 
+def test_burau_oracle_matches_the_reference_on_long_words():
+    # Up to 12 strands and 80 letters: 11 x 11 Burau matrices of high degree.
+    words = knot_corpus(12, 80, 5, 40)
+    for w in words:
+        assert burau_alexander(w) == reference_burau_alexander(w)
+
+
 @st.composite
 def _mixed_knot_words(draw):
     # Random letters of both signs on up to 9 strands, then sigma_i^(+-1)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sequiv import braidclosure, cli, standardform
+from sequiv import braidclosure, cli, laurent, standardform
 from sequiv.braidclosure import parse_artin_word
 from sequiv.cli import main
 from sequiv.intlin import IntMatrix, InternalCheckError, format_matrix, parse_matrix
@@ -612,6 +612,17 @@ def test_inexact_burau_division_is_internal_error(tmp_path, capsys, monkeypatch)
     path = _write(tmp_path, "tre.braid", "n 2\n1 1 1\n")
     # 1 is not divisible by 1 + t, the quotient for two strands.
     monkeypatch.setattr(braidclosure, "polynomial_matrix_det", lambda rows: (1,))
+    assert main(["closure", "alexander", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_inexact_burau_determinant_step_is_internal_error(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "fig8.braid", "n 3\n1 -2 1 -2\n")
+    # Every division step of the Z[t] determinant reports a remainder.
+    monkeypatch.setattr(laurent, "divmod", lambda a, b: (a // b, 1), raising=False)
     assert main(["closure", "alexander", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import laurent_matrix_det
-from sequiv.intlin import IntMatrix, det
+from gens import laurent_matrix_det, reference_polynomial_matrix_det
+from sequiv import laurent
+from sequiv.intlin import IntMatrix, InternalCheckError, det
 from sequiv.laurent import (
     LaurentPoly,
     format_laurent,
     normalize_knot_polynomial,
     parse_laurent,
     polynomial_matrix_det,
+    signed_digits,
 )
 
 
@@ -203,3 +205,74 @@ def test_matrix_det_with_a_unit_first_pivot_over_zero_rows():
                 [[LaurentPoly.of(0, e).evaluate(c) for e in row] for row in rows]
             )
             assert p.evaluate(c) == det(evaluated)
+
+
+def _coefficient_tuples(coeffs: list[int]) -> tuple[int, ...]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@st.composite
+def _polynomial_matrices(draw):
+    """Square matrices over Z[t] of size 0-6, degree <= 8, coefficients up to +-10**6.
+
+    A zero entry is drawn as often as all others together; then a row
+    and a column may be zeroed, a row may repeat another (a singular
+    matrix), and entry (0, 0) may be zeroed with a nonzero entry below
+    it, so the first pivot search must swap rows.
+    """
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.just(()),
+        st.lists(st.integers(-(10**6), 10**6), max_size=9).map(_coefficient_tuples),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [()] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = ()
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    if n > 1 and draw(st.booleans()):
+        rows[0][0] = ()
+        rows[draw(st.integers(1, n - 1))][0] = (1, -2, 3)
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(_polynomial_matrices())
+def test_packed_matrix_det_matches_the_tuple_reference(rows):
+    assert polynomial_matrix_det(rows) == reference_polynomial_matrix_det(rows)
+
+
+def test_matrix_det_at_the_slot_bound():
+    # The order-8 Sylvester Hadamard matrix, entry (i, j) being +-t**(i + j):
+    # every row has l1 norms 1, so the Hadamard bound is sqrt(8)**8 = 4096,
+    # and the determinant is 4096 t**56, a coefficient equal to the bound.
+    h = [[1]]
+    while len(h) < 8:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    rows = [[(0,) * (i + j) + (x,) for j, x in enumerate(row)] for i, row in enumerate(h)]
+    assert polynomial_matrix_det(rows) == (0,) * 56 + (4096,)
+    assert polynomial_matrix_det(rows) == reference_polynomial_matrix_det(rows)
+
+
+def test_inexact_bareiss_step_is_an_internal_error(monkeypatch):
+    # Every division step of the packed elimination reports a remainder.
+    monkeypatch.setattr(laurent, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InternalCheckError):
+        polynomial_matrix_det([[(1, 1), (2,)], [(3,), (0, 1)]])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 70), st.data())
+def test_signed_digits_read_back_the_value_at_a_power_of_two(b, data):
+    half = 1 << (b - 1)
+    coeffs = data.draw(st.lists(st.integers(1 - half, half - 1), max_size=12))
+    value = sum(c << (b * k) for k, c in enumerate(coeffs))
+    assert signed_digits(value, b) == list(_coefficient_tuples(coeffs))
+    with pytest.raises(ValueError):
+        signed_digits(value, 1)
