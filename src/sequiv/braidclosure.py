@@ -16,7 +16,8 @@ reduced-Burau evaluation, which is computed by an entirely independent
 code path and serves as the oracle.  The oracle builds the reduced
 Burau matrix by one column update per letter, with no matrix product,
 on Kronecker-packed integers (each entry, times a power of t that
-makes it a polynomial, held as its value at t = 2**b), and takes its
+makes it a polynomial, held as its value at t = 2**b), finishes
+rho(w) - I on those integers, decodes each entry once, and takes the
 determinant with laurent's Z[t] Bareiss elimination, which packs its
 entries the same way at a slot width of its own; it never calls intlin.
 An inconsistency inside the oracle raises InternalCheckError, never
@@ -125,9 +126,7 @@ def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
     two components at least.  The matrix passes validation and its
     normalized polynomial equals the reduced-Burau value.
     """
-    count = _components(w)
-    if count != 1:
-        raise ValueError(f"closure has {count} components, not a knot")
+    _require_knot(w)
 
     columns: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, w.strands)}
     for pos, v in enumerate(w.letters):
@@ -175,20 +174,20 @@ def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
 # Reduced Burau oracle.
 
 
-def _burau_matrix(w: ArtinBraidWord) -> tuple[int, list[list[list[int]]]]:
-    """(lo, rows): entry (a, b) of rho(w) is sum_k rows[a][b][k] * t**(lo + k).
+def _burau_matrix(w: ArtinBraidWord) -> tuple[list[list[int]], int, int]:
+    """(cols, b, neg): entry (a, c) of rho(w) is cols[c][a] at t = 2**b, over t**neg.
 
-    lo is -(negative letters): a prefix with q negative letters has
-    exponents at least -q, so every entry of every prefix times t**-lo
+    neg is the number of negative letters: a prefix with q of them has
+    exponents at least -q, so every entry of every prefix times t**neg
     is a polynomial.  Each such polynomial is held as one integer, its
     value at t = 2**b (Kronecker substitution), and built by one column
     update per letter (see burau_alexander): multiplying by t is << b,
     and dividing by t is >> b once the low b bits, the constant
     coefficient, are checked to be zero.  The l1 norm of an entry of
     column c is at most bound[c], carried through the same recurrence,
-    so b = bit_length(max bound) + 1 holds every coefficient of every
-    prefix as a signed digit.  Each entry is decoded once, into a list
-    without trailing zeros.
+    and b = bit_length(max bound + 1) + 1, so every coefficient of every
+    prefix, and of rho(w) - I, whose diagonal moves one coefficient by 1,
+    lies strictly between -2**(b-1) and 2**(b-1).  Nothing is decoded.
     """
     m = w.strands - 1
     neg = 0
@@ -198,7 +197,7 @@ def _burau_matrix(w: ArtinBraidWord) -> tuple[int, list[list[list[int]]]]:
         neg += v < 0
         c = abs(v) - 1
         bound[c] = bound[c - 1] + bound[c] + bound[c + 1]
-    b = max(bound).bit_length() + 1
+    b = (max(bound) + 1).bit_length() + 1
     low = (1 << b) - 1
     one = 1 << (b * neg)
     cols = [[one if a == c else 0 for a in range(m)] for c in range(m)] + [[0] * m]
@@ -212,30 +211,14 @@ def _burau_matrix(w: ArtinBraidWord) -> tuple[int, list[list[list[int]]]]:
             if reduce(or_, diffs) & low:  # some difference has a nonzero low slot
                 raise InternalCheckError("Burau column update: a nonzero constant term divided by t")
             cols[c] = [l + (d >> b) for l, d in zip(left, diffs)]
-    return -neg, [[signed_digits(e, b) for e in row] for row in zip(*cols[:m])]
+    return cols[:m], b, neg
 
 
-def _plain_rows(rows: list[list[list[int]]]) -> list[list[tuple[int, ...]]]:
-    """The entries as coefficient tuples, without the low zeros common to all of them.
-
-    Entry (a, b) is rows[a][b][low:] without trailing zeros, low being the
-    first index at which some entry is nonzero, so each entry is
-    t**low times its tuple (in the variable of _burau_matrix's lists,
-    t times t**-lo).  The determinant changes only by the unit
-    t**(low * size), which burau_alexander does not track.
-    """
-    firsts = [next(k for k, x in enumerate(e) if x) for row in rows for e in row if any(e)]
-    low = min(firsts, default=0)
-    plain = []
-    for row in rows:
-        out = []
-        for e in row:
-            end = len(e)
-            while end > low and not e[end - 1]:
-                end -= 1
-            out.append(tuple(e[low:end]))
-        plain.append(out)
-    return plain
+def _require_knot(w: ArtinBraidWord) -> None:
+    """Raise ValueError unless the closure of w has one component."""
+    count = _components(w)
+    if count != 1:
+        raise ValueError(f"closure has {count} components, not a knot")
 
 
 def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
@@ -246,12 +229,18 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     sigma_i^-1 to col[c-1] + t^-1 (col[c+1] - col[c]).  Reading columns
     outside 0..n-2 as zero gives the edge blocks of sigma_1, sigma_(n-1)
     and the 1x1 block [[-t^(+-1)]] for n = 2.  _burau_matrix runs
-    these updates on packed integers and decodes rho(w) once into
-    coefficient lists; the low zeros common to every entry of
-    rho(w) - I are dropped before polynomial_matrix_det, since on the
-    packed integers they would lengthen every product (without the drop
-    knot_corpus(12, 80, 5, 40) takes 2.4 times as long).  An inexact
-    step inside the determinant raises InternalCheckError there.
+    these updates on packed integers, and rho(w) - I is finished there:
+    I, times t**neg, is 2**(b * neg) off each diagonal entry.  The low
+    slots common to every entry are then dropped by one right shift of
+    b * k bits, k being the slot of the lowest set bit over all entries:
+    a nonzero signed digit d has 0 < |d| < 2**(b-1), so it is nonzero
+    mod 2**b, and the lowest set bit of an entry lies in its lowest
+    nonzero slot.  On packed integers those slots would lengthen every
+    product (without the drop knot_corpus(12, 80, 5, 40) takes 3.0
+    times as long).  Each entry is decoded once, and the determinant of
+    the transpose, det(rho(w) - I) times a power of t, is taken by
+    polynomial_matrix_det; an inexact step there raises
+    InternalCheckError.
     The exponent of the determinant is not tracked: the quotient is
     multiplied by whichever unit +-t**m centres it, and a shift by s
     moves the exponent span by 2s, so neither the answer nor the
@@ -262,13 +251,15 @@ def burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     inexact division, or a quotient that no unit normalizes, is a bug
     and raises InternalCheckError.
     """
-    if not is_knot_closure(w):
-        raise ValueError("closure is not a knot")
-    lo, rho = _burau_matrix(w)
-    for d, row in enumerate(rho):
-        row[d] += [0] * (1 - lo - len(row[d]))  # so that index -lo, t**0, exists
-        row[d][-lo] -= 1
-    numerator = LaurentPoly.of(0, polynomial_matrix_det(_plain_rows(rho)))
+    _require_knot(w)
+    cols, b, neg = _burau_matrix(w)
+    for c, col in enumerate(cols):
+        col[c] -= 1 << (b * neg)
+    # Not all zero: at t = 1, rho(w) is the reduced permutation matrix of an n-cycle.
+    bits = reduce(or_, (e for col in cols for e in col))
+    shift = ((bits & -bits).bit_length() - 1) // b * b
+    rows = [[tuple(signed_digits(e >> shift, b)) for e in col] for col in cols]
+    numerator = LaurentPoly.of(0, polynomial_matrix_det(rows))
     quotient = LaurentPoly.of(0, (1,) * w.strands)  # 1 + t + ... + t**(n-1)
     try:
         return normalize_knot_polynomial(numerator.divexact(quotient))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .intlin import InternalCheckError
 from .purebraid import Letter, LinkingMatrix, PureBraidWord, linking_matrix
-from .textformat import integer, nonblank_lines, read_framings, read_header
+from .textformat import dotted_pair, integer, nonblank_lines, read_framings, read_header
 
 __all__ = [
     "DoubleIndex",
@@ -248,6 +248,9 @@ def delta_equivalent_links(l1: DoubledStringLink, l2: DoubledStringLink) -> bool
     return pairwise_linking(l1) == pairwise_linking(l2) and l1.framings == l2.framings
 
 
+_BAD_DOUBLE = "bad double index {!r}; expected 'i.a'"
+
+
 def parse_string_link(text: str) -> DoubledStringLink:
     """Parse: header "n <n> k <k>"; "framings f1 ... fn"; letters "i.a j.b e"."""
     lines = nonblank_lines(text)
@@ -261,8 +264,8 @@ def parse_string_link(text: str) -> DoubledStringLink:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"letter lines must be 'i.a j.b e', got {line!r}")
-        idx1 = _parse_double(parts[0])
-        idx2 = _parse_double(parts[1])
+        idx1 = dotted_pair(parts[0], _BAD_DOUBLE)
+        idx2 = dotted_pair(parts[1], _BAD_DOUBLE)
         e = integer(parts[2], line, "letter")
         p1 = position_of(idx1, n, k)
         p2 = position_of(idx2, n, k)
@@ -271,14 +274,6 @@ def parse_string_link(text: str) -> DoubledStringLink:
         letters.append((p1, p2, e) if p1 < p2 else (p2, p1, e))
     braid = PureBraidWord(n * k, tuple(letters))
     return DoubledStringLink(n, k, braid, framings)
-
-
-def _parse_double(token: str) -> DoubleIndex:
-    try:
-        i, a = token.split(".")
-        return (int(i), int(a))
-    except ValueError as exc:
-        raise ValueError(f"bad double index {token!r}; expected 'i.a'") from exc
 
 
 def format_string_link(link: DoubledStringLink) -> str:

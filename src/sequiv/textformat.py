@@ -4,10 +4,10 @@ Seifert matrices, Artin braid words, pure braids, doubled string links
 and disk-band forms are read alike: blank lines are skipped, the first
 line is a header, and a token that is not an integer raises one
 ValueError line quoting the line that holds it.  Every parser reads its
-integers through integer or ints, so that rule lives here only.  A
-well-formed integer past the interpreter's int <-> str digit limit is
-not a bad line: it raises the interpreter's own one-line error, which
-names sys.set_int_max_str_digits.
+integers through integer, ints or dotted_pair, so that rule lives here
+only.  A well-formed integer past the interpreter's int <-> str digit
+limit is not a bad line: it raises the interpreter's own one-line
+error, which names sys.set_int_max_str_digits.
 """
 
 from __future__ import annotations
@@ -47,6 +47,23 @@ def ints(tokens: list[str], line: str, what: str) -> tuple[int, ...]:
         return tuple(map(int, tokens))
     except ValueError:
         return tuple(integer(token, line, what) for token in tokens)
+
+
+def dotted_pair(token: str, message: str) -> tuple[int, int]:
+    """The integers i and a of a token "i.a".
+
+    Any other token raises ValueError(message), with the repr of the
+    token in place of a "{!r}" in message; a well-formed integer that
+    int only rejects for its length re-raises int's error, as in integer.
+    """
+    fields = token.split(".")
+    if len(fields) == 2:
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            if all(map(_INTEGER.fullmatch, fields)):
+                raise
+    raise ValueError(message.format(token))
 
 
 def read_header(lines: list[str], keys: str, message: str) -> tuple[int, ...]:

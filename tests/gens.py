@@ -390,15 +390,14 @@ def reference_components(w: ArtinBraidWord) -> int:
     return count
 
 
-def reference_burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
-    """det(rho(w) - I) / (1 + t + ... + t^(n-1)) over LaurentPoly objects, normalized.
+def reference_burau_minus_identity(w: ArtinBraidWord) -> list[list[LaurentPoly]]:
+    """The rows of rho(w) - I, one LaurentPoly per entry.
 
-    rho(w) is built with one LaurentPoly per entry by one column update
-    per letter: sigma_i sets column c = i - 1 to
-    t (col[c-1] - col[c]) + col[c+1], sigma_i^-1 to
+    rho(w) is built by one column update per letter: sigma_i sets column
+    c = i - 1 to t (col[c-1] - col[c]) + col[c+1], sigma_i^-1 to
     col[c-1] + t^-1 (col[c+1] - col[c]), columns outside the matrix read
-    as zero.  The reference for braidclosure.burau_alexander on knot
-    closures; for tests.
+    as zero.  The reference for the packed entries of
+    braidclosure._burau_matrix; for tests.
     """
     m = w.strands - 1
     zero = LaurentPoly()
@@ -413,8 +412,17 @@ def reference_burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
     rho = [list(row) for row in zip(*cols[:m])]
     for d, row in enumerate(rho):
         row[d] -= LaurentPoly.one
-    quotient = LaurentPoly.of(0, (1,) * w.strands)
-    return normalize_knot_polynomial(laurent_matrix_det(rho).divexact(quotient))
+    return rho
+
+
+def reference_burau_alexander(w: ArtinBraidWord) -> LaurentPoly:
+    """det(rho(w) - I) / (1 + t + ... + t^(n-1)) over LaurentPoly objects, normalized.
+
+    The reference for braidclosure.burau_alexander on knot closures;
+    for tests.
+    """
+    det = laurent_matrix_det(reference_burau_minus_identity(w))
+    return normalize_knot_polynomial(det.divexact(LaurentPoly.of(0, (1,) * w.strands)))
 
 
 def random_skew_unimodular(rng: random.Random, genus: int, ops: int = 12) -> IntMatrix:

@@ -1,11 +1,18 @@
 import hashlib
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gens import reference_burau_alexander, reference_closure_permutation, reference_components
+from gens import (
+    reference_burau_alexander,
+    reference_burau_minus_identity,
+    reference_closure_permutation,
+    reference_components,
+)
 from sequiv import braidclosure
 from sequiv.braidclosure import (
     ArtinBraidWord,
@@ -20,7 +27,7 @@ from sequiv.braidclosure import (
     _burau_matrix,
 )
 from sequiv.intlin import format_matrix
-from sequiv.laurent import LaurentPoly
+from sequiv.laurent import LaurentPoly, polynomial_matrix_det, signed_digits
 from sequiv.seifert import alexander, knot_determinant, knot_signature, validate
 
 TREFOIL_WORD = ArtinBraidWord(2, (1, 1, 1))
@@ -112,6 +119,13 @@ def test_burau_examples():
         burau_alexander(ArtinBraidWord(2))
 
 
+@pytest.mark.parametrize("front_end", [seifert_matrix, burau_alexander])
+def test_both_closure_front_ends_reject_a_link_with_one_message(front_end):
+    with pytest.raises(ValueError) as info:
+        front_end(ArtinBraidWord(3, (1,)))
+    assert str(info.value) == "closure has 2 components, not a knot"
+
+
 T = LaurentPoly.of(1, (1,))
 TINV = LaurentPoly.of(-1, (1,))
 ONE = LaurentPoly.one
@@ -128,9 +142,9 @@ def _product(a, b):
 
 
 def _rho(n, *letters):
-    """rho of the word as the oracle builds it, its coefficient lists read as LaurentPoly."""
-    lo, rows = _burau_matrix(ArtinBraidWord(n, letters))
-    return [[LaurentPoly.of(lo, e) for e in row] for row in rows]
+    """rho of the word as the oracle builds it, its packed entries decoded as LaurentPoly."""
+    cols, b, neg = _burau_matrix(ArtinBraidWord(n, letters))
+    return [[LaurentPoly.of(-neg, signed_digits(col[a], b)) for col in cols] for a in range(n - 1)]
 
 
 def _literal_block(n, v):
@@ -188,6 +202,64 @@ _word_pairs = st.integers(2, 5).flatmap(
 def test_burau_is_a_homomorphism(pair):
     n, u, v = pair
     assert _rho(n, *u, *v) == _product(_rho(n, *u), _rho(n, *v))
+
+
+_burau_words = st.integers(2, 7).flatmap(
+    lambda n: st.builds(
+        ArtinBraidWord,
+        st.just(n),
+        st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=40).map(tuple),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "w, b",
+    [
+        (ArtinBraidWord(2, (1, -1, 1)), 3),  # the one column bound stays 1
+        (ArtinBraidWord(3, (1,) * 6), 5),  # bounds 7 and 1: 7 + 1 takes a fourth bit
+        (ArtinBraidWord(3, (1,) * 7), 5),  # bound 8: 8 + 1 still fits in four bits
+    ],
+)
+def test_burau_slot_width_is_one_bit_past_the_largest_column_bound_plus_one(w, b):
+    assert _burau_matrix(w)[1] == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_burau_words)
+@example(ArtinBraidWord(3, (1,) * 6))
+@example(ArtinBraidWord(3, (1, 2, -1, 2)))  # a diagonal t^0 coefficient of rho(w) is -1
+def test_rho_minus_identity_fits_its_slots_and_its_lowest_set_bit_marks_its_lowest_slot(w):
+    cols, b, neg = _burau_matrix(w)
+    for c, col in enumerate(cols):
+        col[c] -= 1 << (b * neg)
+    expected = reference_burau_minus_identity(w)
+    half = 1 << (b - 1)
+    for a, row in enumerate(expected):
+        for c, e in enumerate(row):
+            assert all(-half < x < half for x in e.coeffs)
+            assert LaurentPoly.of(-neg, signed_digits(cols[c][a], b)) == e
+    bits = reduce(or_, (e for col in cols for e in col))
+    nonzero = [e for row in expected for e in row if not e.is_zero()]
+    assert bool(bits) == bool(nonzero)
+    if nonzero:  # every slot below that of the lowest set bit is zero in every entry, and that slot is not
+        assert ((bits & -bits).bit_length() - 1) // b == min(e.lo for e in nonzero) + neg
+
+
+def test_burau_oracle_drops_every_common_low_slot(monkeypatch):
+    seen = []
+
+    def record(rows):
+        seen.append(rows)
+        return polynomial_matrix_det(rows)
+
+    monkeypatch.setattr(braidclosure, "polynomial_matrix_det", record)
+    words = knot_corpus(12, 80, 5, 40)
+    for w in words:
+        burau_alexander(w)
+    assert len(seen) == len(words)
+    for rows in seen:
+        assert any(e and e[0] for row in rows for e in row)
 
 
 def test_burau_oracle_matches_the_reference_on_the_corpus():

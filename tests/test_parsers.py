@@ -162,8 +162,25 @@ def default_digit_limit():
         ("braid", f"n 2\n1 2 {LONG}\n"),
         ("link", f"n 1 k 1\nframings 0\n1.1 1.2 {LONG}\n"),
         ("band", f"g 1\nframings {LONG} 0\n"),
+        ("link", f"n 2 k 2\nframings 0 0\n1.1 2.{LONG} 1\n"),
+        ("artin", f"n 2\n1 {LONG}\n"),
+        ("braid", f"n {LONG}\n"),
+        ("link", f"n {LONG} k 1\nframings 0\n"),
+        ("band", f"g 1\nframings 0 0\n1 2 {LONG}\n"),
     ],
-    ids=["matrix-row", "matrix-size", "artin-header", "braid-letter", "link-letter", "band-framings"],
+    ids=[
+        "matrix-row",
+        "matrix-size",
+        "artin-header",
+        "braid-letter",
+        "link-letter",
+        "band-framings",
+        "link-double-index",
+        "artin-letter",
+        "braid-header",
+        "link-header",
+        "band-pair",
+    ],
 )
 def test_integers_past_the_digit_limit_raise_the_interpreters_error(fmt, text, default_digit_limit):
     # A valid integer is not a bad line: the one-line error names the limit and how to lift it.
@@ -172,6 +189,15 @@ def test_integers_past_the_digit_limit_raise_the_interpreters_error(fmt, text, d
     message = str(info.value)
     assert "set_int_max_str_digits" in message
     assert "\n" not in message and "bad" not in message
+
+
+@pytest.mark.parametrize(
+    "token", [f"x.{LONG}", f"{LONG}.x", f"1.{LONG}.1"], ids=["letter-long", "long-letter", "three-parts"]
+)
+def test_long_integers_in_a_malformed_double_index_stay_a_bad_double_index(token, default_digit_limit):
+    with pytest.raises(ValueError) as info:
+        parse_string_link(f"n 2 k 1\nframings 0 0\n{token} 2.1 1\n")
+    assert str(info.value) == f"bad double index {token!r}; expected 'i.a'"
 
 
 @pytest.mark.parametrize(
