@@ -11,9 +11,10 @@ only code that writes stdout, after the handler has returned.  So a
 document is printed whole or not at all: `corpus generate` writes its
 TSV once, at the end, and an error part-way prints no partial rows.
 
-Exit codes: 0 success or decided, 1 invalid input or a usage error,
-2 undecided, 3 internal error (an exactness check inside the library
-failed).  Every exit 1 prints one "error: ..." line on stderr.
+Exit codes: 0 success or decided, 1 invalid input, a usage error or a
+stdout its reader closed, 2 undecided, 3 internal error (an exactness
+check inside the library failed).  Every exit 1 prints one "error: ..."
+line on stderr.
 
 `build_parser` declares each subcommand in one call, by name, help,
 handler and positional names, to the declarer its group returns; the
@@ -24,57 +25,28 @@ shell invocation, which calls `main` once, is unaffected.  Each
 subcommand's handler is bound into that parser when it is built, so to
 substitute behaviour patch the library functions the handlers call, not
 `cli._cmd_*`.  `build_parser` still returns a new parser on every call.
+
+This module imports no library module at module level, and the parser
+holds no library default: the `mat sequiv` limits default to None and
+the handler passes only the limits given, so `SearchBudget` alone holds
+the defaults.  Each handler imports the library modules it calls when
+it runs (one `from . import ...`, about 1 us once they are loaded) and
+looks each function up on its module, so a command loads only the
+modules it uses, and patching an attribute of a library module
+(`seifert.invariants`; `cli` holds no library name) substitutes
+behaviour.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
-from . import __version__
-from .braidclosure import (
-    burau_alexander,
-    knot_corpus,
-    parse_artin_word,
-    seifert_matrix,
-)
-from .intlin import InternalCheckError, format_matrix, parse_matrix
-from .laurent import format_laurent
-from .purebraid import (
-    delta_equivalent,
-    is_delta_trivial,
-    linking_matrix,
-    parse_braid,
-)
-from .seifert import (
-    SearchBudget,
-    alexander,
-    bounded_sequiv_search,
-    column_enlarge,
-    invariants,
-    row_enlarge,
-    try_reduce,
-    validate,
-)
-from .standardform import (
-    format_disk_band,
-    from_disk_band,
-    parse_disk_band,
-    standardization_witness,
-    standardize,
-    to_disk_band,
-)
-from .stringlink import (
-    delta_equivalent_links,
-    format_string_link,
-    normalize_linking,
-    pairwise_linking,
-    parse_string_link,
-)
+from . import InternalCheckError, __version__
 
 DEFAULT_CORPUS_SEED = 7
 
@@ -113,23 +85,27 @@ seed is %d.
 """ % DEFAULT_CORPUS_SEED
 
 
-@dataclass
 class Verdict:
-    """Outcome of a subcommand: detail lines plus a stable machine block."""
+    """Outcome of a subcommand: detail lines plus a stable machine block.
 
-    status: str  # ok | distinct | equivalent | unknown
-    detail: list[str] = field(default_factory=list)
-    machine: dict[str, str] = field(default_factory=dict)
+    A plain class, not a dataclass, so that importing this module and
+    building the parser load no dataclasses (8-12 ms with the modules
+    it imports); the library modules a command runs load it when that
+    command needs them.
+    """
 
-    def emit(self) -> None:
+    def __init__(self, status: str, detail: list[str], machine: dict[str, str]):
+        self.status = status  # ok | distinct | equivalent | unknown
+        self.detail = detail
+        self.machine = machine
+
+    def emit(self) -> int:
+        """Print the verdict; return its exit code, 2 when undecided, else 0."""
         for line in self.detail:
             print(line)
         print(f"status={self.status}")
         for key, value in self.machine.items():
             print(f"{key}={value}")
-
-    @property
-    def exit_code(self) -> int:
         return 2 if self.status == "unknown" else 0
 
 
@@ -148,7 +124,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_seifert(path: str):
-    return validate(parse_matrix(_read(path)))
+    from . import intlin, seifert
+
+    return seifert.validate(intlin.parse_matrix(_read(path)))
 
 
 def _bool(x: bool) -> str:
@@ -160,8 +138,10 @@ def _bool(x: bool) -> str:
 
 
 def _cmd_mat_invariants(args) -> Verdict:
+    from . import laurent, seifert
+
     sm = _load_seifert(args.file)
-    inv = invariants(sm)
+    inv = seifert.invariants(sm)
     delta = inv.alexander
     machine = {
         "alexander_lo": str(delta.lo),
@@ -172,44 +152,50 @@ def _cmd_mat_invariants(args) -> Verdict:
         "genus": str(sm.genus),
         "valid": "true",
     }
-    detail = [f"alexander: {format_laurent(delta)}"]
+    detail = [f"alexander: {laurent.format_laurent(delta)}"]
     detail += [f"{k}: {v}" for k, v in machine.items() if not k.startswith("alexander")]
     return Verdict("ok", detail, machine)
 
 
 def _cmd_mat_standardize(args) -> Verdict:
+    from . import intlin, standardform
+
     sm = _load_seifert(args.file)
-    a, n = standardize(sm)
+    a, n = standardform.standardize(sm)
     out_a = args.out_a or args.file + ".A"
     out_n = args.out_n or args.file + ".N"
-    _write(out_a, format_matrix(a))
-    _write(out_n, format_matrix(n.matrix))
+    _write(out_a, intlin.format_matrix(a))
+    _write(out_n, intlin.format_matrix(n.matrix))
     detail = [f"A -> {out_a}", f"N -> {out_n}"]
     return Verdict("ok", detail, {"a_file": out_a, "n_file": out_n})
 
 
 def _cmd_mat_enlarge(args) -> str:
+    from . import intlin, seifert
+
     sm = _load_seifert(args.file)
     xi = [0] * sm.size if args.vector is None else args.vector
-    enlarge = column_enlarge if args.kind == "column" else row_enlarge
-    return format_matrix(enlarge(sm, xi, args.x).matrix)
+    enlarge = seifert.column_enlarge if args.kind == "column" else seifert.row_enlarge
+    return intlin.format_matrix(enlarge(sm, xi, args.x).matrix)
 
 
 def _cmd_mat_reduce(args) -> str:
+    from . import intlin, seifert
+
     sm = _load_seifert(args.file)
-    reduced = try_reduce(sm)
+    reduced = seifert.try_reduce(sm)
     if reduced is None:
         return "irreducible\n"
-    return format_matrix(reduced.matrix)
+    return intlin.format_matrix(reduced.matrix)
 
 
 def _cmd_mat_sequiv(args) -> Verdict:
+    from . import seifert
+
     m1 = _load_seifert(args.file1)
     m2 = _load_seifert(args.file2)
-    budget = SearchBudget(
-        max_size=args.max_size, max_entry=args.max_entry, max_nodes=args.max_nodes
-    )
-    result = bounded_sequiv_search(m1, m2, budget)
+    limits = {k: v for k, v in vars(args).items() if k.startswith("max_") and v is not None}
+    result = seifert.bounded_sequiv_search(m1, m2, seifert.SearchBudget(**limits))
     if result.verdict == "distinct":
         return Verdict("distinct", [f"distinct ({result.reason})"], {"invariant": result.reason.split()[0]})
     if result.verdict == "equivalent":
@@ -239,19 +225,25 @@ def _delta_equiv_verdict(same: bool) -> Verdict:
 
 
 def _cmd_braid_lk(args) -> Verdict:
-    return _lk_verdict(linking_matrix(parse_braid(_read(args.file))))
+    from . import purebraid
+
+    return _lk_verdict(purebraid.linking_matrix(purebraid.parse_braid(_read(args.file))))
 
 
 def _cmd_braid_delta_trivial(args) -> Verdict:
-    w = parse_braid(_read(args.file))
-    trivial = is_delta_trivial(w)
+    from . import purebraid
+
+    w = purebraid.parse_braid(_read(args.file))
+    trivial = purebraid.is_delta_trivial(w)
     return Verdict("ok", [f"delta-trivial: {_bool(trivial)}"], {"delta_trivial": _bool(trivial)})
 
 
 def _cmd_braid_delta_equiv(args) -> Verdict:
-    w1 = parse_braid(_read(args.file1))
-    w2 = parse_braid(_read(args.file2))
-    return _delta_equiv_verdict(delta_equivalent(w1, w2))
+    from . import purebraid
+
+    w1 = purebraid.parse_braid(_read(args.file1))
+    w2 = purebraid.parse_braid(_read(args.file2))
+    return _delta_equiv_verdict(purebraid.delta_equivalent(w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +251,24 @@ def _cmd_braid_delta_equiv(args) -> Verdict:
 
 
 def _cmd_slink_lk(args) -> Verdict:
-    return _lk_verdict(pairwise_linking(parse_string_link(_read(args.file))))
+    from . import stringlink
+
+    return _lk_verdict(stringlink.pairwise_linking(stringlink.parse_string_link(_read(args.file))))
 
 
 def _cmd_slink_normalize(args) -> str:
-    link = parse_string_link(_read(args.file))
-    return format_string_link(normalize_linking(link))
+    from . import stringlink
+
+    link = stringlink.parse_string_link(_read(args.file))
+    return stringlink.format_string_link(stringlink.normalize_linking(link))
 
 
 def _cmd_slink_delta_equiv(args) -> Verdict:
-    l1 = parse_string_link(_read(args.file1))
-    l2 = parse_string_link(_read(args.file2))
-    return _delta_equiv_verdict(delta_equivalent_links(l1, l2))
+    from . import stringlink
+
+    l1 = stringlink.parse_string_link(_read(args.file1))
+    l2 = stringlink.parse_string_link(_read(args.file2))
+    return _delta_equiv_verdict(stringlink.delta_equivalent_links(l1, l2))
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +276,26 @@ def _cmd_slink_delta_equiv(args) -> Verdict:
 
 
 def _cmd_std_to_disk_band(args) -> str:
+    from . import standardform
+
     sm = _load_seifert(args.file)
-    return format_disk_band(to_disk_band(sm))
+    return standardform.format_disk_band(standardform.to_disk_band(sm))
 
 
 def _cmd_std_from_disk_band(args) -> str:
-    d = parse_disk_band(_read(args.file))
-    return format_matrix(from_disk_band(d).matrix)
+    from . import intlin, standardform
+
+    d = standardform.parse_disk_band(_read(args.file))
+    return intlin.format_matrix(standardform.from_disk_band(d).matrix)
 
 
 def _cmd_std_witness(args) -> Verdict:
+    from . import intlin, standardform
+
     sm = _load_seifert(args.matrix)
-    a1 = parse_matrix(_read(args.a1))
-    a2 = parse_matrix(_read(args.a2))
-    report = standardization_witness(sm, a1, a2)
+    a1 = intlin.parse_matrix(_read(args.a1))
+    a2 = intlin.parse_matrix(_read(args.a2))
+    report = standardform.standardization_witness(sm, a1, a2)
     machine = {
         "symplectic": _bool(report.c_symplectic),
         "forms_match": _bool(report.forms_match_after_transition),
@@ -305,18 +309,22 @@ def _cmd_std_witness(args) -> Verdict:
 
 
 def _cmd_closure_seifert(args) -> str:
-    w = parse_artin_word(_read(args.file))
-    return format_matrix(seifert_matrix(w).matrix)
+    from . import braidclosure, intlin
+
+    w = braidclosure.parse_artin_word(_read(args.file))
+    return intlin.format_matrix(braidclosure.seifert_matrix(w).matrix)
 
 
 def _cmd_closure_alexander(args) -> Verdict:
-    w = parse_artin_word(_read(args.file))
-    surface = alexander(seifert_matrix(w))
-    burau = burau_alexander(w)
+    from . import braidclosure, laurent, seifert
+
+    w = braidclosure.parse_artin_word(_read(args.file))
+    surface = seifert.alexander(braidclosure.seifert_matrix(w))
+    burau = braidclosure.burau_alexander(w)
     agree = surface == burau
     detail = [
-        f"surface: {format_laurent(surface)}",
-        f"burau: {format_laurent(burau)}",
+        f"surface: {laurent.format_laurent(surface)}",
+        f"burau: {laurent.format_laurent(burau)}",
         f"agree: {_bool(agree)}",
     ]
     return Verdict("ok", detail, {"agree": _bool(agree)})
@@ -327,18 +335,20 @@ def _cmd_closure_alexander(args) -> Verdict:
 
 
 def _cmd_corpus_generate(args) -> str:
-    words = knot_corpus(args.n, args.maxlen, args.seed, args.count)
+    from . import braidclosure, laurent, seifert
+
+    words = braidclosure.knot_corpus(args.n, args.maxlen, args.seed, args.count)
     lines = ["word\tn\tlength\talexander\tsignature\tdeterminant\tarf\tagree"]
     for w in words:
-        inv = invariants(seifert_matrix(w))
-        agree = inv.alexander == burau_alexander(w)
+        inv = seifert.invariants(braidclosure.seifert_matrix(w))
+        agree = inv.alexander == braidclosure.burau_alexander(w)
         lines.append(
             "%s\t%d\t%d\t%s\t%d\t%d\t%d\t%s"
             % (
                 " ".join(str(v) for v in w.letters),
                 w.strands,
                 len(w.letters),
-                format_laurent(inv.alexander),
+                laurent.format_laurent(inv.alexander),
                 inv.signature,
                 inv.determinant,
                 inv.arf,
@@ -397,9 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", type=int, nargs="*", help="enlargement column/row entries")
     mat("reduce", "strip one enlargement if a pattern matches", _cmd_mat_reduce, "file")
     p = mat("sequiv", "bounded search for an S-equivalence witness", _cmd_mat_sequiv, "file1", "file2")
-    p.add_argument("--max-size", type=int, default=SearchBudget.max_size)
-    p.add_argument("--max-entry", type=int, default=SearchBudget.max_entry)
-    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
+    for limit in ("--max-size", "--max-entry", "--max-nodes"):
+        p.add_argument(limit, type=int)
 
     braid = group("braid", "pure braid words")
     braid("lk", "pairwise linking numbers", _cmd_braid_lk, "file")
@@ -445,17 +454,26 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         outcome = args.func(args)
+        if isinstance(outcome, Verdict):
+            code = outcome.emit()
+        else:
+            sys.stdout.write(outcome)
+            code = 0
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  Point it at the null device, so the
+        # interpreter's own flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    else:
-        if isinstance(outcome, Verdict):
-            outcome.emit()
-            return outcome.exit_code
-        sys.stdout.write(outcome)
-        return 0
     finally:
         sys.set_int_max_str_digits(limit)

@@ -34,6 +34,7 @@ from math import comb, gcd
 from operator import add, mul, sub
 from typing import Iterable, Optional
 
+from . import InternalCheckError
 from .textformat import integer, ints, nonblank_lines
 
 __all__ = [
@@ -51,14 +52,6 @@ __all__ = [
     "parse_matrix",
     "format_matrix",
 ]
-
-
-class InternalCheckError(RuntimeError):
-    """An exactness check inside the library failed: a bug, never bad input.
-
-    Raised explicitly rather than by assert, so the check also runs
-    under python -O.
-    """
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .intlin import InternalCheckError
+from . import InternalCheckError
 
 __all__ = [
     "LaurentPoly",

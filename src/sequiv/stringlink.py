@@ -26,7 +26,7 @@ cost grows with the passes the entries reach, not with k^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .intlin import InternalCheckError
+from . import InternalCheckError
 from .purebraid import Letter, LinkingMatrix, PureBraidWord, linking_matrix
 from .textformat import dotted_pair, integer, nonblank_lines, read_framings, read_header
 

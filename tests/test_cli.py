@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sequiv import braidclosure, cli, laurent, standardform
+from sequiv import braidclosure, cli, laurent, seifert, standardform
 from sequiv.braidclosure import parse_artin_word
 from sequiv.cli import main
 from sequiv.intlin import IntMatrix, InternalCheckError, format_matrix, parse_matrix
 from sequiv.laurent import parse_laurent
 from sequiv.purebraid import is_delta_trivial, parse_braid
-from sequiv.seifert import column_enlarge, validate
+from sequiv.seifert import SearchBudget, column_enlarge, validate
 from sequiv.standardform import parse_disk_band
 from sequiv.stringlink import parse_string_link
 
@@ -661,7 +661,7 @@ def test_library_index_error_is_not_reported_as_invalid_input(tmp_path, capsys, 
     def out_of_range(sm):
         raise IndexError("list index out of range")
 
-    monkeypatch.setattr(cli, "invariants", out_of_range)
+    monkeypatch.setattr(seifert, "invariants", out_of_range)
     with pytest.raises(IndexError):
         main(["mat", "invariants", path])
     assert capsys.readouterr().err == ""
@@ -799,8 +799,8 @@ PARSER_TABLE = {
         "bounded search for an S-equivalence witness", "_cmd_mat_sequiv", ("file1", "file2"),
         (
             (("--max-size",), None, "int", None, None, None),
-            (("--max-entry",), 8, "int", None, None, None),
-            (("--max-nodes",), 20000, "int", None, None, None),
+            (("--max-entry",), None, "int", None, None, None),
+            (("--max-nodes",), None, "int", None, None, None),
         ),
     ),
     "braid": ("pure braid words", None, (), ()),
@@ -1068,6 +1068,74 @@ def test_mat_sequiv_output_is_pinned(tmp_path, capsys, start, target, flags, cod
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("target", [SCRAMBLED, COLUMN_ENLARGED])
+def test_mat_sequiv_without_limits_searches_within_the_search_budget_defaults(tmp_path, capsys, target):
+    # The parser holds no default limit; SearchBudget() is the one source.
+    p1 = _write(tmp_path, "a.mat", TREFOIL)
+    p2 = _write(tmp_path, "b.mat", target)
+    budget = SearchBudget()
+    limits = ["--max-entry", str(budget.max_entry), "--max-nodes", str(budget.max_nodes)]
+    assert _run_in_process(capsys, ["mat", "sequiv", p1, p2]) == _run_in_process(
+        capsys, ["mat", "sequiv", p1, p2, *limits]
+    )
+
+
+@pytest.mark.parametrize("command", ["invariants", "reduce"])
+def test_a_closed_stdout_exits_1_with_one_line_and_no_traceback(tmp_path, command):
+    # A verdict (mat invariants) and a document (mat reduce) into a pipe
+    # whose reader has gone, as in `sequiv ... | head -0`.
+    path = _write(tmp_path, "t.mat", TREFOIL)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sequiv", "mat", command, path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_src_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+# After its code runs, a fresh process prints the sequiv modules it has
+# loaded, and dataclasses if loaded, from sys.modules.
+LOADED = 'print(*sorted(m for m in sys.modules if m.startswith(("sequiv", "dataclasses"))))'
+PARSER_ONLY = "import sys, sequiv.cli; sequiv.cli.build_parser()\n" + LOADED
+# `python -m sequiv <args>`, with stdout swallowed.
+COMMAND = """\
+import contextlib, io, runpy, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("sequiv", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+""" + LOADED
+
+
+@pytest.mark.parametrize(
+    "code, argv, loaded",
+    [
+        (PARSER_ONLY, [], "sequiv sequiv.cli"),
+        (COMMAND, ["--version"], "sequiv sequiv.cli"),
+        (COMMAND, ["braid", "lk", "{pb}"], "dataclasses sequiv sequiv.cli sequiv.purebraid sequiv.textformat"),
+        (
+            COMMAND, ["mat", "invariants", "{mat}"],
+            "dataclasses sequiv sequiv.cli sequiv.intlin sequiv.laurent sequiv.seifert sequiv.textformat",
+        ),
+    ],
+)
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, code, argv, loaded):
+    files = {"pb": _write(tmp_path, "w.pb", "n 3\n1 2 1\n"), "mat": _write(tmp_path, "t.mat", TREFOIL)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(arg.format(**files) for arg in argv)],
+        capture_output=True, text=True, env=_src_env(), check=True,
+    )
+    assert proc.stdout.split() == loaded.split()
+
+
 def _one_of_each_command(tmp_path) -> list[list[str]]:
     """A valid command line for each of the 17 subcommands, mat reduce both ways."""
     trefoil = _write(tmp_path, "trefoil.mat", TREFOIL)
@@ -1122,7 +1190,7 @@ def test_handlers_return_their_output_and_main_alone_writes_it(tmp_path, capsys)
 
 
 def test_corpus_generate_prints_no_partial_rows_on_an_internal_error(capsys, monkeypatch):
-    burau = cli.burau_alexander
+    burau = braidclosure.burau_alexander
     calls = []
 
     def fail_on_the_third_word(w):
@@ -1131,7 +1199,7 @@ def test_corpus_generate_prints_no_partial_rows_on_an_internal_error(capsys, mon
             raise InternalCheckError("injected")
         return burau(w)
 
-    monkeypatch.setattr(cli, "burau_alexander", fail_on_the_third_word)
+    monkeypatch.setattr(braidclosure, "burau_alexander", fail_on_the_third_word)
     assert _run_in_process(capsys, ["corpus", "generate", "--count", "5"]) == (
         3, "", "internal error: injected\n"
     )

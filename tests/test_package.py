@@ -2,8 +2,13 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sequiv
 
@@ -43,16 +48,67 @@ def test_package_still_exports_the_names_it_exported_before():
     assert [name for name in EXPORTED_BEFORE if not hasattr(sequiv, name)] == []
 
 
+def _all_exported() -> list[str]:
+    return [attr for name in LIBRARY for attr in importlib.import_module(f"sequiv.{name}").__all__]
+
+
 def test_package_init_holds_no_name_list():
-    # One star import per library module, and no name spelled out.
+    # The init names the library modules and defines InternalCheckError,
+    # which intlin exports; it spells out no other exported name and
+    # imports no library module.
     tree = ast.parse(Path(sequiv.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert sorted(node.module for node in imports) == LIBRARY
-    assert all([alias.name for alias in node.names] == ["*"] for node in imports)
-    assert not any(isinstance(node, ast.Import) for node in tree.body)
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    identifiers = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    identifiers |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert sorted(sequiv._LIBRARY) == LIBRARY
+    assert (strings | identifiers) & set(_all_exported()) == {"InternalCheckError"}
+    assert not any(isinstance(node, ast.ImportFrom) for node in ast.walk(tree))
+
+
+def test_star_import_binds_exactly_the_union_of_the_module_lists():
+    namespace = {}
+    exec("from sequiv import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(_all_exported())
+    assert sorted(sequiv.__all__) == sorted(_all_exported())
+
+
+# In a fresh process, a submodule looked up on the package imports that
+# module and what it imports, and nothing else.
+SUBMODULES = """\
+import sys
+import sequiv
+sequiv.seifert.invariants
+print(*sorted(m for m in sys.modules if m.startswith("sequiv")))
+from sequiv import purebraid
+print(purebraid.__name__, *sorted(m for m in sys.modules if m.startswith("sequiv")))
+"""
+
+
+def test_submodules_resolve_as_package_attributes():
+    src = str(Path(sequiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SUBMODULES], capture_output=True, text=True, env=env, check=True)
+    seifert = "sequiv sequiv.intlin sequiv.laurent sequiv.seifert sequiv.textformat"
+    purebraid = "sequiv sequiv.intlin sequiv.laurent sequiv.purebraid sequiv.seifert sequiv.textformat"
+    assert proc.stdout.splitlines() == [seifert, "sequiv.purebraid " + purebraid]
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'sequiv' has no attribute 'no_such_name'$"):
+        sequiv.no_such_name
+
+
+def test_internal_check_error_is_one_class():
+    exporters = [name for name in LIBRARY if "InternalCheckError" in importlib.import_module(f"sequiv.{name}").__all__]
+    assert exporters == ["intlin"]
+    modules = [importlib.import_module(f"sequiv.{name}") for name in LIBRARY + ["cli"]]
+    holders = [m for m in modules if hasattr(m, "InternalCheckError")]
+    assert sequiv.intlin in holders and sequiv.cli in holders
+    assert all(m.InternalCheckError is sequiv.InternalCheckError for m in holders)
 
 
 def test_module_all_names_are_distinct_across_modules():
     # A name in two lists would leave the package attribute to import order.
-    names = [attr for name in LIBRARY for attr in importlib.import_module(f"sequiv.{name}").__all__]
+    names = _all_exported()
     assert len(names) == len(set(names))
