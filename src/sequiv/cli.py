@@ -452,7 +452,13 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _parser().parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:
+            # argparse writes --help and --version itself and exits from
+            # parse_args; flush here, so a closed stdout ends as below.
+            sys.stdout.flush()
+            raise
         outcome = args.func(args)
         if isinstance(outcome, Verdict):
             code = outcome.emit()

@@ -248,43 +248,16 @@ def _strip(rows: tuple[tuple[int, ...], ...], p: int, q: int) -> tuple[tuple[int
     return tuple(tuple(rows[i][j] for j in keep) for i in keep)
 
 
-def _reduction_sites(
-    rows: tuple[tuple[int, ...], ...], columns: tuple[tuple[int, ...], ...]
-) -> list[tuple[int, int, str]]:
-    """Every enlargement site (p, q, kind) of rows, bottom-right first.
-
-    columns is _transpose(rows).  A column site (p, q) needs row q to be
-    zero, and then p can only be the single nonzero entry of column q,
-    which must be 1; a row site is a column site of M^T.  So each zero
-    row (zero column, for row sites) is matched in O(n).  Sites come in
-    the order of p, then q, descending; a pair (p, q) cannot be both a
-    column and a row site, since a column site has row q zero and a row
-    site has entry (q, p) = 1.
-    """
-    sites = []
-    for frame, partners, kind in ((rows, columns, "column"), (columns, rows, "row")):
-        for q, line in enumerate(frame):
-            if any(line):
-                continue
-            partner = partners[q]
-            support = [l for l, x in enumerate(partner) if x]
-            if len(support) != 1 or partner[support[0]] != 1:
-                continue
-            p = support[0]
-            if not any(x for l, x in enumerate(frame[p]) if l != p and l != q):
-                sites.append((p, q, kind))
-    sites.sort(reverse=True)
-    return sites
-
-
 def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
     """Strip one enlargement if the matrix matches a block pattern.
 
     Only simultaneous permutation congruences are searched: a pair of
     indices (p, q) is moved to the last two positions and the column or
-    row pattern is matched literally.  Scanning runs bottom-right first,
-    so reducing an enlarged matrix undoes the enlargement that produced
-    it.  Returns None when no pattern matches.
+    row pattern is matched, by the search's site rule on the packed
+    matrix (_PackedStates.sites).  The first site in the order of p,
+    then q, descending is stripped, so reducing an enlarged matrix
+    undoes the enlargement that produced it.  Returns None when no
+    pattern matches.
 
     The result takes no determinant.  At a site, row q and column q of
     S = M - M^T each hold a single +-1, at index p, so two cofactor
@@ -293,7 +266,8 @@ def try_reduce(sm: SeifertMatrix) -> Optional[SeifertMatrix]:
     det S' = det S = 1.
     """
     rows = sm.matrix.rows
-    for p, q, _kind in _reduction_sites(rows, _transpose(rows)):
+    packed = _PackedStates(0, rows)
+    for p, q, _kind in packed.sites(packed.pack(rows), len(rows)):
         return SeifertMatrix(IntMatrix(_strip(rows, p, q)))
     return None
 
@@ -388,7 +362,7 @@ class CongruenceMove:
     intlin's _add_multiple, the list kernel that reduce_fully uses, with
     no bound on c or on the entries.  The search never calls it: it
     builds each congruence child on the packed int of its parent, and
-    keeps it only within max_entry (see _PackedStates.children).
+    keeps it only within max_entry (see _breadth_first).
     """
 
     i: int
@@ -541,22 +515,84 @@ def bounded_sequiv_search(
 
     packed = _PackedStates(budget.max_entry, start, target)
     start, target = packed.pack(start), packed.pack(target)
+    return _breadth_first(packed, start, target, max_size, budget.max_nodes)[0]
+
+
+def _breadth_first(
+    packed: _PackedStates, start: int, target: int, max_size: int, max_nodes: int
+) -> tuple[SearchResult, dict[int, Optional[tuple[int, Move]]]]:
+    """The search of bounded_sequiv_search on packed states, and the states it stored.
+
+    The loop builds each child on the int and looks it up among the
+    stored states first: an int outside max_entry is never a stored
+    state, and the children already stored (38 % of those a 4000-state
+    trefoil search builds) skip the bound test.  A new child is stored
+    only while fewer than max_nodes states are; one found at the limit
+    exhausts the budget.  The moves, their order and the children are
+    those of tests/gens.py's reference_children: reductions, from the
+    sites of _PackedStates.sites, with the state unpacked only when it
+    has one; congruences, two shifted adds each, kept within max_entry;
+    and, when n + 2 <= max_size, the column and the row enlargement,
+    re-strided.
+    The congruence layout is fetched only after the reductions, so a
+    search that stops at a reduction builds none.  The second value maps
+    each stored state, in the order stored, to None (the start) or to
+    its parent and the move from it.
+    """
     parents: dict[int, Optional[tuple[int, Move]]] = {start: None}
     frontier: deque[int] = deque([start])
+    append = frontier.append
+
+    def store(child: int, parent: int, move: Move) -> Optional[SearchResult]:
+        """Store a new child; the result if that ends the search."""
+        if len(parents) >= max_nodes:
+            return SearchResult("unknown", reason=f"budget exhausted after {len(parents)} states")
+        parents[child] = parent, move
+        if child == target:
+            return SearchResult("equivalent", witness=_unwind(parents, child))
+        append(child)
+        return None
+
+    # Most children are congruences, and their loop inlines store's common
+    # case: it calls store only for a child that ends the search.
     while frontier:
         state = frontier.popleft()
-        for move, child in packed.children(state, max_size):
-            # One hash per child: setdefault adds it only if it is new.
-            known = len(parents)
-            parents.setdefault(child, (state, move))
-            if len(parents) == known:
-                continue
-            if known >= budget.max_nodes:
-                return SearchResult("unknown", reason=f"budget exhausted after {known} states")
-            if child == target:
-                return SearchResult("equivalent", witness=_unwind(parents, child))
-            frontier.append(child)
-    return SearchResult("unknown", reason=f"move space exhausted ({len(parents)} states)")
+        n = packed.size(state)
+        sites = packed.sites(state, n)
+        if sites:
+            rows = packed.unpack(state)
+            for p, q, kind in sites:
+                child = packed.pack(_strip(rows, p, q))
+                if child not in parents and (end := store(child, state, ReduceMove(p, q, kind))):
+                    return end, parents
+        moves, row_mask, row_h, column_mask, column_h, low, high, guards, strides, tails = (
+            packed._layout(n)
+        )
+        for plus, minus, row_i, column_i, row_j, column_j in moves:
+            step = (((state >> row_j) & row_mask) - row_h) << row_i
+            half = state + step
+            child = half + ((((half >> column_j) & column_mask) - column_h) << column_i)
+            if child not in parents and ((child + low) ^ (child + high)) & guards == guards:
+                if len(parents) >= max_nodes or child == target:
+                    return store(child, state, plus), parents
+                parents[child] = state, plus
+                append(child)
+            half = state - step
+            child = half - ((((half >> column_j) & column_mask) - column_h) << column_i)
+            if child not in parents and ((child + low) ^ (child + high)) & guards == guards:
+                if len(parents) >= max_nodes or child == target:
+                    return store(child, state, minus), parents
+                parents[child] = state, minus
+                append(child)
+        if n + 2 <= max_size:
+            wide = 0
+            for old, new in strides:
+                wide |= ((state >> old) & row_mask) << new
+            for move, tail in tails:
+                child = wide + tail
+                if child not in parents and (end := store(child, state, move)):
+                    return end, parents
+    return SearchResult("unknown", reason=f"move space exhausted ({len(parents)} states)"), parents
 
 
 @cache
@@ -571,7 +607,7 @@ def _congruence_moves(n: int) -> tuple[tuple[CongruenceMove, CongruenceMove], ..
 
 
 class _PackedStates:
-    """Search states as Python ints, and the children of each state.
+    """Search states as Python ints, their reduction sites, and the layouts that build children.
 
     An n x n matrix is one int: entry (r, k) is the w-bit field at bit
     w * (r * n + k), holding x + H, with H = 4B + 1 and
@@ -604,9 +640,17 @@ class _PackedStates:
     int with each of the n row blocks moved from stride w n to stride
     w (n + 2), plus a constant tail of its kind: H in every new field
     and 1 more at (n, n + 1), or at (n + 1, n) for a row enlargement.
-    Only the reduction sites are found on the unpacked rows.  Each
-    search builds its own instance, and the per-size layouts die with
-    it.
+
+    The reduction sites are found on the int too (see sites), from the
+    row and column lines: a line's masked fields minus H ones is the
+    balanced packed line, the sum of x_k 2^(s k) over its entries x_k,
+    with s = w along a row and s = w n down a column.  Every |x_k| is at
+    most B < G = 2^(w - 1) <= 2^(s - 1), so the balanced line is unique:
+    it is 0 exactly when every entry is 0, and it is a power of two at
+    a multiple of s, 2^(s p), exactly when entry p is 1 and the others
+    are 0.  A power of two off those multiples would be an entry 2, 4,
+    and so on.  Each search builds its own instance, and the per-size
+    masks and layouts die with it.
     """
 
     def __init__(self, max_entry: int, *inputs: tuple[tuple[int, ...], ...]) -> None:
@@ -614,32 +658,92 @@ class _PackedStates:
         self.offset = 4 * bound + 1
         self.width = (8 * bound + 1).bit_length() + 1
         self.max_entry = max_entry
+        self._lines: dict[int, tuple] = {}
         self._sizes: dict[int, tuple] = {}
 
+    def size(self, state: int) -> int:
+        return isqrt(-(-state.bit_length() // self.width))
+
     def pack(self, rows: tuple[tuple[int, ...], ...]) -> int:
+        """The state of rows, built a row at a time: n shifts of the rows so far, not n^2."""
         w, h = self.width, self.offset
+        stride = w * len(rows)
         state = 0
         for row in reversed(rows):
+            line = 0
             for x in reversed(row):
-                state = (state << w) | (x + h)
+                line = (line << w) | (x + h)
+            state = (state << stride) | line
         return state
 
     def unpack(self, state: int) -> tuple[tuple[int, ...], ...]:
         w, h = self.width, self.offset
-        n = isqrt(-(-state.bit_length() // w))
+        n = self.size(state)
         field = (1 << w) - 1
         entries = [((state >> shift) & field) - h for shift in range(0, w * n * n, w)]
         return tuple(tuple(entries[r * n : r * n + n]) for r in range(n))
 
+    def _line_masks(self, n: int) -> tuple[int, int, int, int]:
+        """Row mask, H ones of a row, column mask and H ones of a column, once per size."""
+        masks = self._lines.get(n)
+        if masks is None:
+            w, h = self.width, self.offset
+            field = (1 << w) - 1
+            row_ones = sum(1 << (w * k) for k in range(n))
+            column_ones = sum(1 << (w * n * r) for r in range(n))
+            masks = (field * row_ones, h * row_ones, field * column_ones, h * column_ones)
+            self._lines[n] = masks
+        return masks
+
+    def sites(self, state: int, n: int) -> list[tuple[int, int, str]]:
+        """Every enlargement site (p, q, kind) of the n x n state, by p, then q, descending.
+
+        A column site (p, q) needs row q's line to be 0; column q's line
+        must then be one unit at a field boundary, 2^(w n p), which
+        gives p; and row p's line, less its (p, p) and (p, q) fields,
+        must be 0.  A row site is a column site of M^T: the same with
+        rows and columns swapped.  A pair cannot be both, since a column
+        site has row q zero and a row site has entry (q, p) = 1.  These
+        are the sites _column_pattern matches, on M or on M^T.
+        """
+        w = self.width
+        stride, field = w * n, (1 << w) - 1
+        row_mask, row_h, column_mask, column_h = self._line_masks(n)
+        sites = []
+        for q in range(n):
+            row = (state >> (stride * q)) & row_mask
+            column = (state >> (w * q)) & column_mask
+            # unit is the partner line of the zero line q; line p of the
+            # frame, less its fields p and q, must be zero too.  A line
+            # steps by along from one line to the next, a field by across.
+            if row == row_h:
+                unit, along, across, frame, frame_h, kind = (
+                    column - column_h, stride, w, row_mask, row_h, "column"
+                )
+            elif column == column_h:
+                unit, along, across, frame, frame_h, kind = (
+                    row - row_h, w, stride, column_mask, column_h, "row"
+                )
+            else:
+                continue
+            if unit <= 0 or unit & (unit - 1):
+                continue
+            p, off = divmod(unit.bit_length() - 1, along)
+            rest = frame ^ (field << (across * p)) ^ (field << (across * q))
+            if not off and (state >> (along * p)) & rest == frame_h & rest:
+                sites.append((p, q, kind))
+        sites.sort(reverse=True)
+        return sites
+
     def _layout(self, n: int) -> tuple:
-        """Masks, offsets, bound constants and enlargement tails of n x n states, once per size."""
+        """Moves, shifts, masks, bound constants and enlargement tails of n x n states, once per size."""
         layout = self._sizes.get(n)
         if layout is None:
             w, h = self.width, self.offset
-            field, guard = (1 << w) - 1, 1 << (w - 1)
+            guard = 1 << (w - 1)
+            row_mask, row_h, column_mask, column_h = self._line_masks(n)
             row_ones = sum(1 << (w * k) for k in range(n))
-            column_ones = sum(1 << (w * n * r) for r in range(n))
-            ones = row_ones * column_ones
+            ones = row_ones * sum(1 << (w * n * r) for r in range(n))
             lo, hi = h - self.max_entry, h + self.max_entry
             shifts = [(w * n * i, w * i) for i in range(n)]
             # An enlargement moves row r from bit w n r to bit w (n + 2) r,
@@ -657,10 +761,10 @@ class _PackedStates:
                     (plus, minus, *shifts[plus.i], *shifts[plus.j])
                     for plus, minus in _congruence_moves(n)
                 ),
-                field * row_ones,
-                h * row_ones,
-                field * column_ones,
-                h * column_ones,
+                row_mask,
+                row_h,
+                column_mask,
+                column_h,
                 (guard - lo) * ones,
                 (guard - 1 - hi) * ones,
                 guard * ones,
@@ -668,43 +772,6 @@ class _PackedStates:
                 ((EnlargeMove("column"), column_tail), (EnlargeMove("row"), row_tail)),
             )
         return layout
-
-    def children(self, state: int, max_size: int):
-        """Yield (move, child) for each move out of state, in the fixed search order.
-
-        Reduction children come first, from the sites of the unpacked
-        rows, each packed again.  Congruence children follow, built on
-        the int and kept within max_entry; then, when n + 2 <= max_size,
-        the column and the row enlargement, also built on the int: the
-        re-strided rows plus the tail of the kind.  The layout is
-        fetched only after the reductions, so a search that stops at a
-        reduction builds none.  The moves, their order and the children
-        are those of tests/gens.py's reference_children, which copies the
-        matrix for every move and checks it whole.
-        """
-        rows = self.unpack(state)
-        n = len(rows)
-        for p, q, kind in _reduction_sites(rows, _transpose(rows)):
-            yield ReduceMove(p, q, kind), self.pack(_strip(rows, p, q))
-        moves, row_mask, row_h, column_mask, column_h, low, high, guards, strides, tails = (
-            self._layout(n)
-        )
-        for plus, minus, row_i, column_i, row_j, column_j in moves:
-            step = (((state >> row_j) & row_mask) - row_h) << row_i
-            half = state + step
-            child = half + ((((half >> column_j) & column_mask) - column_h) << column_i)
-            if ((child + low) ^ (child + high)) & guards == guards:
-                yield plus, child
-            half = state - step
-            child = half - ((((half >> column_j) & column_mask) - column_h) << column_i)
-            if ((child + low) ^ (child + high)) & guards == guards:
-                yield minus, child
-        if n + 2 <= max_size:
-            wide = 0
-            for old, new in strides:
-                wide |= ((state >> old) & row_mask) << new
-            for move, tail in tails:
-                yield move, wide + tail
 
 
 def _unwind(parents, child) -> tuple[Move, ...]:

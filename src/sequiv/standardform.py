@@ -23,7 +23,7 @@ and exhibits the identical disk-band data on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .intlin import (
     IntMatrix,
@@ -34,8 +34,10 @@ from .intlin import (
 )
 from .purebraid import LinkingMatrix, PureBraidWord
 from .seifert import SeifertMatrix
-from .stringlink import DoubledStringLink
 from .textformat import ints, nonblank_lines, read_framings, read_header
+
+if TYPE_CHECKING:
+    from .stringlink import DoubledStringLink
 
 __all__ = [
     "DiskBandForm",
@@ -220,8 +222,11 @@ def to_string_link(d: DiskBandForm) -> DoubledStringLink:
     """Canonical single-pass string link carrying the disk-band data.
 
     Band i becomes strand i with its framing; the braid is the product of
-    p(i, j)**lk(i, j) over band pairs in lexicographic order.
+    p(i, j)**lk(i, j) over band pairs in lexicographic order.  No
+    command calls it, so stringlink is imported here, not with the module.
     """
+    from .stringlink import DoubledStringLink
+
     n = 2 * d.genus
     strands = max(n, 1)
     letters = []

@@ -396,6 +396,9 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "sequiv" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "sequiv", "--help"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: sequiv ")
 
 
 def test_mat_standardize_unwritable_output(tmp_path, capsys):
@@ -1080,17 +1083,23 @@ def test_mat_sequiv_without_limits_searches_within_the_search_budget_defaults(tm
     )
 
 
-@pytest.mark.parametrize("command", ["invariants", "reduce"])
+@pytest.mark.parametrize("command", ["invariants", "reduce", "--help", "--version"])
 def test_a_closed_stdout_exits_1_with_one_line_and_no_traceback(tmp_path, command):
-    # A verdict (mat invariants) and a document (mat reduce) into a pipe
-    # whose reader has gone, as in `sequiv ... | head -0`.
+    # A verdict (mat invariants), a document (mat reduce), and the help and
+    # version text that argparse writes itself before it exits from
+    # parse_args, into a pipe whose reader has gone, as in
+    # `sequiv ... | head -0`. stdout is buffered, so the write fails only
+    # when it is flushed, which main does before any exit.
     path = _write(tmp_path, "t.mat", TREFOIL)
+    argv = [command] if command.startswith("--") else ["mat", command, path]
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "sequiv", "mat", command, path],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_src_env(),
+            [sys.executable, "-m", "sequiv", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
         )
     finally:
         os.close(write_end)
@@ -1124,6 +1133,15 @@ with contextlib.redirect_stdout(io.StringIO()):
         (
             COMMAND, ["mat", "invariants", "{mat}"],
             "dataclasses sequiv sequiv.cli sequiv.intlin sequiv.laurent sequiv.seifert sequiv.textformat",
+        ),
+        # standardform imports stringlink only inside to_string_link, which no command calls.
+        *(
+            (
+                COMMAND, [*command, "{mat}"],
+                "dataclasses sequiv sequiv.cli sequiv.intlin sequiv.laurent sequiv.purebraid"
+                " sequiv.seifert sequiv.standardform sequiv.textformat",
+            )
+            for command in (["std", "to-disk-band"], ["mat", "standardize"])
         ),
     ],
 )

@@ -444,6 +444,47 @@ def test_mat_enlarge_and_reduce_take_one_determinant_each(tmp_path, capsys, monk
         capsys.readouterr()
 
 
+def packed_search(start, target, max_size: int, max_entry: int, max_nodes: int):
+    """(SearchResult, stored states) of seifert._breadth_first, in reference_search's terms.
+
+    The states are packed as bounded_sequiv_search packs them, and the
+    stored map is unpacked: each stored rows tuple, in the order stored,
+    maps to None (the start) or to its parent's rows and the move from
+    it.  A target of None is never found: no packed state is negative.
+    """
+    packed = seifert._PackedStates(max_entry, start, *([] if target is None else [target]))
+    end = -1 if target is None else packed.pack(target)
+    result, parents = seifert._breadth_first(packed, packed.pack(start), end, max_size, max_nodes)
+    stored = {
+        packed.unpack(state): None if link is None else (packed.unpack(link[0]), link[1])
+        for state, link in parents.items()
+    }
+    return result, stored
+
+
+def assert_search_matches_the_reference(start, target, max_size, max_entry, max_nodes):
+    """The packed search stores reference_search's states, in order, with their parents and moves."""
+    expected, stored = reference_search(start, target, max_size, max_entry, max_nodes)
+    result, packed_stored = packed_search(start, target, max_size, max_entry, max_nodes)
+    assert result == expected
+    assert list(packed_stored.items()) == list(stored.items())
+    return result, stored
+
+
+def reference_sites(rows) -> list:
+    """The (p, q, kind) of reference_children's reductions, in its order."""
+    return [
+        (move.p, move.q, move.kind)
+        for move, _ in reference_children(rows, 0, 0)
+        if isinstance(move, ReduceMove)
+    ]
+
+
+def packed_sites(rows, max_entry: int) -> list:
+    packed = seifert._PackedStates(max_entry, rows)
+    return packed.sites(packed.pack(rows), len(rows))
+
+
 @pytest.mark.parametrize(
     "target, budget, verdict",
     [
@@ -454,28 +495,48 @@ def test_mat_enlarge_and_reduce_take_one_determinant_each(tmp_path, capsys, monk
     ids=["scrambled", "enlarged-max-entry-1"],
 )
 def test_search_builds_each_congruence_child_once(monkeypatch, target, budget, verdict):
-    # Every stored state is expanded at most once, and every expansion
-    # yields each (state, move) once: the moves of reference_children, in
-    # its order, except in the last expansion, which the search leaves
-    # when it decides or exhausts its budget.
-    expanded, yielded = [], []
-    children = seifert._PackedStates.children
+    # Every stored state is expanded at most once, in the order stored, and
+    # every expansion walks the congruence table of its size once, in
+    # order, so it builds each congruence child once; the last expansion
+    # may stop part-way, when the search decides or exhausts its budget.
+    # The children stored, with their parents and moves, are those of
+    # reference_search over reference_children.
+    expanded, walks = [], []
+    sites, layout = seifert._PackedStates.sites, seifert._PackedStates._layout
 
-    def expanding(packed, state, max_size):
-        expanded.append((state, packed.unpack(state), max_size))
-        for move, child in children(packed, state, max_size):
-            yielded.append((state, move))
-            yield move, child
+    class Walk(tuple):
+        def __iter__(self):
+            walks.append([])
+            for entry in tuple.__iter__(self):
+                walks[-1].append(entry[:2])
+                yield entry
 
-    monkeypatch.setattr(seifert._PackedStates, "children", expanding)
-    result = bounded_sequiv_search(TREFOIL, target, budget)
+    def expanding(packed, state, n):
+        expanded.append((state, n))
+        return sites(packed, state, n)
+
+    def recording(packed, n):
+        moves, *rest = layout(packed, n)
+        return (Walk(moves), *rest)
+
+    monkeypatch.setattr(seifert._PackedStates, "sites", expanding)
+    monkeypatch.setattr(seifert._PackedStates, "_layout", recording)
+    max_size = max(TREFOIL.size, target.size) + 2
+    result, stored = assert_search_matches_the_reference(
+        TREFOIL.matrix.rows, target.matrix.rows, max_size, budget.max_entry, budget.max_nodes
+    )
+    monkeypatch.undo()
     assert result.verdict == verdict
-    assert len({state for state, _, _ in expanded}) == len(expanded) > 1
-    assert len(set(yielded)) == len(yielded)
-    for state, rows, max_size in expanded[:-1]:
-        moves = [move for parent, move in yielded if parent == state]
-        assert moves == [move for move, _ in reference_children(rows, max_size, budget.max_entry)]
-    assert any(isinstance(move, CongruenceMove) for _, move in yielded)
+    assert bounded_sequiv_search(TREFOIL, target, budget) == result
+    states = [state for state, _ in expanded]
+    assert len(set(states)) == len(states) > 1
+    assert len(walks) == len(expanded)
+    packed = seifert._PackedStates(budget.max_entry, TREFOIL.matrix.rows, target.matrix.rows)
+    assert [packed.unpack(state) for state in states] == list(stored)[: len(states)]
+    for (_, n), walk in zip(expanded[:-1], walks[:-1]):
+        assert walk == list(seifert._congruence_moves(n))
+    assert walks[-1] == list(seifert._congruence_moves(expanded[-1][1]))[: len(walks[-1])]
+    assert any(link and isinstance(link[1], CongruenceMove) for link in stored.values())
 
 
 def test_search_keeps_no_packed_states_alive(monkeypatch):
@@ -503,28 +564,43 @@ def test_search_keeps_no_packed_states_alive(monkeypatch):
 
 def test_search_decided_by_a_reduction_builds_no_layout(monkeypatch):
     # The first child of the row-enlarged trefoil, a reduction, is the
-    # trefoil: the search stops there, before any congruence child is due,
-    # so the children are generated lazily and no layout is built.
-    sizes = []
+    # trefoil: the search stops there, before any congruence child is due.
+    # The site test needs only the line masks of its size, so no congruence
+    # layout is built.
+    sizes, lines = [], []
+    line_masks = seifert._PackedStates._line_masks
+
+    def masks(packed, n):
+        lines.append(n)
+        return line_masks(packed, n)
+
     monkeypatch.setattr(seifert._PackedStates, "_layout", lambda self, n: sizes.append(n))
+    monkeypatch.setattr(seifert._PackedStates, "_line_masks", masks)
     result = bounded_sequiv_search(row_enlarge(TREFOIL, (1, 0), 1), TREFOIL)
     assert result.verdict == "equivalent"
     assert result.witness == (ReduceMove(2, 3, "row"),)
     assert sizes == []
+    assert lines == [4]
+
+
+SHAPES = ("plain", "zero row", "zero column", "sites")
 
 
 @st.composite
-def search_states(draw):
-    """(rows, max_size, max_entry) for one search expansion.
+def search_states(draw, sizes=st.integers(0, 6), shapes=SHAPES):
+    """(rows, max_size, max_entry) for a search from rows.
 
-    Sizes 0-6 with max_size n or n + 2; entries mostly within max_entry,
-    some states with one or two planted entries just above it, some
-    with random entries well beyond it and some with entries up to
-    +-10^6, which widen the packed fields; some states with a zero row or
-    column, or with one or two planted column or row enlargement sites,
-    which may share an index.
+    Sizes 0-6 by default, with max_size n or n + 2, and a shape drawn
+    from shapes, which may repeat one to weight it; entries mostly
+    within max_entry, some states with one or two planted entries just
+    above it, some with random entries well beyond it and some with
+    entries up to +-10^6, which widen the packed fields; some states
+    with a zero row or column, or with one or two planted column or row
+    enlargement sites, which may share an index, and whose partner line
+    (the column of a column site, the row of a row site) may then be
+    spoilt: its unit turned into -1 or 2, or a +-1 or 2 added beside it.
     """
-    n = draw(st.integers(0, 6))
+    n = draw(sizes)
     max_entry = draw(st.integers(0, 12))
     bound = st.integers(-max_entry, max_entry)
     wide = st.integers(-(10**6), 10**6)
@@ -533,8 +609,8 @@ def search_states(draw):
     if n:
         for _ in range(draw(st.integers(0, 2))):
             r, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-            rows[r][k] = draw(st.sampled_from((1, -1))) * (max_entry + draw(st.integers(1, 3)))
-        shape = draw(st.sampled_from(("plain", "zero row", "zero column", "sites")))
+            rows[r][k] = draw(st.sampled_from((1, -1))) * (max_entry + draw(st.integers(0, 3)))
+        shape = draw(st.sampled_from(shapes))
         if shape == "zero row":
             rows[draw(st.integers(0, n - 1))] = [0] * n
         elif shape == "zero column":
@@ -552,37 +628,52 @@ def search_states(draw):
                             rows[p][l] = 0
                         else:
                             rows[l][p] = 0
-                if column:
-                    rows[p][q] = 1
-                else:
-                    rows[q][p] = 1
+                r, k = (p, q) if column else (q, p)
+                rows[r][k] = draw(st.sampled_from((1, 1, 1, 1, -1, 2)))
+                if draw(st.integers(0, 3)) == 0:
+                    l = draw(st.integers(0, n - 1))
+                    if l not in (p, q):
+                        extra = draw(st.sampled_from((1, -1, 2)))
+                        if column:
+                            rows[l][q] = extra
+                        else:
+                            rows[q][l] = extra
     rows = tuple(tuple(row) for row in rows)
     return rows, n + draw(st.sampled_from((0, 2))), max_entry
 
 
-def packed_children(rows, max_size: int, max_entry: int) -> list:
-    """_PackedStates.children on rows, packed as the search packs a start of rows, then unpacked."""
-    packed = seifert._PackedStates(max_entry, rows)
-    return [
-        (move, packed.unpack(child))
-        for move, child in packed.children(packed.pack(rows), max_size)
-    ]
-
-
 @settings(max_examples=500, deadline=None)
-@given(search_states())
-def test_children_match_the_literal_reference(case):
+@given(search_states(sizes=st.integers(0, 8), shapes=SHAPES + ("sites",) * 4))
+def test_packed_sites_match_the_reference_reductions(case):
+    # The packed site rule finds exactly the ReduceMoves of
+    # reference_children, which tries every (p, q, kind) through the
+    # literal matcher _column_pattern, in the same order; the entries may
+    # lie past max_entry, as on a start past the bound.
+    rows, _, max_entry = case
+    assert packed_sites(rows, max_entry) == reference_sites(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_states(), st.integers(1, 40))
+def test_children_match_the_literal_reference(case, max_nodes):
+    # The search from a random state, with no target, stores exactly the
+    # states of reference_search, whose expansions copy the matrix for
+    # every move and check it whole: the same children, in the same order,
+    # with the same parents and moves, up to a budget that mostly runs out
+    # part-way through an expansion.
     rows, max_size, max_entry = case
-    expected = reference_children(rows, max_size, max_entry)
-    assert packed_children(rows, max_size, max_entry) == expected
+    assert_search_matches_the_reference(rows, None, max_size, max_entry, max_nodes)
 
 
 def test_children_match_the_reference_on_a_start_above_max_entry():
-    # -3 lies above max_entry 2: only moves with i = 0 can change it.
+    # -3 lies above max_entry 2: only moves with i = 0 can change it, so
+    # every congruence child of the start has i = 0.
     scrambled = ((-3, -1), (-2, -1))
-    children = packed_children(scrambled, 4, 2)
-    assert children == reference_children(scrambled, 4, 2)
-    assert children and all(move.i == 0 for move, _ in children if isinstance(move, CongruenceMove))
+    _, stored = assert_search_matches_the_reference(scrambled, None, 4, 2, 100)
+    first = [link[1] for link in stored.values() if link and link[0] == scrambled]
+    assert any(isinstance(move, CongruenceMove) for move in first)
+    assert all(move.i == 0 for move in first if isinstance(move, CongruenceMove))
+    assert packed_sites(scrambled, 2) == reference_sites(scrambled) == []
 
 
 @pytest.mark.parametrize(
@@ -606,9 +697,10 @@ def test_children_match_the_reference_on_a_start_above_max_entry():
 )
 def test_children_match_the_reference_at_extreme_max_entry(rows, max_entry, width):
     assert seifert._PackedStates(max_entry, rows).width == width
+    assert packed_sites(rows, max_entry) == reference_sites(rows)
     for max_size in (len(rows), len(rows) + 2):
-        expected = reference_children(rows, max_size, max_entry)
-        assert packed_children(rows, max_size, max_entry) == expected
+        for max_nodes in (1, 5, 60):
+            assert_search_matches_the_reference(rows, None, max_size, max_entry, max_nodes)
 
 
 @pytest.mark.parametrize("max_entry", [0, 10**9])
@@ -698,10 +790,43 @@ def test_search_matches_the_reference_search(case):
         assert result.verdict == "distinct"
         return
     max_size = max(m1.size, m2.size) + 2
-    expected, _ = reference_search(
-        m1.matrix.rows, m2.matrix.rows, max_size, budget.max_entry, budget.max_nodes
-    )
+    start, target = m1.matrix.rows, m2.matrix.rows
+    expected, _ = reference_search(start, target, max_size, budget.max_entry, budget.max_nodes)
     assert result == expected
+    if start != target:
+        # The whole search, state by state: every stored state, in order,
+        # with its parent and move.
+        assert_search_matches_the_reference(
+            start, target, max_size, budget.max_entry, budget.max_nodes
+        )
+
+
+@pytest.mark.parametrize(
+    "m1, m2, max_nodes, verdict",
+    [
+        # Decided by a congruence child, part-way through an expansion.
+        (TREFOIL, validate(IntMatrix.from_rows([[-3, -1], [-2, -1]])), 400, "equivalent"),
+        # Decided by a reduction, the first child of the start.
+        (row_enlarge(TREFOIL, (1, 0), 1), TREFOIL, 400, "equivalent"),
+        # Budgets that run out part-way through an expansion.
+        (TREFOIL, column_enlarge(TREFOIL, (1, 0), 1), 300, "unknown"),
+        (TREFOIL, row_enlarge(TREFOIL, (1, 0), 1), 777, "unknown"),
+        (TREFOIL, validate(IntMatrix.from_rows([[-3, -1], [-2, -1]])), 5, "unknown"),
+    ],
+    ids=["congruence", "reduction", "column-300", "row-777", "scrambled-5"],
+)
+def test_search_stores_the_reference_states(m1, m2, max_nodes, verdict):
+    max_size = max(m1.size, m2.size) + 2
+    start, target = m1.matrix.rows, m2.matrix.rows
+    result, stored = assert_search_matches_the_reference(start, target, max_size, 8, max_nodes)
+    assert result.verdict == verdict
+    assert bounded_sequiv_search(m1, m2, SearchBudget(max_nodes=max_nodes)) == result
+    if verdict == "unknown":
+        # One more state would come from the same parent: the budget ran
+        # out in the middle of that parent's expansion.
+        _, more = reference_search(start, target, max_size, 8, max_nodes + 1)
+        assert len(stored) == max_nodes and len(more) == max_nodes + 1
+        assert list(more.values())[-1][0] == list(stored.values())[-1][0]
 
 
 @pytest.mark.parametrize("enlarge", [column_enlarge, row_enlarge], ids=["column", "row"])
@@ -710,13 +835,14 @@ def test_children_match_the_reference_on_every_stored_search_state(enlarge):
     enlarged = enlarge(TREFOIL, (1, 0), 1)
     budget = SearchBudget(max_nodes=4000)
     max_size, max_entry = enlarged.size + 2, budget.max_entry
-    expected, stored = reference_search(
-        TREFOIL.matrix.rows, enlarged.matrix.rows, max_size, max_entry, budget.max_nodes
+    start, target = TREFOIL.matrix.rows, enlarged.matrix.rows
+    expected, stored = assert_search_matches_the_reference(
+        start, target, max_size, max_entry, budget.max_nodes
     )
     assert len(stored) == 4000
+    packed = seifert._PackedStates(max_entry, start, target)
     for rows in stored:
-        children = reference_children(rows, max_size, max_entry)
-        assert packed_children(rows, max_size, max_entry) == children
+        assert packed.sites(packed.pack(rows), len(rows)) == reference_sites(rows)
     result = bounded_sequiv_search(TREFOIL, enlarged, budget)
     assert result == expected
     assert result.reason == "budget exhausted after 4000 states"
