@@ -366,11 +366,18 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ValueError.
 
     main then reports them like any invalid input: exit 1 and one
-    "error: ..." line.  Subparsers are built from this class too.
+    "error: ..." line.  Subparsers are built from this class too.  The
+    help and version text is written without argparse's own handler,
+    which swallows an OSError, so a write into a closed pipe reaches
+    main even when stdout is unbuffered and fails at the write.
     """
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

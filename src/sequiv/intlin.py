@@ -1,9 +1,13 @@
 """Exact integer linear algebra on immutable square matrices.
 
-There is one determinant path, Bareiss fraction-free elimination, and one
-polynomial path on top of it: transpose_pencil_det interpolates
-det(M - tM^T) from g + 1 integer determinants det(M + k(M + M^T)),
-k = 0..g, which sit at t = -k / (k + 1); t = 1 and t = -1 are never
+There is one determinant path, Bareiss fraction-free elimination, and on
+top of it one polynomial form of det(M - tM^T), sum_j d_j t^j
+(1 + t)^(n - 2j), whose d_j are read two ways: transpose_pencil_det
+interpolates them from g + 1 integer determinants det(M + k(M + M^T)),
+k = 0..g, which sit at t = -k / (k + 1), and _kronecker_pencil reads them
+off the balanced digits of one determinant det(M + K(M + M^T)) at a K
+past a proven bound on them, t = -K / (K + 1), or declines when that
+determinant would be wider than a budget.  t = 1 and t = -1 are never
 nodes, so the checks the Alexander polynomial gets there stay
 independent.  det and det_or_left_kernel share one elimination loop
 with row swaps, which stops at the first column without a pivot.
@@ -30,7 +34,7 @@ public operation is a pure function, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from operator import add, mul, sub
 from typing import Iterable, Optional
 
@@ -286,11 +290,7 @@ def _transpose_pencil(m: IntMatrix, det_m: int) -> list[int]:
         raise ValueError(f"transpose pencil requires even size, got {n}")
     g = n // 2
     pairs = list(zip(m.rows, zip(*m.rows)))
-
-    def at(k: int) -> IntMatrix:
-        return IntMatrix(tuple([tuple([x + k * (x + y) for x, y in zip(r, c)]) for r, c in pairs]))
-
-    newton = [det_m] + [det(at(k)) for k in range(1, g + 1)]
+    newton = [det_m] + [det(_shifted(pairs, k)) for k in range(1, g + 1)]
     nodes = [-k * (k + 1) for k in range(g + 1)]
     for j in range(1, g + 1):
         for k in range(g, j - 1, -1):
@@ -306,6 +306,71 @@ def _transpose_pencil(m: IntMatrix, det_m: int) -> list[int]:
             shifted[i] -= nodes[k] * c
         shifted[0] += newton[k]
         d = shifted
+    return _expand(d, n)
+
+
+def _kronecker_pencil(m: IntMatrix, budget: int) -> Optional[tuple[int, list[int]]]:
+    """(det(M + KQ), coefficients of det(M - tM^T) from it), or None if n * bit_length(K) > budget.
+
+    M has even size n = 2g.  With Q = M + M^T and D(mu) = det(M - lambda Q) = sum_j d_j mu^j,
+    mu = lambda (1 - lambda), as in transpose_pencil_det, the node
+    lambda = -K gives det(M + KQ) = D(-K(K + 1)).  When every
+    |d_j| < K(K + 1) / 2, the d_j are the balanced digits of that one
+    integer in base -K(K + 1), and det(M - tM^T) =
+    sum_j d_j t^j (1 + t)^(n - 2j) as there.  A singular M needs no
+    reduction: its D has zero low digits.
+
+    The bound.  On |mu| = 1 the two roots of lambda^2 - lambda + mu = 0
+    multiply to mu, so one has |lambda| <= 1, and for it every entry of
+    M - lambda Q has |m_ij - lambda q_ij| <= |m_ij| + |q_ij|.  Hadamard's
+    inequality then gives |D(mu)| <= H = sqrt(prod_i s_i), with
+    s_i = sum_j (|m_ij| + |q_ij|)^2 <= (||m_i|| + ||q_i||)^2, and Cauchy's
+    estimate on the unit circle gives |d_j| <= H for every j.
+    K = isqrt(isqrt(4 prod_i s_i)) + 1 has K^2 > sqrt(4 prod_i s_i) = 2H,
+    so K(K + 1) / 2 > H.  The node sits at t = -K / (K + 1), neither 1
+    nor -1, so the checks the Alexander polynomial gets there stay
+    independent.
+
+    The width n * bit_length(K) sets the size of the one determinant.
+    The running product of the s_i stops as soon as it is over the
+    budget, so a wide input pays for no more than that.  After g + 1
+    digits the remainder must be 0, else InternalCheckError.  The node
+    determinant is 0 only when D is 0: by Cauchy's bound the roots of a
+    nonzero D lie within 1 + H of 0, and K(K + 1) > 2H + 1.
+    """
+    n = m.size
+    # bit_length(K) <= w = budget // n exactly when 4 * prod_i s_i < (2^w - 1)^4.
+    cap = ((1 << (budget // max(n, 1))) - 1) ** 4
+    hh = 4
+    for row, col in zip(m.rows, zip(*m.rows)):
+        hh *= sum((abs(x) + abs(x + y)) ** 2 for x, y in zip(row, col))
+        if hh >= cap:
+            return None
+    k = isqrt(isqrt(hh)) + 1
+    base = k * (k + 1)
+    node = det(_shifted(zip(m.rows, zip(*m.rows)), k))
+    value = node
+    d = []
+    for _ in range(n // 2 + 1):
+        digit = value % base
+        if 2 * digit >= base:
+            digit -= base
+        d.append(digit)
+        value = (value - digit) // -base
+    if value:
+        raise InternalCheckError(
+            f"node determinant {node} leaves a remainder after {n // 2 + 1} digits in base {-base}"
+        )
+    return node, _expand(d, n)
+
+
+def _shifted(pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], k: int) -> IntMatrix:
+    """M + k(M + M^T), from the pairs (row i, column i) of M."""
+    return IntMatrix(tuple([tuple([x + k * (x + y) for x, y in zip(r, c)]) for r, c in pairs]))
+
+
+def _expand(d: list[int], n: int) -> list[int]:
+    """Coefficients, constant first, of sum_j d_j t^j (1 + t)^(n - 2j)."""
     coeffs = [0] * (n + 1)
     for j, dj in enumerate(d):
         for i in range(n - 2 * j + 1):

@@ -19,6 +19,7 @@ from .intlin import (
     IntMatrix,
     InternalCheckError,
     _add_multiple,
+    _kronecker_pencil,
     _negate,
     _transpose_pencil,
     det,
@@ -52,6 +53,12 @@ __all__ = [
     "apply_moves",
     "bounded_sequiv_search",
 ]
+
+# The widest one-determinant Alexander pencil, in bits: n * bit_length(K)
+# for an n x n matrix (see alexander_raw).  Wider ones reduce and
+# interpolate.  On scrambled block sums one determinant was measured
+# faster up to about 1100 and slower from about 1300 (README design notes).
+_NARROW_BUDGET = 900
 
 
 @dataclass(frozen=True)
@@ -88,19 +95,40 @@ def validate(m: IntMatrix) -> SeifertMatrix:
 
 
 def alexander_raw(sm: SeifertMatrix) -> LaurentPoly:
-    """The unnormalized polynomial det(M - t * M^T), computed on a reduced matrix.
+    """The unnormalized polynomial det(M - t * M^T), from one determinant when that is narrow.
 
-    reduce_fully gives a nonsingular N of size s, S-equivalent to M, and
-    each reduction multiplies det(M - tM^T) by exactly t, so the result
-    is t^((n - s) / 2) det(N - tN^T).  The pencil of N is interpolated by
-    intlin's transpose_pencil_det body, with the last kernel pass's det N
-    as node k = 0.  Its constant and leading coefficients are det N, and
-    a zero det N or any other value raises InternalCheckError.  The
-    nodes sit at t = -k / (k + 1), k = 0..s/2, and leave out t = 1 and
-    t = -1, so the check delta(1) = 1 and the cross-check against
+    Each reduction (see reduce_fully) multiplies det(M - tM^T) by
+    exactly t.  While the matrix has a zero row, a reduction costs no
+    elimination, so those go first, to an M' of size r.  Then:
+
+    - If r * bit_length(K) <= _NARROW_BUDGET for M', intlin's
+      _kronecker_pencil reads det(M' - tM'^T) off the balanced digits of
+      the one determinant det(M' + K(M' + M'^T)), with K from a proven
+      bound on the digits (its docstring has the proof).  A singular M'
+      needs no further reduction: it only gives zero low digits.  The
+      node determinant is 0 only for a zero pencil, and
+      det(M' - M'^T) = 1 rules that out, so a 0 raises
+      InternalCheckError, as does a remainder after the digits.
+    - Otherwise the reduction goes on to a nonsingular N of size s, and
+      the pencil of N is interpolated by intlin's transpose_pencil_det
+      body, with the last kernel pass's det N as node k = 0.  Its
+      constant and leading coefficients are det N, and a zero det N or
+      any other value raises InternalCheckError.
+
+    The result is t^((n - r) / 2) det(M' - tM'^T), or
+    t^((n - s) / 2) det(N - tN^T).  No node is t = 1 or t = -1 (the
+    Kronecker node is t = -K / (K + 1), the others t = -k / (k + 1),
+    k = 0..s/2), so the check delta(1) = 1 and the cross-check against
     det(M + M^T) of the original M compare independent computations.
     """
-    reduced, _, det_n = _reduce(sm.matrix)
+    m, _, _ = _reduce(sm.matrix, eliminate=False)
+    narrow = _kronecker_pencil(m, _NARROW_BUDGET)
+    if narrow is not None:
+        node, coeffs = narrow
+        if node == 0:
+            raise InternalCheckError(f"Kronecker node determinant of a {m.size}x{m.size} matrix is 0")
+        return LaurentPoly.of((sm.size - m.size) // 2, coeffs)
+    reduced, _, det_n = _reduce(m)
     if det_n == 0:
         raise InternalCheckError(f"reduced matrix of size {reduced.size} is singular")
     coeffs = _transpose_pencil(reduced, det_n)
@@ -133,8 +161,9 @@ def knot_signature(sm: SeifertMatrix) -> int:
     """The signature of M + M^T: the signature field of invariants(sm).
 
     It is read from the cross-checked gate, so it also pays for the
-    Alexander polynomial: a reduction and s/2 determinants for the
-    reduced size s, on top of the one signature pass.
+    Alexander polynomial (one determinant when narrow, else a reduction
+    and s/2 determinants for the reduced size s) on top of the one
+    signature pass.
     """
     return invariants(sm).signature
 
@@ -165,8 +194,8 @@ def _invariants(sm: SeifertMatrix, delta: LaurentPoly) -> Invariants:
     The signature and |det(M + M^T)| come from one pass.  delta(-1) =
     (-1)^g det(M + M^T) and det(M + M^T) has the sign
     (-1)^((n - sigma) / 2), so |delta(-1)| = |det(M + M^T)| and
-    sign delta(-1) = (-1)^(sigma / 2).  delta comes from
-    transpose_pencil_det, whose nodes leave out t = -1: independent code;
+    sign delta(-1) = (-1)^(sigma / 2).  delta comes from alexander_raw,
+    whose nodes leave out t = -1: independent code;
     a failure raises InternalCheckError.  The Arf invariant is 0 when
     delta(-1) is congruent to +-1 mod 8, else 1.
     """
@@ -297,10 +326,17 @@ def reduce_fully(sm: SeifertMatrix) -> tuple[SeifertMatrix, tuple[Move, ...]]:
     return SeifertMatrix(reduced), tuple(moves)
 
 
-def _reduce(m: IntMatrix) -> tuple[IntMatrix, list[Move], int]:
-    """(reduced matrix, moves, its det); see reduce_fully."""
+def _reduce(m: IntMatrix, eliminate: bool = True) -> tuple[IntMatrix, list[Move], Optional[int]]:
+    """(reduced matrix, moves, its det); see reduce_fully.
+
+    With eliminate False it stops at the first matrix with no zero row,
+    before det_or_left_kernel would eliminate, and returns det None: the
+    steps it takes find their kernel vector e_q without elimination.
+    """
     moves: list[Move] = []
     while True:
+        if not eliminate and all(map(any, m.rows)):
+            return m, moves, None
         det_m, u = det_or_left_kernel(m)
         if u is None:
             return m, moves, det_m

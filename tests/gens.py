@@ -100,6 +100,20 @@ def random_scrambled_seifert(rng: random.Random, genus: int, ops: int = 6):
     return sm, a, validate(a * sm.matrix * a.transpose())
 
 
+def widened(m: IntMatrix, c: int = 2**1000) -> IntMatrix:
+    """E M E^T for E = I + c e(n - 1, 0), n >= 2: congruent to M, with entries near c and c^2.
+
+    Its one-determinant Alexander pencil is far over seifert's width
+    budget, so alexander_raw reduces it and interpolates: the input for
+    tests of that path.
+    """
+    n = m.size
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[-1][0] = c
+    e = IntMatrix.from_rows(rows)
+    return e * m * e.transpose()
+
+
 def pencil_det(a: IntMatrix, b: IntMatrix) -> list[int]:
     """Coefficients, constant first, of the polynomial det(A - t * B).
 

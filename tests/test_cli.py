@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sequiv import braidclosure, cli, laurent, seifert, standardform
 from sequiv.braidclosure import parse_artin_word
+from gens import widened
 from sequiv.cli import main
 from sequiv.intlin import IntMatrix, InternalCheckError, format_matrix, parse_matrix
 from sequiv.laurent import parse_laurent
@@ -530,25 +531,41 @@ def test_internal_checks_survive_optimize(tmp_path, coeffs, message):
 
 _BROKEN_KERNEL = """
 import sys
-from sequiv import cli, seifert
+from sequiv import cli, intlin, seifert
 assert sys.flags.optimize
 seifert.det_or_left_kernel = {kernel}
+intlin.det = {det}
 sys.exit(cli.main(["mat", "invariants", sys.argv[1]]))
 """
 
 
 @pytest.mark.parametrize(
-    "kernel, message",
+    "text, kernel, det, message",
     [
-        # e_1 is no kernel vector: row 1 of the enlarged trefoil is not zero.
-        ("lambda m: (0, (1,) + (0,) * (m.size - 1))", "row 1 is not zero"),
-        ("lambda m: (0, None)", "reduced matrix of size 4 is singular"),
+        pytest.param("wide", kernel, "intlin.det", message, id=f"{kernel}-{message}")
+        for kernel, message in (
+            # Widened, the enlarged trefoil has no zero row and is over the
+            # width budget, so the kernel passes run.  e_1 is no kernel
+            # vector: row 1 of that matrix is not zero.
+            ("lambda m: (0, (1,) + (0,) * (m.size - 1))", "row 1 is not zero"),
+            ("lambda m: (0, None)", "reduced matrix of size 4 is singular"),
+        )
+    ]
+    + [
+        # The trefoil is narrow: its one Kronecker node determinant.
+        pytest.param(TREFOIL, "None", det, message, id=f"trefoil-{det}")
+        for det, message in (
+            ("lambda m: 2**5000", "leaves a remainder"),
+            ("lambda m: 0", "Kronecker node determinant of a 2x2 matrix is 0"),
+        )
     ],
 )
-def test_reduction_checks_survive_optimize(tmp_path, kernel, message):
-    path = _write(tmp_path, "enlarged.mat", COLUMN_ENLARGED)
+def test_reduction_checks_survive_optimize(tmp_path, text, kernel, det, message):
+    if text == "wide":
+        text = format_matrix(widened(parse_matrix(COLUMN_ENLARGED)))
+    path = _write(tmp_path, "m.mat", text)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_KERNEL.format(kernel=kernel), path],
+        [sys.executable, "-O", "-c", _BROKEN_KERNEL.format(kernel=kernel, det=det), path],
         capture_output=True,
         text=True,
         env=_src_env(),
@@ -1083,17 +1100,27 @@ def test_mat_sequiv_without_limits_searches_within_the_search_budget_defaults(tm
     )
 
 
-@pytest.mark.parametrize("command", ["invariants", "reduce", "--help", "--version"])
-def test_a_closed_stdout_exits_1_with_one_line_and_no_traceback(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, unbuffered",
+    [
+        pytest.param(command, unbuffered, id=command + ("-unbuffered" if unbuffered else ""))
+        for unbuffered in (False, True)
+        for command in ("invariants", "reduce", "--help", "--version")
+    ],
+)
+def test_a_closed_stdout_exits_1_with_one_line_and_no_traceback(tmp_path, command, unbuffered):
     # A verdict (mat invariants), a document (mat reduce), and the help and
     # version text that argparse writes itself before it exits from
     # parse_args, into a pipe whose reader has gone, as in
-    # `sequiv ... | head -0`. stdout is buffered, so the write fails only
-    # when it is flushed, which main does before any exit.
+    # `sequiv ... | head -0`.  A buffered stdout fails only when it is
+    # flushed, which main does before any exit; an unbuffered one
+    # (PYTHONUNBUFFERED=1) fails at the write itself.
     path = _write(tmp_path, "t.mat", TREFOIL)
     argv = [command] if command.startswith("--") else ["mat", command, path]
     env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

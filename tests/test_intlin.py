@@ -19,6 +19,7 @@ from gens import (
     reference_product,
     reference_sum,
     reference_transpose,
+    widened,
 )
 from sequiv import intlin, seifert
 from sequiv.braidclosure import knot_corpus, seifert_matrix
@@ -394,9 +395,10 @@ def _run_invariants(path, capsys):
 
 
 def test_wrong_pencil_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):
+    # A widened trefoil is over the width budget, so the Alexander
+    # polynomial reads the pencil body through seifert's binding.
     path = tmp_path / "trefoil.mat"
-    path.write_text("2\n-1 1\n0 -1\n")
-    # The Alexander polynomial reads the pencil body through seifert's binding.
+    path.write_text(format_matrix(widened(IntMatrix.from_rows([[-1, 1], [0, -1]]))))
     monkeypatch.setattr(seifert, "_transpose_pencil", lambda m, det_m: _wrong_pencil(m))
     code, out, err = _run_invariants(path, capsys)
     assert code == 3
@@ -409,11 +411,12 @@ def test_wrong_pencil_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch)
 def test_shifted_node_determinant_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch, node):
     # One node value off by 1 moves D by the Lagrange basis polynomial of
     # that node, which is nonzero at mu = 1/4 (t = 1), so delta(1) != 1.
-    # The matrix is nonsingular, so node 0 is the det of the one kernel
-    # pass and nodes 1..3 are intlin.det calls.
+    # The widened matrix is nonsingular and over the width budget, so
+    # node 0 is the det of the one kernel pass and nodes 1..3 are
+    # intlin.det calls.
     _, _, sm = random_scrambled_seifert(random.Random(11), 3)
     path = tmp_path / "genus3.mat"
-    path.write_text(format_matrix(sm.matrix))
+    path.write_text(format_matrix(widened(sm.matrix)))
     assert _run_invariants(path, capsys)[0] == 0
     kernel_calls, det_calls = [], []
 
@@ -434,6 +437,39 @@ def test_shifted_node_determinant_makes_mat_invariants_exit_3(tmp_path, capsys, 
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # d_0 moves by 1, so delta(1) = sum_j d_j 2^(n - 2j) moves by 2^n.
+        (lambda d: d + 1, "does not take value 1 at t=1"),
+        # Far more than g + 1 digits can hold.
+        (lambda d: d * 2**5000, "leaves a remainder"),
+        (lambda d: 0, "Kronecker node determinant of a 6x6 matrix is 0"),
+    ],
+)
+def test_kronecker_node_faults_make_mat_invariants_exit_3(tmp_path, capsys, monkeypatch, fault, message):
+    # The scrambled genus-3 matrix is narrow and has no zero row, so its
+    # Alexander polynomial is read off one intlin.det, and no kernel pass runs.
+    _, _, sm = random_scrambled_seifert(random.Random(11), 3)
+    path = tmp_path / "genus3.mat"
+    path.write_text(format_matrix(sm.matrix))
+    det_calls, kernel_calls = [], []
+
+    def faulty(m):
+        det_calls.append(m.size)
+        return fault(det(m))
+
+    monkeypatch.setattr(seifert, "det_or_left_kernel", lambda m: kernel_calls.append(m.size))
+    monkeypatch.setattr(intlin, "det", faulty)
+    code, out, err = _run_invariants(path, capsys)
+    assert (det_calls, kernel_calls) == ([6], [])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert message in err
     assert len(err.splitlines()) == 1
 
 

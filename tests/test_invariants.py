@@ -18,6 +18,7 @@ from gens import (
     laurent_matrix_det,
     random_scrambled_seifert,
     random_unimodular,
+    widened,
 )
 from sequiv import intlin, seifert
 from sequiv.braidclosure import (
@@ -154,8 +155,12 @@ def test_signature_sign_of_delta_at_minus_one_on_large_closures():
     assert max(sizes) >= 36
 
 
-def _nonsingular_then_enlarged(seed):
-    """(matrix, s): a scrambled nonsingular matrix of size s, enlarged 0-2 times and scrambled again."""
+def _nonsingular_then_enlarged(seed, wide=False):
+    """(matrix, s): a scrambled nonsingular matrix of size s, enlarged 0-2 times and scrambled again.
+
+    With wide, each matrix of size 2 or more is widened past the width
+    budget, so alexander_raw reduces it and interpolates.
+    """
     rng = random.Random(seed)
     for genus in range(5):
         sm = random_scrambled_seifert(rng, genus)[2]
@@ -166,8 +171,17 @@ def _nonsingular_then_enlarged(seed):
             for _ in range(enlargements):
                 enlarge = rng.choice((column_enlarge, row_enlarge))
                 big = enlarge(big, [rng.randint(-2, 2) for _ in range(big.size)], rng.randint(-2, 2))
-            a = random_unimodular(rng, big.size)
-            yield validate(a * big.matrix * a.transpose()), sm.size
+            m = None
+            # Scrambled until no row is zero, so the width rule alone picks
+            # the path (a zero row is reduced first; see the test below).
+            while m is None or not all(map(any, m.rows)):
+                a = random_unimodular(rng, big.size)
+                m = a * big.matrix * a.transpose()
+            if wide and m.size:
+                m = widened(m)
+                assert intlin._kronecker_pencil(m, seifert._NARROW_BUDGET) is None
+                assert all(map(any, m.rows))
+            yield validate(m), sm.size
 
 
 def _count_calls(monkeypatch, *bindings):
@@ -186,32 +200,60 @@ def _count_calls(monkeypatch, *bindings):
 
 
 def test_invariants_runs_only_the_alexander_determinants(monkeypatch):
-    # reduce_fully runs one kernel pass per reduction and a last one on the
-    # nonsingular N of size s, whose det N is node 0 of the pencil; nodes
-    # k = 1..s/2 are det(N + k(N + N^T)).  The signature and det(M + M^T)
-    # come from one separate pass that calls neither.
+    # A narrow matrix with no zero row takes one determinant,
+    # det(M + K(M + M^T)), and no kernel pass.  Over the width budget,
+    # reduce_fully runs one kernel pass per reduction and a last one on
+    # the nonsingular N of size s, whose det N is node 0 of the pencil;
+    # nodes k = 1..s/2 are det(N + k(N + N^T)).  The signature and
+    # det(M + M^T) come from one separate pass that calls neither.
     calls = _count_calls(monkeypatch, (intlin, "det"), (seifert, "det_or_left_kernel"))
-    for sm, s in _nonsingular_then_enlarged(302):
-        for seen in calls.values():
-            seen.clear()
-        invariants(sm)
-        assert calls == {"det": [s] * (s // 2), "det_or_left_kernel": list(range(sm.size, s - 1, -2))}
+    for wide in (False, True):
+        for sm, s in _nonsingular_then_enlarged(302, wide):
+            for seen in calls.values():
+                seen.clear()
+            invariants(sm)
+            if wide and sm.size:
+                assert calls == {"det": [s] * (s // 2), "det_or_left_kernel": list(range(sm.size, s - 1, -2))}
+            else:
+                assert calls == {"det": [sm.size], "det_or_left_kernel": []}
 
 
 def test_mat_invariants_runs_one_plus_genus_plus_one_determinants(tmp_path, capsys, monkeypatch):
-    # validate's det(M - M^T), the kernel passes down to size s, then the
-    # s/2 Alexander nodes after node 0.
+    # validate's det(M - M^T), then, over the width budget, the kernel
+    # passes down to size s and the s/2 Alexander nodes after node 0;
+    # under it, the one Kronecker node determinant.
     calls = _count_calls(
         monkeypatch, (intlin, "det"), (seifert, "det"), (seifert, "det_or_left_kernel")
     )
-    for k, (sm, s) in enumerate(_nonsingular_then_enlarged(303)):
-        path = tmp_path / f"case{k}.mat"
-        path.write_text(format_matrix(sm.matrix))
-        for seen in calls.values():
-            seen.clear()
-        assert main(["mat", "invariants", str(path)]) == 0
-        assert calls == {
-            "det": [sm.size] + [s] * (s // 2),
-            "det_or_left_kernel": list(range(sm.size, s - 1, -2)),
-        }
+    for wide in (False, True):
+        for k, (sm, s) in enumerate(_nonsingular_then_enlarged(303, wide)):
+            path = tmp_path / f"case{k}.mat"
+            path.write_text(format_matrix(sm.matrix))
+            for seen in calls.values():
+                seen.clear()
+            assert main(["mat", "invariants", str(path)]) == 0
+            if wide and sm.size:
+                assert calls == {
+                    "det": [sm.size] + [s] * (s // 2),
+                    "det_or_left_kernel": list(range(sm.size, s - 1, -2)),
+                }
+            else:
+                assert calls == {"det": [sm.size] * 2, "det_or_left_kernel": []}
     capsys.readouterr()
+
+
+def test_a_zero_row_is_reduced_without_elimination_before_the_one_determinant(monkeypatch):
+    # column_enlarge leaves row n + 2 zero: the kernel pass finds e_q there
+    # without eliminating, the reduction strips it, and the narrow
+    # trefoil left over takes one determinant.
+    trefoil = validate(IntMatrix.from_rows([[-1, 1], [0, -1]]))
+    enlarged = column_enlarge(trefoil, (1, 0), 1)
+    assert not any(enlarged.matrix.rows[3])
+    expected = invariants(trefoil)
+    calls = _count_calls(monkeypatch, (intlin, "det"), (seifert, "det_or_left_kernel"))
+    eliminations = []
+    bareiss = intlin._bareiss
+    monkeypatch.setattr(intlin, "_bareiss", lambda a: eliminations.append(len(a)) or bareiss(a))
+    assert invariants(enlarged) == expected
+    assert calls == {"det": [2], "det_or_left_kernel": [4]}
+    assert eliminations == [2]

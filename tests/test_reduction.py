@@ -13,11 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import block_sum, pencil_det, random_unimodular
+from gens import block_sum, pencil_det, random_unimodular, widened
 from sequiv import seifert
 from sequiv.braidclosure import knot_corpus, seifert_matrix
 from sequiv.cli import main
-from sequiv.intlin import IntMatrix, det
+from sequiv.intlin import (
+    IntMatrix,
+    _kronecker_pencil,
+    det,
+    format_matrix,
+    parse_matrix,
+    transpose_pencil_det,
+)
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
     NegateMove,
@@ -89,26 +96,73 @@ _nontrivial_blocks = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.intege
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.one_of(_trivial_blocks, _nontrivial_blocks), max_size=4),
-    st.integers(0, 3),
-    st.integers(0, 2**32 - 1),
-)
-def test_scrambled_enlarged_block_sums_reduce_to_the_span(blocks, enlargements, seed):
+def _scrambled_enlarged(blocks, enlargements, seed):
     rng = random.Random(seed)
     sm = block_sum(blocks)
-    nontrivial = sum(1 for a, b, d in blocks if a * d != b * (b + 1))
     for _ in range(enlargements):
         a = random_unimodular(rng, sm.size)
         sm = validate(a * sm.matrix * a.transpose())
         enlarge = rng.choice((column_enlarge, row_enlarge))
         sm = enlarge(sm, [rng.randint(-2, 2) for _ in range(sm.size)], rng.randint(-2, 2))
     a = random_unimodular(rng, sm.size)
-    sm = validate(a * sm.matrix * a.transpose())
+    return validate(a * sm.matrix * a.transpose())
+
+
+_block_sum_cases = (
+    st.lists(st.one_of(_trivial_blocks, _nontrivial_blocks), max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_block_sum_cases)
+def test_scrambled_enlarged_block_sums_reduce_to_the_span(blocks, enlargements, seed):
+    sm = _scrambled_enlarged(blocks, enlargements, seed)
+    nontrivial = sum(1 for a, b, d in blocks if a * d != b * (b + 1))
     assert _check_reduction(sm).size == 2 * nontrivial
     m = sm.matrix
     assert alexander_raw(sm) == LaurentPoly.of(0, pencil_det(m, m.transpose()))
+
+
+def _node_path(sm):
+    """det(M - tM^T) by the reduction and the s/2 + 1 node determinants."""
+    reduced, _, det_n = seifert._reduce(sm.matrix)
+    return LaurentPoly.of((sm.size - reduced.size) // 2, seifert._transpose_pencil(reduced, det_n))
+
+
+def _check_one_determinant_pencil(sm, budget):
+    """The one-determinant pencil of sm under budget, checked against both other paths."""
+    m = sm.matrix
+    narrow = _kronecker_pencil(m, budget)
+    if narrow is not None:
+        node, coeffs = narrow
+        assert node != 0
+        assert coeffs == pencil_det(m, m.transpose()) == transpose_pencil_det(m)
+        assert LaurentPoly.of(0, coeffs) == _node_path(sm) == alexander_raw(sm)
+    return narrow
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_block_sum_cases, st.sampled_from((seifert._NARROW_BUDGET, 10**4)))
+def test_one_determinant_pencil_is_the_reference_and_the_node_path(blocks, enlargements, seed, budget):
+    # Singular and Delta-trivial matrices included: a singular M only
+    # gives zero low digits.  10**4 holds every matrix here.
+    narrow = _check_one_determinant_pencil(_scrambled_enlarged(blocks, enlargements, seed), budget)
+    assert narrow is not None or budget == seifert._NARROW_BUDGET
+
+
+def test_one_determinant_pencil_examples():
+    for rows in ([], [[0, 1], [0, 0]], [[-1, 1], [0, -1]]):
+        assert _check_one_determinant_pencil(validate(IntMatrix.from_rows(rows)), seifert._NARROW_BUDGET)
+    assert _kronecker_pencil(IntMatrix(), 0) == (1, [1])
+
+
+def test_one_determinant_pencil_on_closures_up_to_the_budget():
+    narrow = 0
+    for word in knot_corpus(6, 40, 5, 40):
+        narrow += _check_one_determinant_pencil(seifert_matrix(word), seifert._NARROW_BUDGET) is not None
+    assert 10 <= narrow < 40
 
 
 def test_negate_move():
@@ -132,14 +186,16 @@ def test_negate_move():
 @pytest.mark.parametrize(
     "kernel, message",
     [
-        # e_1 is no kernel vector: row 1 of the enlarged trefoil is not zero.
+        # e_1 is no kernel vector: row 1 of the widened enlarged trefoil is not zero.
         (lambda m: (0, (1,) + (0,) * (m.size - 1)), "row 1 is not zero"),
         (lambda m: (0, None), "reduced matrix of size 4 is singular"),
     ],
 )
 def test_kernel_pass_faults_make_mat_invariants_exit_3(tmp_path, capsys, monkeypatch, kernel, message):
+    # Widened, the enlarged trefoil has no zero row and is over the width
+    # budget, so its Alexander polynomial runs the kernel passes.
     path = tmp_path / "enlarged.mat"
-    path.write_text(COLUMN_ENLARGED)
+    path.write_text(format_matrix(widened(parse_matrix(COLUMN_ENLARGED))))
     monkeypatch.setattr(seifert, "det_or_left_kernel", kernel)
     assert main(["mat", "invariants", str(path)]) == 3
     captured = capsys.readouterr()
