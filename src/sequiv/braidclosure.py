@@ -38,9 +38,7 @@ from .textformat import ints, nonblank_lines, read_header
 
 __all__ = [
     "ArtinBraidWord",
-    "closure_permutation",
     "is_knot_closure",
-    "missing_generators",
     "seifert_matrix",
     "burau_alexander",
     "knot_corpus",
@@ -82,14 +80,6 @@ def _moved(w: ArtinBraidWord) -> dict[int, int]:
     return at
 
 
-def closure_permutation(w: ArtinBraidWord) -> tuple[int, ...]:
-    """The permutation of strand start positions; entry s-1 holds the end of s."""
-    ends = list(range(1, w.strands + 1))
-    for p, s in _moved(w).items():
-        ends[s - 1] = p
-    return tuple(ends)
-
-
 def _components(w: ArtinBraidWord) -> int:
     """The number of components of the closure of w, in O(letters).
 
@@ -109,11 +99,6 @@ def _components(w: ArtinBraidWord) -> int:
 def is_knot_closure(w: ArtinBraidWord) -> bool:
     """True when the closure has a single component."""
     return _components(w) == 1
-
-
-def missing_generators(w: ArtinBraidWord) -> list[int]:
-    used = {abs(v) for v in w.letters}
-    return [i for i in range(1, w.strands) if i not in used]
 
 
 def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:

@@ -51,7 +51,6 @@ __all__ = [
     "congruent",
     "standard_symplectic",
     "skew_standardize",
-    "signature",
     "signature_and_det",
     "parse_matrix",
     "format_matrix",
@@ -376,11 +375,6 @@ def _expand(d: list[int], n: int) -> list[int]:
         for i in range(n - 2 * j + 1):
             coeffs[i + j] += dj * comb(n - 2 * j, i)
     return coeffs
-
-
-def signature(q: IntMatrix) -> int:
-    """Signature of a symmetric integer matrix, computed exactly."""
-    return signature_and_det(q)[0]
 
 
 def signature_and_det(q: IntMatrix) -> tuple[int, int]:

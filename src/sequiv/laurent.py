@@ -13,7 +13,6 @@ packed value back.  Everything here is exact, no floating point.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
@@ -23,7 +22,6 @@ from . import InternalCheckError
 __all__ = [
     "LaurentPoly",
     "format_laurent",
-    "parse_laurent",
     "normalize_knot_polynomial",
     "polynomial_matrix_det",
     "signed_digits",
@@ -70,6 +68,10 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.lo, tuple(-c for c in self.coeffs))
 
+    # No library path adds, subtracts or multiplies LaurentPolys (the
+    # determinants run on packed integers), but this arithmetic stays:
+    # the reference Z[t] Bareiss and Burau builder of the tests are
+    # written on it, and perfbench counts calls of __mul__.
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -134,17 +136,6 @@ def format_laurent(p: LaurentPoly) -> str:
     if p.is_zero():
         return "lo=0; coeffs=0"
     return "lo=%d; coeffs=%s" % (p.lo, " ".join(str(c) for c in p.coeffs))
-
-
-_LAURENT = re.compile(r"\s*lo\s*=\s*([+-]?\d+)\s*;\s*coeffs\s*=\s*((?:[+-]?\d+(?:\s+[+-]?\d+)*)?)\s*")
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the format_laurent form "lo=<int>; coeffs=<ints>"."""
-    match = _LAURENT.fullmatch(text)
-    if match is None:
-        raise ValueError(f"malformed Laurent polynomial: {text.strip()!r}")
-    return LaurentPoly.of(int(match[1]), [int(tok) for tok in match[2].split()])
 
 
 def normalize_knot_polynomial(p: LaurentPoly) -> LaurentPoly:

@@ -33,10 +33,6 @@ __all__ = [
     "validate",
     "alexander",
     "alexander_raw",
-    "is_alexander_trivial",
-    "knot_signature",
-    "knot_determinant",
-    "arf",
     "Invariants",
     "invariants",
     "column_enlarge",
@@ -151,31 +147,6 @@ def alexander(sm: SeifertMatrix) -> LaurentPoly:
     if not delta.is_palindromic():
         raise InternalCheckError(f"Alexander polynomial {delta} is not palindromic")
     return delta
-
-
-def is_alexander_trivial(sm: SeifertMatrix) -> bool:
-    return alexander(sm) == LaurentPoly.one
-
-
-def knot_signature(sm: SeifertMatrix) -> int:
-    """The signature of M + M^T: the signature field of invariants(sm).
-
-    It is read from the cross-checked gate, so it also pays for the
-    Alexander polynomial (one determinant when narrow, else a reduction
-    and s/2 determinants for the reduced size s) on top of the one
-    signature pass.
-    """
-    return invariants(sm).signature
-
-
-def knot_determinant(sm: SeifertMatrix) -> int:
-    """|det(M + M^T)|, cross-checked against |delta(-1)|: a field of invariants(sm)."""
-    return invariants(sm).determinant
-
-
-def arf(sm: SeifertMatrix) -> int:
-    """0 when delta(-1) is congruent to +-1 mod 8, else 1: a field of invariants(sm)."""
-    return invariants(sm).arf
 
 
 @dataclass(frozen=True)

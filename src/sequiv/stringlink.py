@@ -35,7 +35,6 @@ __all__ = [
     "DoubledStringLink",
     "position_of",
     "strand_label",
-    "orientation_sign",
     "pairwise_linking",
     "stabilizing_multiply",
     "normalize_linking",
@@ -64,13 +63,6 @@ def strand_label(position: int, n: int, k: int) -> DoubleIndex:
     a = (position - 1) // n + 1
     r = position - (a - 1) * n
     return (r, a) if a % 2 else (n - r + 1, a)
-
-
-def orientation_sign(a: int) -> int:
-    """+1 when pass a runs with the string-link orientation, -1 against it."""
-    if a < 1:
-        raise ValueError("pass index must be positive")
-    return 1 if a % 2 else -1
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from gens import (
 from sequiv.braidclosure import burau_alexander, knot_corpus, seifert_matrix
 from sequiv.cli import main
 from sequiv.intlin import IntMatrix, congruent, is_unimodular, skew_standardize, standard_symplectic
+from sequiv.laurent import LaurentPoly
 from sequiv.purebraid import (
     PureBraidWord,
     delta_relator,
@@ -27,11 +28,8 @@ from sequiv.purebraid import (
 from sequiv.seifert import (
     alexander,
     alexander_raw,
-    arf,
     column_enlarge,
-    is_alexander_trivial,
-    knot_determinant,
-    knot_signature,
+    invariants,
     row_enlarge,
     try_reduce,
     validate,
@@ -56,9 +54,7 @@ def test_criterion_1_invariance_suite():
         ok = ok and sm.size <= 8
         ok = ok and max((abs(x) for row in sm.matrix.rows for x in row), default=0) <= 3
         ok = ok and alexander(sm) == alexander(scrambled)
-        ok = ok and knot_signature(sm) == knot_signature(scrambled)
-        ok = ok and knot_determinant(sm) == knot_determinant(scrambled)
-        ok = ok and arf(sm) == arf(scrambled)
+        ok = ok and invariants(sm) == invariants(scrambled)
         if not ok:
             break
     elapsed = time.monotonic() - start
@@ -76,9 +72,7 @@ def test_criterion_2_enlargement_suite():
         enlarge = column_enlarge if trial % 2 == 0 else row_enlarge
         big = enlarge(sm, xi, x)
         ok = ok and alexander(big) == alexander(sm)
-        ok = ok and knot_signature(big) == knot_signature(sm)
-        ok = ok and knot_determinant(big) == knot_determinant(sm)
-        ok = ok and arf(big) == arf(sm)
+        ok = ok and invariants(big) == invariants(sm)
         ok = ok and alexander_raw(big) == alexander_raw(sm).shift(1)
         reduced = try_reduce(big)
         ok = ok and reduced is not None and reduced.matrix == sm.matrix
@@ -198,21 +192,19 @@ def test_criterion_7_oracle_agreement():
             break
     from sequiv.braidclosure import ArtinBraidWord
 
-    tre = seifert_matrix(ArtinBraidWord(2, (1, 1, 1)))
-    ok = ok and alexander(tre).evaluate(-1) == -3
-    ok = ok and knot_signature(tre) == -2
-    ok = ok and arf(tre) == 1
-    f8 = seifert_matrix(ArtinBraidWord(3, (1, -2, 1, -2)))
-    ok = ok and knot_determinant(f8) == 5
-    ok = ok and knot_signature(f8) == 0
+    tre = invariants(seifert_matrix(ArtinBraidWord(2, (1, 1, 1))))
+    ok = ok and tre.alexander.evaluate(-1) == -3
+    ok = ok and (tre.signature, tre.arf) == (-2, 1)
+    f8 = invariants(seifert_matrix(ArtinBraidWord(3, (1, -2, 1, -2))))
+    ok = ok and (f8.determinant, f8.signature) == (5, 0)
     _report(7, "1000-word corpus agrees with the Burau oracle; spot values hold", ok)
 
 
 def test_criterion_8_trivial_polynomial_check(tmp_path, capsys):
     minimal = validate(IntMatrix.from_rows([[0, 1], [0, 0]]))
-    ok = is_alexander_trivial(minimal)
-    ok = ok and is_alexander_trivial(validate(IntMatrix()))
-    ok = ok and not is_alexander_trivial(TREFOIL)
+    ok = alexander(minimal) == LaurentPoly.one
+    ok = ok and alexander(validate(IntMatrix())) == LaurentPoly.one
+    ok = ok and alexander(TREFOIL) != LaurentPoly.one
 
     p1 = tmp_path / "minimal.mat"
     p1.write_text("2\n0 1\n0 0\n")

@@ -10,41 +10,25 @@ from hypothesis import strategies as st
 from gens import (
     reference_burau_alexander,
     reference_burau_minus_identity,
-    reference_closure_permutation,
     reference_components,
 )
 from sequiv import braidclosure
 from sequiv.braidclosure import (
     ArtinBraidWord,
     burau_alexander,
-    closure_permutation,
     format_artin_word,
     is_knot_closure,
     knot_corpus,
-    missing_generators,
     parse_artin_word,
     seifert_matrix,
     _burau_matrix,
 )
 from sequiv.intlin import format_matrix
 from sequiv.laurent import LaurentPoly, polynomial_matrix_det, signed_digits
-from sequiv.seifert import alexander, knot_determinant, knot_signature, validate
+from sequiv.seifert import alexander, invariants, validate
 
 TREFOIL_WORD = ArtinBraidWord(2, (1, 1, 1))
 FIG8_WORD = ArtinBraidWord(3, (1, -2, 1, -2))
-
-
-def test_closure_permutation_examples():
-    assert closure_permutation(TREFOIL_WORD) == (2, 1)
-    assert closure_permutation(ArtinBraidWord(3)) == (1, 2, 3)
-    perm = closure_permutation(FIG8_WORD)
-    s, steps = 1, 0
-    while True:
-        s = perm[s - 1]
-        steps += 1
-        if s == 1:
-            break
-    assert steps == 3  # a 3-cycle
 
 
 def test_is_knot_closure_examples():
@@ -66,7 +50,7 @@ def test_seifert_matrix_examples():
     sm = seifert_matrix(TREFOIL_WORD)
     assert sm.size == 2
     assert alexander(sm) == LaurentPoly.of(-1, (1, -1, 1))
-    assert knot_signature(sm) == -2
+    assert invariants(sm).signature == -2
 
     unknot = seifert_matrix(ArtinBraidWord(2, (1,)))
     assert unknot.size == 0
@@ -75,8 +59,7 @@ def test_seifert_matrix_examples():
     f8 = seifert_matrix(FIG8_WORD)
     assert f8.size == 2
     assert alexander(f8) == LaurentPoly.of(-1, (-1, 3, -1))
-    assert knot_determinant(f8) == 5
-    assert knot_signature(f8) == 0
+    assert (invariants(f8).determinant, invariants(f8).signature) == (5, 0)
 
 
 def test_seifert_matrix_preconditions():
@@ -84,7 +67,6 @@ def test_seifert_matrix_preconditions():
         seifert_matrix(ArtinBraidWord(2, (1, 1)))
     with pytest.raises(ValueError, match="components"):
         seifert_matrix(ArtinBraidWord(3, (1, 1)))
-    assert missing_generators(ArtinBraidWord(3, (1, 1))) == [2]
 
 
 @st.composite
@@ -103,12 +85,11 @@ def _words_with_unused_and_cancelling_letters(draw):
 @settings(max_examples=300, deadline=None)
 @given(_words_with_unused_and_cancelling_letters())
 def test_components_and_permutation_match_the_dense_walk(w):
-    assert closure_permutation(w) == reference_closure_permutation(w)
     count = braidclosure._components(w)
     assert count == reference_components(w)
     assert is_knot_closure(w) == (count == 1)
     if count == 1:  # so seifert_matrix needs no separate generator check
-        assert not missing_generators(w)
+        assert {abs(v) for v in w.letters} == set(range(1, w.strands))
 
 
 def test_burau_examples():
@@ -358,7 +339,7 @@ def test_corpus_deterministic():
     c = knot_corpus(4, 12, seed=58, count=40)
     assert a != c
     for w in a:
-        assert is_knot_closure(w) and not missing_generators(w)
+        assert is_knot_closure(w) and {abs(v) for v in w.letters} == set(range(1, w.strands))
 
 
 def test_corpus_skips_strand_counts_its_length_cannot_close():

@@ -17,7 +17,6 @@ from sequiv.braidclosure import parse_artin_word
 from gens import widened
 from sequiv.cli import main
 from sequiv.intlin import IntMatrix, InternalCheckError, format_matrix, parse_matrix
-from sequiv.laurent import parse_laurent
 from sequiv.purebraid import is_delta_trivial, parse_braid
 from sequiv.seifert import SearchBudget, column_enlarge, validate
 from sequiv.standardform import parse_disk_band
@@ -435,8 +434,6 @@ def test_mat_invariants_rejects_trailing_rows(tmp_path, capsys):
         (parse_braid, "n 2 7\n"),
         (parse_artin_word, "nonsense 3\n1 1 1\n"),
         (parse_artin_word, "n 2 7\n1 1 1\n"),
-        (parse_laurent, "foo=3; bar=1 2"),
-        (parse_laurent, "lo=1=2; coeffs=1"),
     ],
 )
 def test_parsers_reject_trailing_junk(parse, text):
@@ -445,9 +442,7 @@ def test_parsers_reject_trailing_junk(parse, text):
     assert len(str(info.value).splitlines()) == 1
 
 
-PARSERS = (
-    parse_matrix, parse_braid, parse_artin_word, parse_laurent, parse_disk_band, parse_string_link
-)
+PARSERS = (parse_matrix, parse_braid, parse_artin_word, parse_disk_band, parse_string_link)
 # Text near the file formats reaches deeper into the parsers than st.text().
 format_text = st.lists(
     st.sampled_from(list("0123456789 -+\n.;=gnk") + ["framings", "lo", "coeffs"]), max_size=40

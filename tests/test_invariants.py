@@ -26,7 +26,6 @@ from sequiv.braidclosure import (
     burau_alexander,
     is_knot_closure,
     knot_corpus,
-    missing_generators,
     seifert_matrix,
 )
 from sequiv.cli import main
@@ -34,12 +33,9 @@ from sequiv.intlin import IntMatrix, det, format_matrix, signature_and_det
 from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
     alexander,
-    arf,
     bounded_sequiv_search,
     column_enlarge,
     invariants,
-    knot_determinant,
-    knot_signature,
     row_enlarge,
     validate,
 )
@@ -70,7 +66,7 @@ def knot_words(draw):
         )
     )
     word = ArtinBraidWord(n, tuple(letters))
-    assume(is_knot_closure(word) and not missing_generators(word))
+    assume(is_knot_closure(word) and {abs(v) for v in word.letters} == set(range(1, word.strands)))
     return word
 
 
@@ -100,17 +96,16 @@ def test_scrambled_block_sums_match_closed_form(blocks, seed, ops):
 
 
 def test_record_equals_separate_functions():
-    # The three functions read fields of invariants(sm), so each is checked
-    # against a value computed apart from it: the closed form of block
-    # sums, and the fraction-field signature and determinant of M + M^T,
-    # with Arf 0 exactly when that determinant is +-1 mod 8 (Levine).
+    # Each field of invariants(sm) is checked against a value computed
+    # apart from it: the closed form of block sums, and the fraction-field
+    # signature and determinant of M + M^T, with Arf 0 exactly when that
+    # determinant is +-1 mod 8 (Levine).
     rng = random.Random(301)
     cases = [TREFOIL, FIG8, MIRROR_TREFOIL, validate(IntMatrix())]
     cases += [random_scrambled_seifert(rng, g)[2] for g in range(5) for _ in range(6)]
     for sm in cases:
         sig, d = fraction_signature_and_det(sm.matrix + sm.matrix.transpose())
         expected = (sig, abs(d), 0 if abs(d) % 8 in (1, 7) else 1)
-        assert (knot_signature(sm), knot_determinant(sm), arf(sm)) == expected
         record = invariants(sm)
         assert (record.signature, record.determinant, record.arf) == expected
     for _ in range(20):
@@ -119,11 +114,7 @@ def test_record_equals_separate_functions():
             for _ in range(rng.randint(0, 4))
         ]
         sm, expected = block_sum(blocks), block_sum_invariants(blocks)
-        assert (knot_signature(sm), knot_determinant(sm), arf(sm)) == (
-            expected.signature,
-            expected.determinant,
-            expected.arf,
-        )
+        assert invariants(sm) == expected
 
 
 def test_gate_split_by_alexander_skips_signature(monkeypatch):

@@ -11,7 +11,6 @@ from sequiv.laurent import (
     LaurentPoly,
     format_laurent,
     normalize_knot_polynomial,
-    parse_laurent,
     polynomial_matrix_det,
     signed_digits,
 )
@@ -79,21 +78,8 @@ def test_divexact_rejects_inexact():
 
 
 def test_format_parse_roundtrip():
-    rng = random.Random(6)
-    for _ in range(50):
-        p = LaurentPoly.of(
-            rng.randint(-4, 4), [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
-        )
-        assert parse_laurent(format_laurent(p)) == p
     assert format_laurent(LaurentPoly()) == "lo=0; coeffs=0"
     assert format_laurent(LaurentPoly.of(-1, (1, -1, 1))) == "lo=-1; coeffs=1 -1 1"
-
-
-@settings(deadline=None)
-@given(st.integers(), st.lists(st.integers(), max_size=8))
-def test_format_parse_roundtrip_property(lo, coeffs):
-    p = LaurentPoly.of(lo, coeffs)
-    assert parse_laurent(format_laurent(p)) == p
 
 
 def test_normalize_knot_polynomial():

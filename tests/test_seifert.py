@@ -27,13 +27,9 @@ from sequiv.seifert import (
     alexander,
     alexander_raw,
     apply_moves,
-    arf,
     bounded_sequiv_search,
     column_enlarge,
     invariants,
-    is_alexander_trivial,
-    knot_determinant,
-    knot_signature,
     row_enlarge,
     try_reduce,
     validate,
@@ -62,27 +58,27 @@ def test_alexander_examples():
 
 
 def test_alexander_trivial_examples():
-    assert is_alexander_trivial(EMPTY)
-    assert is_alexander_trivial(MINIMAL)
-    assert not is_alexander_trivial(TREFOIL)
+    assert alexander(EMPTY) == LaurentPoly.one
+    assert alexander(MINIMAL) == LaurentPoly.one
+    assert alexander(TREFOIL) != LaurentPoly.one
 
 
 def test_signature_examples():
-    assert knot_signature(TREFOIL) == -2
-    assert knot_signature(FIG8) == 0
-    assert knot_signature(EMPTY) == 0
+    assert invariants(TREFOIL).signature == -2
+    assert invariants(FIG8).signature == 0
+    assert invariants(EMPTY).signature == 0
 
 
 def test_determinant_examples():
-    assert knot_determinant(TREFOIL) == 3
-    assert knot_determinant(FIG8) == 5
-    assert knot_determinant(EMPTY) == 1
+    assert invariants(TREFOIL).determinant == 3
+    assert invariants(FIG8).determinant == 5
+    assert invariants(EMPTY).determinant == 1
 
 
 def test_arf_examples():
-    assert arf(EMPTY) == 0
-    assert arf(TREFOIL) == 1
-    assert arf(FIG8) == 1
+    assert invariants(EMPTY).arf == 0
+    assert invariants(TREFOIL).arf == 1
+    assert invariants(FIG8).arf == 1
 
 
 def test_column_enlarge_examples():
@@ -131,9 +127,7 @@ def test_invariance_under_congruence():
     for _ in range(120):
         sm, _, scrambled = random_scrambled_seifert(rng, rng.randint(0, 4))
         assert alexander(sm) == alexander(scrambled)
-        assert knot_signature(sm) == knot_signature(scrambled)
-        assert knot_determinant(sm) == knot_determinant(scrambled)
-        assert arf(sm) == arf(scrambled)
+        assert invariants(sm) == invariants(scrambled)
 
 
 def test_alexander_postconditions_random():
@@ -157,9 +151,7 @@ def test_enlargements_preserve_invariants():
             enlarged = row_enlarge(sm, xi, x)
         assert enlarged.size == sm.size + 2
         assert alexander(enlarged) == alexander(sm)
-        assert knot_signature(enlarged) == knot_signature(sm)
-        assert knot_determinant(enlarged) == knot_determinant(sm)
-        assert arf(enlarged) == arf(sm)
+        assert invariants(enlarged) == invariants(sm)
         assert alexander_raw(enlarged) == alexander_raw(sm).shift(1)
         reduced = try_reduce(enlarged)
         assert reduced is not None and reduced.matrix == sm.matrix

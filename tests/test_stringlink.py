@@ -22,7 +22,6 @@ from sequiv.stringlink import (
     delta_equivalent_links,
     format_string_link,
     normalize_linking,
-    orientation_sign,
     pairwise_linking,
     parse_string_link,
     position_of,
@@ -52,14 +51,6 @@ def test_position_bijection():
         position_of((3, 1), 2, 2)
     with pytest.raises(ValueError):
         strand_label(5, 2, 2)
-
-
-def test_orientation_sign():
-    assert orientation_sign(1) == 1
-    assert orientation_sign(2) == -1
-    assert orientation_sign(3) == 1
-    with pytest.raises(ValueError):
-        orientation_sign(0)
 
 
 def _link(n, k, letters, framings=None):
