@@ -49,7 +49,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArtinBraidWord:
-    """A braid word: signed generator indices on a fixed strand count."""
+    """A braid word: signed generator indices on a fixed strand count.
+
+    The number of components of its closure is walked once per word
+    object, as it is built, and kept: knot_corpus, seifert_matrix and
+    burau_alexander each check it.
+    """
 
     strands: int
     letters: tuple[int, ...] = ()
@@ -60,6 +65,7 @@ class ArtinBraidWord:
         for v in self.letters:
             if v == 0 or abs(v) >= self.strands:
                 raise ValueError(f"generator index {v} out of range 1..{self.strands - 1}")
+        object.__setattr__(self, "_component_count", _components(self))
 
     def mirror(self) -> "ArtinBraidWord":
         """Reverse the word and flip every crossing."""
@@ -98,7 +104,7 @@ def _components(w: ArtinBraidWord) -> int:
 
 def is_knot_closure(w: ArtinBraidWord) -> bool:
     """True when the closure has a single component."""
-    return _components(w) == 1
+    return w._component_count == 1
 
 
 def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
@@ -152,7 +158,7 @@ def seifert_matrix(w: ArtinBraidWord) -> SeifertMatrix:
                     v[a][b] = 1
                 elif u1 < t1 < u2 < t2:
                     v[a][b] = -1
-    return validate(IntMatrix.from_rows(v))
+    return validate(IntMatrix(tuple(map(tuple, v))))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +207,7 @@ def _burau_matrix(w: ArtinBraidWord) -> tuple[list[list[int]], int, int]:
 
 def _require_knot(w: ArtinBraidWord) -> None:
     """Raise ValueError unless the closure of w has one component."""
-    count = _components(w)
+    count = w._component_count
     if count != 1:
         raise ValueError(f"closure has {count} components, not a knot")
 
@@ -275,6 +281,7 @@ def knot_corpus(
     if count < 0:
         raise ValueError(f"word count must be non-negative, got {count}")
     rng = random.Random(seed)
+    randrange, choice, signs = rng.randrange, rng.choice, (1, -1)
     seen: set[tuple[int, tuple[int, ...]]] = set()
     out: list[ArtinBraidWord] = []
     attempts = 0
@@ -284,13 +291,12 @@ def knot_corpus(
         attempts += 1
         if attempts > limit or len(seen) == space:
             raise ValueError("corpus generation failed to converge; widen the limits")
-        n = rng.randint(2, max_strands)
+        # randrange(a, b + 1) is what randint(a, b) calls, so the stream is randint's.
+        n = randrange(2, max_strands + 1)
         if max_length < n - 1:
             continue
-        length = rng.randint(n - 1, max_length)
-        letters = tuple(
-            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)
-        )
+        length = randrange(n - 1, max_length + 1)
+        letters = tuple([choice(signs) * randrange(1, n) for _ in range(length)])
         key = (n, letters)
         if key in seen:
             continue

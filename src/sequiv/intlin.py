@@ -11,24 +11,24 @@ determinant would be wider than a budget.  t = 1 and t = -1 are never
 nodes, so the checks the Alexander polynomial gets there stay
 independent.  det and det_or_left_kernel share one elimination loop
 with row swaps, which stops at the first column without a pivot.
-det_or_left_kernel returns e_q for the first zero row q of M without
-eliminating; otherwise it runs that loop on M^T and, when M is
-singular, back-substitutes exactly to a primitive u with u^T M = 0;
-seifert reduces a Seifert matrix with it and hands its det, node k = 0,
-to the pencil.  The signature and determinant of a symmetric matrix come
-together from one Bareiss pass with symmetric pivoting, whose
-consecutive leading minors give the signs of an LDL^T factorization; no
-rational number occurs anywhere.  Both loops share one elimination step,
-which leaves a row untouched when its multiplier is 0 and the pivot
-equals the previous one, since the update would not change it.
-Skew-symmetric unimodular forms are brought to the standard symplectic
-shape by paired integer row/column operations, whose pivots also decide
-that the determinant is 1.  The three elementary congruences on list
-matrices (adding a multiple of one basis vector to another, swapping
-two, negating one) are written once, in _add_multiple, _swap and
-_negate; signature_and_det, skew_standardize and seifert's reduction
-and move replay all run on them.  All values are immutable and every
-public operation is a pure function, so concurrent use is safe.
+det_or_left_kernel runs that loop on M^T and, when M is singular,
+back-substitutes exactly to a primitive u with u^T M = 0; seifert
+reduces a Seifert matrix with it, finding zero rows itself, and hands
+its det, node k = 0, to the pencil.  The signature and determinant of
+a symmetric matrix come together from one Bareiss pass with symmetric
+pivoting, whose consecutive leading minors give the signs of an LDL^T
+factorization; no rational number occurs anywhere.  Both loops share
+one elimination step, which leaves a row untouched when its multiplier
+is 0 and the pivot equals the previous one, since the update would not
+change it.  Skew-symmetric unimodular forms are brought to the
+standard symplectic shape by paired integer row/column operations,
+whose pivots also decide that the determinant is 1.  The three
+elementary congruences on list matrices (adding a multiple of one basis
+vector to another, swapping two, negating one) are written once, in
+_add_multiple, _swap and _negate; signature_and_det, skew_standardize
+and seifert's reduction and move replay all run on them.  All values
+are immutable and every public operation is a pure function, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -131,20 +131,18 @@ def det(m: IntMatrix) -> int:
 def det_or_left_kernel(m: IntMatrix) -> tuple[int, Optional[tuple[int, ...]]]:
     """(det M, None) for nonsingular M; (0, u) with u primitive and u^T M = 0 otherwise.
 
-    When M has a zero row, u is e_q for the first zero row q, found
-    without elimination.  Otherwise the elimination of det runs on M^T,
-    whose row swaps keep the column indices of M.  At the first column k
-    with no pivot left, column k of the reduced matrix lies in the span
-    of the k pivot columns before it, and that dependency is a vector y
-    of M^T's kernel with y_j = 0 for j > k.  Scaled by the last pivot
-    D_k, the leading k x k minor, every y_j is an integer (Cramer's
-    rule), so exact back-substitution through the triangular pivot rows
-    finds it; a division with a remainder raises InternalCheckError.  u is
-    y divided by its gcd.
+    The elimination of det runs on M^T, whose row swaps keep the column
+    indices of M; there is no zero-row shortcut, since seifert's
+    reduction takes e_q for a zero row q itself and calls this only on
+    a matrix with none.  At the first column k with no pivot left,
+    column k of the reduced matrix lies in the span of the k pivot
+    columns before it, and that dependency is a vector y of M^T's
+    kernel with y_j = 0 for j > k.  Scaled by the last pivot D_k, the
+    leading k x k minor, every y_j is an integer (Cramer's rule), so
+    exact back-substitution through the triangular pivot rows finds it;
+    a division with a remainder raises InternalCheckError.  u is y
+    divided by its gcd.
     """
-    for q, row in enumerate(m.rows):
-        if not any(row):
-            return 0, tuple(1 if j == q else 0 for j in range(m.size))
     a = [list(column) for column in zip(*m.rows)]
     d, k = _bareiss(a)
     return (d, None) if k == m.size else (0, _dependency(a, k))

@@ -97,15 +97,12 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        return LaurentPoly.of(self.lo + k, self.coeffs)
-
-    def mirror(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return LaurentPoly.of(-self.hi, self.coeffs[::-1])
+        """Multiply by t**k; the coefficients, already canonical, are kept."""
+        return LaurentPoly(self.lo + k, self.coeffs) if self.coeffs else self
 
     def is_palindromic(self) -> bool:
-        return self == self.mirror()
+        """True when p(1/t) = p(t)."""
+        return self.lo == -self.hi and self.coeffs == self.coeffs[::-1]
 
     def evaluate(self, c: int) -> int:
         """Evaluate at an integer; negative exponents require c in {1, -1}."""

@@ -95,7 +95,9 @@ def alexander_raw(sm: SeifertMatrix) -> LaurentPoly:
 
     Each reduction (see reduce_fully) multiplies det(M - tM^T) by
     exactly t.  While the matrix has a zero row, a reduction costs no
-    elimination, so those go first, to an M' of size r.  Then:
+    elimination (_reduce finds the row itself and strips in place), so
+    those go first, to an M' of size r; a matrix with no zero row is
+    M' itself, uncopied.  Then:
 
     - If r * bit_length(K) <= _NARROW_BUDGET for M', intlin's
       _kronecker_pencil reads det(M' - tM'^T) off the balanced digits of
@@ -276,7 +278,8 @@ def reduce_fully(sm: SeifertMatrix) -> tuple[SeifertMatrix, tuple[Move, ...]]:
     """A nonsingular matrix S-equivalent to sm, with the moves that reach it.
 
     While det M = 0 (Trotter 1973, Levine 1970), with u primitive and
-    u^T M = 0 from intlin.det_or_left_kernel:
+    u^T M = 0, e_q for the first zero row q of M, found without
+    elimination, or else from intlin.det_or_left_kernel:
       1. E[i,j;c] maps u_j to u_j - c u_i; Euclid steps reach u = +-e_q,
          and then row q of M is zero.
       2. Column q is now column q of the unimodular M - M^T, so it is
@@ -286,6 +289,8 @@ def reduce_fully(sm: SeifertMatrix) -> tuple[SeifertMatrix, tuple[Move, ...]]:
       4. E[i,q;c] changes only entry (p, i); it clears row p outside
          (p, p) and (p, q), and ReduceMove(p, q, "column") strips the
          enlargement pattern left behind.
+    Steps 3 and 4 change only column q and row p, which the strip
+    removes, so they are recorded in the moves but not applied.
     A matrix with Alexander polynomial 1 reduces to the empty matrix, and
     the size of the result is the degree span of the polynomial.  The
     moves replay through apply_moves.  A row q that is not zero after
@@ -300,35 +305,45 @@ def reduce_fully(sm: SeifertMatrix) -> tuple[SeifertMatrix, tuple[Move, ...]]:
 def _reduce(m: IntMatrix, eliminate: bool = True) -> tuple[IntMatrix, list[Move], Optional[int]]:
     """(reduced matrix, moves, its det); see reduce_fully.
 
-    With eliminate False it stops at the first matrix with no zero row,
-    before det_or_left_kernel would eliminate, and returns det None: the
-    steps it takes find their kernel vector e_q without elimination.
+    The zero-row rule lives here: the first zero row q is taken as
+    u = e_q without elimination, and det_or_left_kernel runs only on a
+    matrix with no zero row.  The matrix is held as one list of lists
+    across steps, and rows and columns p and q are deleted in place.
+    Steps 3 and 4 are recorded, not applied: row q is zero and column q
+    is +-e_p, so they change only column q and row p, which the step
+    strips.  An input that needs no step is returned as it is, with no
+    copy.  With eliminate False it stops at the first matrix with no
+    zero row, before det_or_left_kernel would eliminate, and returns
+    det None.
     """
     moves: list[Move] = []
+    w = m.rows  # the working list of lists from the first step on
     while True:
-        if not eliminate and all(map(any, m.rows)):
-            return m, moves, None
-        det_m, u = det_or_left_kernel(m)
-        if u is None:
-            return m, moves, det_m
-        w = [list(row) for row in m.rows]
-        n = len(w)
-        u = list(u)
-        # 1. Euclid on u, down to +-e_q.
-        support = [k for k in range(n) if u[k]]
-        while len(support) > 1:
-            q = min(support, key=lambda k: abs(u[k]))
-            for j in support:
-                if j != q:
-                    c = u[j] // u[q]
-                    moves.append(_congruence(w, q, j, c))
-                    u[j] -= c * u[q]
-            support = [k for k in support if u[k]]
-        q = support[0]
-        if any(w[q]):
-            raise InternalCheckError(f"row {q + 1} is not zero after clearing the kernel vector")
+        q = next((k for k, row in enumerate(w) if not any(row)), None)
+        if q is None:
+            if moves:
+                m = IntMatrix(tuple(map(tuple, w)))
+            det_m, u = det_or_left_kernel(m) if eliminate else (None, None)
+            if u is None:
+                return m, moves, det_m
+        w = w if moves else [list(row) for row in w]
+        if q is None:
+            u = list(u)
+            # 1. Euclid on u, down to +-e_q.
+            support = [k for k, x in enumerate(u) if x]
+            while len(support) > 1:
+                q = min(support, key=lambda k: abs(u[k]))
+                for j in support:
+                    if j != q:
+                        c = u[j] // u[q]
+                        moves.append(_congruence(w, q, j, c))
+                        u[j] -= c * u[q]
+                support = [k for k in support if u[k]]
+            q = support[0]
+            if any(w[q]):
+                raise InternalCheckError(f"row {q + 1} is not zero after clearing the kernel vector")
         # 2. Euclid on column q, down to +-e_p.
-        support = [l for l in range(n) if w[l][q]]
+        support = [l for l, row in enumerate(w) if row[q]]
         while len(support) > 1:
             p = min(support, key=lambda l: abs(w[l][q]))
             for l in support:
@@ -338,16 +353,17 @@ def _reduce(m: IntMatrix, eliminate: bool = True) -> tuple[IntMatrix, list[Move]
         if len(support) != 1 or abs(w[support[0]][q]) != 1:
             raise InternalCheckError(f"column {q + 1} does not reduce to a unit vector")
         p = support[0]
-        # 3. Entry (p, q) to 1; row q is zero, so negating b_q changes column q only.
+        # 3. Entry (p, q) to 1: NegateMove(q) changes column q only.
         if w[p][q] == -1:
-            _negate(w, q)
             moves.append(NegateMove(q))
-        # 4. Clear row p outside (p, p) and (p, q), then strip p and q.
-        for i in range(n):
-            if i not in (p, q) and w[p][i]:
-                moves.append(_congruence(w, i, q, -w[p][i]))
-        m = IntMatrix(_strip(w, p, q))
+        # 4. E[i,q;c] changes only entry (p, i): clear row p outside (p, p)
+        # and (p, q), then strip p and q.
+        moves.extend(CongruenceMove(i, q, -x) for i, x in enumerate(w[p]) if x and i != p and i != q)
         moves.append(ReduceMove(p, q, "column"))
+        lo, hi = sorted((p, q))
+        del w[hi], w[lo]
+        for row in w:
+            del row[hi], row[lo]
 
 
 def _congruence(w: list[list[int]], i: int, j: int, c: int) -> CongruenceMove:

@@ -8,13 +8,22 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from sequiv.braidclosure import ArtinBraidWord
-from sequiv.intlin import IntMatrix, InternalCheckError, det, standard_symplectic
+from sequiv.intlin import (
+    IntMatrix,
+    InternalCheckError,
+    _add_multiple,
+    _negate,
+    det,
+    det_or_left_kernel,
+    standard_symplectic,
+)
 from sequiv.laurent import LaurentPoly, _pdivexact, _pmul, normalize_knot_polynomial
 from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
 from sequiv.seifert import (
     CongruenceMove,
     EnlargeMove,
     Invariants,
+    NegateMove,
     ReduceMove,
     SearchResult,
     SeifertMatrix,
@@ -402,6 +411,92 @@ def reference_components(w: ArtinBraidWord) -> int:
                 seen[t - 1] = True
                 t = perm[t - 1]
     return count
+
+
+def reference_knot_corpus(max_strands: int, max_length: int, seed: int, count: int) -> list[ArtinBraidWord]:
+    """knot_corpus drawn with random.randint and a reference component count, without its checks.
+
+    The reference for braidclosure.knot_corpus on limits it accepts and
+    that converge; for tests.
+    """
+    rng = random.Random(seed)
+    seen = set()
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, max_strands)
+        if max_length < n - 1:
+            continue
+        length = rng.randint(n - 1, max_length)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+        if (n, letters) in seen:
+            continue
+        seen.add((n, letters))
+        word = ArtinBraidWord(n, letters)
+        if reference_components(word) == 1:
+            out.append(word)
+    return out
+
+
+def reference_reduce(m: IntMatrix, eliminate: bool = True):
+    """(reduced matrix, moves, its det) by the steps of seifert.reduce_fully, each applied.
+
+    The matrix is rebuilt as an IntMatrix after every step, the kernel
+    vector of a matrix with a zero row is e_q for the first zero row q,
+    and steps 3 and 4 (NegateMove(q) and the E[i,q;c] that clear row p)
+    are applied before p and q are stripped.  With eliminate False it
+    stops at the first matrix with no zero row, with det None.  The
+    reference for seifert._reduce; for tests.
+    """
+    moves = []
+    while True:
+        zero = [q for q, row in enumerate(m.rows) if not any(row)]
+        if zero:
+            det_m, u = 0, tuple(int(j == zero[0]) for j in range(m.size))
+        elif not eliminate:
+            return m, moves, None
+        else:
+            det_m, u = det_or_left_kernel(m)
+            if u is None:
+                return m, moves, det_m
+        w = [list(row) for row in m.rows]
+        n = len(w)
+        u = list(u)
+        support = [k for k in range(n) if u[k]]
+        while len(support) > 1:
+            q = min(support, key=lambda k: abs(u[k]))
+            for j in support:
+                if j != q:
+                    c = u[j] // u[q]
+                    _add_multiple(w, q, j, c)
+                    moves.append(CongruenceMove(q, j, c))
+                    u[j] -= c * u[q]
+            support = [k for k in support if u[k]]
+        q = support[0]
+        if any(w[q]):
+            raise InternalCheckError(f"row {q + 1} is not zero after clearing the kernel vector")
+        support = [l for l in range(n) if w[l][q]]
+        while len(support) > 1:
+            p = min(support, key=lambda l: abs(w[l][q]))
+            for l in support:
+                if l != p:
+                    c = -(w[l][q] // w[p][q])
+                    _add_multiple(w, l, p, c)
+                    moves.append(CongruenceMove(l, p, c))
+            support = [l for l in support if w[l][q]]
+        if len(support) != 1 or abs(w[support[0]][q]) != 1:
+            raise InternalCheckError(f"column {q + 1} does not reduce to a unit vector")
+        p = support[0]
+        if w[p][q] == -1:
+            _negate(w, q)
+            moves.append(NegateMove(q))
+        for i in range(n):
+            if i not in (p, q) and w[p][i]:
+                c = -w[p][i]
+                _add_multiple(w, i, q, c)
+                moves.append(CongruenceMove(i, q, c))
+        keep = [i for i in range(n) if i not in (p, q)]
+        m = IntMatrix(tuple(tuple(w[i][j] for j in keep) for i in keep))
+        moves.append(ReduceMove(p, q, "column"))
 
 
 def reference_burau_minus_identity(w: ArtinBraidWord) -> list[list[LaurentPoly]]:

@@ -11,6 +11,7 @@ from gens import (
     reference_burau_alexander,
     reference_burau_minus_identity,
     reference_components,
+    reference_knot_corpus,
 )
 from sequiv import braidclosure
 from sequiv.braidclosure import (
@@ -23,6 +24,7 @@ from sequiv.braidclosure import (
     seifert_matrix,
     _burau_matrix,
 )
+from sequiv.cli import main
 from sequiv.intlin import format_matrix
 from sequiv.laurent import LaurentPoly, polynomial_matrix_det, signed_digits
 from sequiv.seifert import alexander, invariants, validate
@@ -340,6 +342,33 @@ def test_corpus_deterministic():
     assert a != c
     for w in a:
         assert is_knot_closure(w) and {abs(v) for v in w.letters} == set(range(1, w.strands))
+
+
+@pytest.mark.parametrize("max_strands, max_length", [(3, 8), (4, 12), (6, 40)])
+def test_corpus_is_the_randint_draw(max_strands, max_length):
+    # knot_corpus draws through randrange(a, b + 1), which is what
+    # randint(a, b) calls, so its words are those of the randint draw;
+    # (3, 8) is the benchmark's corpus shape and (4, 12) the CLI default.
+    for seed in (0, 5, 7, 123):
+        for count in (1, 17, 60):
+            expected = reference_knot_corpus(max_strands, max_length, seed, count)
+            assert knot_corpus(max_strands, max_length, seed, count) == expected
+    assert knot_corpus(4, 12, 7, 1000) == reference_knot_corpus(4, 12, 7, 1000)
+
+
+def test_corpus_generate_walks_each_drawn_word_once(monkeypatch, capsys):
+    # The component count is walked once per word object and kept, so
+    # knot_corpus's test and the checks of seifert_matrix and
+    # burau_alexander on a kept word share one walk.
+    walks, drawn = [], []
+    moved = braidclosure._moved
+    monkeypatch.setattr(braidclosure, "_moved", lambda w: walks.append(w) or moved(w))
+    post_init = ArtinBraidWord.__post_init__
+    monkeypatch.setattr(ArtinBraidWord, "__post_init__", lambda w: drawn.append(w) or post_init(w))
+    assert main(["corpus", "generate", "--count", "60"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 61
+    assert len(drawn) > 60
+    assert walks == drawn
 
 
 def test_corpus_skips_strand_counts_its_length_cannot_close():

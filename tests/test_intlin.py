@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gens import (
     random_skew_unimodular,
     random_unimodular,
     reference_product,
+    reference_reduce,
     reference_sum,
     reference_transpose,
     widened,
@@ -39,7 +41,7 @@ from sequiv.intlin import (
     transpose_pencil_det,
 )
 from sequiv.laurent import LaurentPoly
-from sequiv.seifert import alexander_raw
+from sequiv.seifert import ReduceMove, alexander_raw, column_enlarge, validate
 
 X1 = IntMatrix.from_rows([[0, 1], [-1, 0]])
 
@@ -536,27 +538,53 @@ def test_sparse_determinants_match_the_fraction_reference(m):
     assert det(m) == expected
     d, u = det_or_left_kernel(m)
     assert d == expected
-    zero_rows = [q for q, row in enumerate(m.rows) if not any(row)]
     if expected:
         assert u is None
-    elif zero_rows:
-        assert u == tuple(1 if j == zero_rows[0] else 0 for j in range(m.size))
     else:
         assert math.gcd(*u) == 1
         assert all(sum(u[i] * m.rows[i][j] for i in range(m.size)) == 0 for j in range(m.size))
+    if not all(map(any, m.rows)):
+        # The zero-row rule lives in seifert._reduce: it takes e_q for the
+        # first zero row q without elimination, as the reference does, and
+        # both reduce the same way or raise the same check.
+        with mock.patch.object(intlin, "_bareiss", _no_elimination):
+            assert _reduced_or_failed(seifert._reduce, m) == _reduced_or_failed(reference_reduce, m)
     if m.is_symmetric():
         assert signature_and_det(m) == fraction_signature_and_det(m)
+
+
+def _no_elimination(a):
+    raise AssertionError("_bareiss called")
+
+
+def _reduced_or_failed(reduce, m):
+    # The zero-row steps of the reduction, or the message of the check that stops them.
+    try:
+        return reduce(m, eliminate=False)
+    except InternalCheckError as exc:
+        return str(exc)
 
 
 def test_zero_row_kernel_needs_no_elimination(monkeypatch):
     def forbidden(a, k, prev):
         raise AssertionError("_eliminate called")
 
+    # The trefoil enlarged twice has zero rows 3 and 5; row 3 goes first.
+    trefoil = validate(IntMatrix.from_rows([[-1, 1], [0, -1]]))
+    enlarged = column_enlarge(column_enlarge(trefoil, (1, 0), 1), (0, 0, 0, 0), 0)
     monkeypatch.setattr(intlin, "_eliminate", forbidden)
-    # Row 1 is twice row 0, but the first zero row, 2, decides u.
+    # Row 1 is twice row 0, but the first zero row, 2, decides q, and its
+    # column is zero too.
     m = IntMatrix.from_rows([[1, 2, 0, 1], [2, 4, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0]])
-    assert det_or_left_kernel(m) == (0, (0, 0, 1, 0))
-    assert det_or_left_kernel(IntMatrix.from_rows([[0]])) == (0, (1,))
+    with pytest.raises(InternalCheckError, match="^column 3 does not reduce"):
+        seifert._reduce(m)
+    with pytest.raises(InternalCheckError, match="^column 1 does not reduce"):
+        seifert._reduce(IntMatrix.from_rows([[0]]))
+    assert seifert._reduce(enlarged.matrix, eliminate=False) == (
+        trefoil.matrix,
+        [ReduceMove(2, 3, "column")] * 2,
+        None,
+    )
 
 
 def test_wrong_signature_makes_mat_invariants_exit_3(tmp_path, capsys, monkeypatch):

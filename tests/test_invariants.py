@@ -11,6 +11,7 @@ import random
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import gens
 from gens import (
     block_sum,
     block_sum_invariants,
@@ -209,42 +210,52 @@ def test_invariants_runs_only_the_alexander_determinants(monkeypatch):
                 assert calls == {"det": [sm.size], "det_or_left_kernel": []}
 
 
+def _eliminations(monkeypatch):
+    # Every eliminating pass, det's and the kernel pass's, by the size of its matrix.
+    sizes = []
+    bareiss = intlin._bareiss
+    monkeypatch.setattr(intlin, "_bareiss", lambda a: sizes.append(len(a)) or bareiss(a))
+    return sizes
+
+
 def test_mat_invariants_runs_one_plus_genus_plus_one_determinants(tmp_path, capsys, monkeypatch):
     # validate's det(M - M^T), then, over the width budget, the kernel
     # passes down to size s and the s/2 Alexander nodes after node 0;
-    # under it, the one Kronecker node determinant.
-    calls = _count_calls(
-        monkeypatch, (intlin, "det"), (seifert, "det"), (seifert, "det_or_left_kernel")
-    )
+    # under it, the one Kronecker node determinant.  A kernel pass
+    # eliminates only where the matrix has no zero row: at those sizes of
+    # the reference reduction, which finds its kernel passes the same way.
+    calls = _count_calls(monkeypatch, (intlin, "det"), (seifert, "det"))
+    kernel = _count_calls(monkeypatch, (gens, "det_or_left_kernel"))["det_or_left_kernel"]
+    eliminations = _eliminations(monkeypatch)
     for wide in (False, True):
         for k, (sm, s) in enumerate(_nonsingular_then_enlarged(303, wide)):
             path = tmp_path / f"case{k}.mat"
             path.write_text(format_matrix(sm.matrix))
-            for seen in calls.values():
+            for seen in (*calls.values(), kernel, eliminations):
                 seen.clear()
             assert main(["mat", "invariants", str(path)]) == 0
             if wide and sm.size:
-                assert calls == {
-                    "det": [sm.size] + [s] * (s // 2),
-                    "det_or_left_kernel": list(range(sm.size, s - 1, -2)),
-                }
+                passes = eliminations[:]
+                gens.reference_reduce(sm.matrix)
+                assert calls == {"det": [sm.size] + [s] * (s // 2)}
+                assert kernel[0] == sm.size and kernel[-1] == s
+                assert passes == [sm.size] + kernel + [s] * (s // 2)
             else:
-                assert calls == {"det": [sm.size] * 2, "det_or_left_kernel": []}
+                assert calls == {"det": [sm.size] * 2}
+                assert eliminations == [sm.size] * 2
     capsys.readouterr()
 
 
 def test_a_zero_row_is_reduced_without_elimination_before_the_one_determinant(monkeypatch):
-    # column_enlarge leaves row n + 2 zero: the kernel pass finds e_q there
-    # without eliminating, the reduction strips it, and the narrow
-    # trefoil left over takes one determinant.
+    # column_enlarge leaves row n + 2 zero: the reduction finds it with
+    # no kernel pass and strips it, and the narrow trefoil left over takes
+    # one determinant, the only elimination.
     trefoil = validate(IntMatrix.from_rows([[-1, 1], [0, -1]]))
     enlarged = column_enlarge(trefoil, (1, 0), 1)
     assert not any(enlarged.matrix.rows[3])
     expected = invariants(trefoil)
-    calls = _count_calls(monkeypatch, (intlin, "det"), (seifert, "det_or_left_kernel"))
-    eliminations = []
-    bareiss = intlin._bareiss
-    monkeypatch.setattr(intlin, "_bareiss", lambda a: eliminations.append(len(a)) or bareiss(a))
+    calls = _count_calls(monkeypatch, (intlin, "det"))
+    eliminations = _eliminations(monkeypatch)
     assert invariants(enlarged) == expected
-    assert calls == {"det": [2], "det_or_left_kernel": [4]}
+    assert calls == {"det": [2]}
     assert eliminations == [2]

@@ -8,12 +8,13 @@ doubled-delta moves undo exactly those knots.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import block_sum, pencil_det, random_unimodular, widened
+from gens import block_sum, pencil_det, random_unimodular, reference_reduce, widened
 from sequiv import seifert
 from sequiv.braidclosure import knot_corpus, seifert_matrix
 from sequiv.cli import main
@@ -29,6 +30,7 @@ from sequiv.laurent import LaurentPoly
 from sequiv.seifert import (
     NegateMove,
     ReduceMove,
+    SeifertMatrix,
     alexander,
     alexander_raw,
     apply_moves,
@@ -150,6 +152,51 @@ def test_one_determinant_pencil_is_the_reference_and_the_node_path(blocks, enlar
     # gives zero low digits.  10**4 holds every matrix here.
     narrow = _check_one_determinant_pencil(_scrambled_enlarged(blocks, enlargements, seed), budget)
     assert narrow is not None or budget == seifert._NARROW_BUDGET
+
+
+def _planted(sm, zero_rows, seed, wide):
+    """sm column-enlarged zero_rows more times, unscrambled, then permuted, and widened if wide.
+
+    Each enlargement leaves its last row zero, and a vector that is 0 at
+    an earlier zero row keeps that one too.  Widening keeps every zero
+    row but the last, and puts alexander_raw over the width budget.
+    """
+    rng = random.Random(seed)
+    for _ in range(zero_rows):
+        v = [rng.randint(-2, 2) if any(row) or rng.random() < 0.5 else 0 for row in sm.matrix.rows]
+        sm = column_enlarge(sm, v, rng.randint(-2, 2))
+    order = list(range(sm.size))
+    rng.shuffle(order)
+    m = IntMatrix(tuple(tuple(sm.matrix.rows[i][j] for j in order) for i in order))
+    return validate(widened(m) if wide and m.size else m)
+
+
+def _check_against_the_reference_reduction(sm):
+    # The reduction, each eliminating or not, reduce_fully and alexander_raw
+    # are those of the reduction that rebuilds the matrix at every step and
+    # applies every move; an input with no step to take comes back as it is.
+    m = sm.matrix
+    for eliminate in (False, True):
+        assert seifert._reduce(m, eliminate) == reference_reduce(m, eliminate)
+    reduced, moves, _ = reference_reduce(m)
+    assert reduce_fully(sm) == (SeifertMatrix(reduced), tuple(moves))
+    if all(map(any, m.rows)):
+        assert seifert._reduce(m, eliminate=False)[0] is m
+    with mock.patch.object(seifert, "_reduce", reference_reduce):
+        expected = alexander_raw(sm)
+    assert alexander_raw(sm) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(*_block_sum_cases, st.integers(0, 3), st.booleans())
+def test_reduction_matches_the_reference_on_planted_zero_rows(blocks, enlargements, seed, zero_rows, wide):
+    sm = _planted(_scrambled_enlarged(blocks, enlargements, seed), zero_rows, seed, wide)
+    _check_against_the_reference_reduction(sm)
+
+
+def test_reduction_matches_the_reference_on_closures():
+    for word in knot_corpus(6, 40, 5, 40):
+        _check_against_the_reference_reduction(seifert_matrix(word))
 
 
 def test_one_determinant_pencil_examples():
