@@ -516,7 +516,7 @@ def parse_matrix(text: str) -> IntMatrix:
         if len(entries) != n:
             raise ValueError(f"expected {n} entries per row, got {len(entries)}")
         rows.append(entries)
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(tuple(rows))
 
 
 def format_matrix(m: IntMatrix) -> str:

@@ -58,10 +58,13 @@ class PureBraidWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
+        n = self.strands
+        if n < 1:
             raise ValueError("strand count must be positive")
         for letter in self.letters:
-            _check_letter(self.strands, letter)
+            i, j, e = letter
+            if not (1 <= i < j <= n and e in (1, -1)):
+                _check_letter(n, letter)
 
     @classmethod
     def identity(cls, n: int) -> "PureBraidWord":

@@ -21,6 +21,15 @@ letters only between passes of its two strands.  Within a pair it
 visits only the passes of the first strand that carry an entry, and the
 passes of the second up to the highest one an entry reaches, so its
 cost grows with the passes the entries reach, not with k^2.
+
+The letter pipeline reads and labels each double index once.
+parse_string_link reads each distinct "i.a" token once per file and
+keeps its braid position: a line whose two tokens are both known reads
+only its exponent, and a line with a new token runs every check in the
+order that decides which fault a bad line reports.  format_string_link
+and pairwise_linking label each braid position a letter uses once per
+call.  Each keeps a dict sized by the distinct tokens or positions, so
+time and memory stay O(letters) whatever n*k the header names.
 """
 
 from __future__ import annotations
@@ -99,14 +108,26 @@ def pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
     strand i and pass b of strand j != i adds (-1)^(a + b) * e to lk(i, j);
     a letter between two passes of one strand adds nothing.
     """
-    n, k = link.n, link.k
+    letters = link.braid.letters
+    label = _labels(letters, link.n, link.k)
     triples = []
-    for p, q, e in link.braid.letters:
-        i, a = strand_label(p, n, k)
-        j, b = strand_label(q, n, k)
+    for p, q, e in letters:
+        i, a = label[p]
+        j, b = label[q]
         if i != j:
             triples.append((i, j, e if (a + b) % 2 == 0 else -e))
-    return LinkingMatrix.summed(n, triples)
+    return LinkingMatrix.summed(link.n, triples)
+
+
+def _labels(letters: tuple[Letter, ...], n: int, k: int) -> dict[int, DoubleIndex]:
+    """The double index of each position the letters use, each computed once."""
+    label: dict[int, DoubleIndex] = {}
+    for p, q, _ in letters:
+        if p not in label:
+            label[p] = strand_label(p, n, k)
+        if q not in label:
+            label[q] = strand_label(q, n, k)
+    return label
 
 
 def _pair_letters(
@@ -252,15 +273,23 @@ def parse_string_link(text: str) -> DoubledStringLink:
     _check_counts(n, k)
     framings = read_framings(lines)
     letters: list[Letter] = []
+    # each token already read in this file, to its braid position
+    positions: dict[str, int] = {}
     for line in lines[2:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"letter lines must be 'i.a j.b e', got {line!r}")
-        idx1 = dotted_pair(parts[0], _BAD_DOUBLE)
-        idx2 = dotted_pair(parts[1], _BAD_DOUBLE)
-        e = integer(parts[2], line, "letter")
-        p1 = position_of(idx1, n, k)
-        p2 = position_of(idx2, n, k)
+        t1, t2, exponent = parts
+        p1 = positions.get(t1)
+        p2 = positions.get(t2)
+        if p1 is None or p2 is None:
+            idx1 = dotted_pair(t1, _BAD_DOUBLE)
+            idx2 = dotted_pair(t2, _BAD_DOUBLE)
+            e = integer(exponent, line, "letter")
+            p1 = positions[t1] = position_of(idx1, n, k)
+            p2 = positions[t2] = position_of(idx2, n, k)
+        else:
+            e = integer(exponent, line, "letter")
         if p1 == p2:
             raise ValueError(f"letter joins a strand to itself: {line!r}")
         letters.append((p1, p2, e) if p1 < p2 else (p2, p1, e))
@@ -271,8 +300,8 @@ def parse_string_link(text: str) -> DoubledStringLink:
 def format_string_link(link: DoubledStringLink) -> str:
     lines = [f"n {link.n} k {link.k}"]
     lines.append("framings " + " ".join(str(f) for f in link.framings))
-    for p, q, e in link.braid.letters:
-        i1, a1 = strand_label(p, link.n, link.k)
-        i2, a2 = strand_label(q, link.n, link.k)
-        lines.append(f"{i1}.{a1} {i2}.{a2} {e}")
+    letters = link.braid.letters
+    tokens = {p: f"{i}.{a}" for p, (i, a) in _labels(letters, link.n, link.k).items()}
+    for p, q, e in letters:
+        lines.append(f"{tokens[p]} {tokens[q]} {e}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from sequiv.intlin import (
     standard_symplectic,
 )
 from sequiv.laurent import LaurentPoly, _pdivexact, _pmul, normalize_knot_polynomial
-from sequiv.purebraid import LinkingMatrix, PureBraidWord, linking_matrix
+from sequiv.purebraid import Letter, LinkingMatrix, PureBraidWord, linking_matrix
 from sequiv.seifert import (
     CongruenceMove,
     EnlargeMove,
@@ -31,13 +31,16 @@ from sequiv.seifert import (
 )
 from sequiv.standardform import DiskBandForm, from_disk_band
 from sequiv.stringlink import (
+    _BAD_DOUBLE,
     DoubleIndex,
     DoubledStringLink,
+    _check_counts,
     _pair_letters,
     pairwise_linking,
     position_of,
     strand_label,
 )
+from sequiv.textformat import dotted_pair, integer, nonblank_lines, read_framings, read_header
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 8) -> IntMatrix:
@@ -633,6 +636,117 @@ def reference_pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
             if total:
                 entries.append((i, j, total))
     return LinkingMatrix(n, tuple(entries))
+
+
+def per_letter_pairwise_linking(link: DoubledStringLink) -> LinkingMatrix:
+    """stringlink.pairwise_linking with both ends of every letter labelled anew.
+
+    The reference that pairwise_linking, which labels each position
+    once, must match; for tests.
+    """
+    n, k = link.n, link.k
+    triples = []
+    for p, q, e in link.braid.letters:
+        i, a = strand_label(p, n, k)
+        j, b = strand_label(q, n, k)
+        if i != j:
+            triples.append((i, j, e if (a + b) % 2 == 0 else -e))
+    return LinkingMatrix.summed(n, triples)
+
+
+def per_letter_parse_string_link(text: str) -> DoubledStringLink:
+    """stringlink.parse_string_link with both tokens of every line read anew.
+
+    Every line splits and int-parses its two "i.a" tokens, reads its
+    exponent, then range-checks both positions, in that order.  The
+    reference whose values and ValueError texts parse_string_link, which
+    reads each distinct token once, must match; for tests.
+    """
+    lines = nonblank_lines(text)
+    if len(lines) < 2:
+        raise ValueError("string-link file needs a header and a framings line")
+    n, k = read_header(lines, "n k", 'header must be "n <n> k <k>", got {!r}')
+    _check_counts(n, k)
+    framings = read_framings(lines)
+    letters: list[Letter] = []
+    for line in lines[2:]:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"letter lines must be 'i.a j.b e', got {line!r}")
+        idx1 = dotted_pair(parts[0], _BAD_DOUBLE)
+        idx2 = dotted_pair(parts[1], _BAD_DOUBLE)
+        e = integer(parts[2], line, "letter")
+        p1 = position_of(idx1, n, k)
+        p2 = position_of(idx2, n, k)
+        if p1 == p2:
+            raise ValueError(f"letter joins a strand to itself: {line!r}")
+        letters.append((p1, p2, e) if p1 < p2 else (p2, p1, e))
+    braid = PureBraidWord(n * k, tuple(letters))
+    return DoubledStringLink(n, k, braid, framings)
+
+
+def per_letter_format_string_link(link: DoubledStringLink) -> str:
+    """stringlink.format_string_link with both ends of every letter labelled anew."""
+    lines = [f"n {link.n} k {link.k}"]
+    lines.append("framings " + " ".join(str(f) for f in link.framings))
+    for p, q, e in link.braid.letters:
+        i1, a1 = strand_label(p, link.n, link.k)
+        i2, a2 = strand_label(q, link.n, link.k)
+        lines.append(f"{i1}.{a1} {i2}.{a2} {e}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def string_link_texts(draw) -> str:
+    """Strategy: string-link file texts, most of them valid.
+
+    A header on n <= 4 strands and k <= 4 passes, a framings line, and
+    up to 24 letter lines drawn from a few tokens, so that tokens repeat.
+    Each token is spelled "i.a", "+i.0a" or "0i.a" at random, so one
+    double index appears under several spellings.  About one file in
+    three has one bad line inserted: a malformed token, an index out of
+    range, a self-join, a bad exponent or one other than +-1, or a wrong
+    arity.  Most bad lines repeat a token of a good line, which may come
+    before or after them.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    framings = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    spell = st.sampled_from(("{}.{}", "+{}.0{}", "0{}.{}"))
+    exponents = ("1", "-1", "+1")
+
+    def token(i: int, a: int) -> str:
+        return draw(spell).format(i, a)
+
+    indices = [(i, a) for i in range(1, n + 1) for a in range(1, k + 1)]
+    pool = draw(st.lists(st.sampled_from(indices), min_size=2, max_size=5))
+    lines = []
+    for _ in range(draw(st.integers(0, 24))):
+        idx1, idx2 = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if idx1 != idx2:
+            lines.append(f"{token(*idx1)} {token(*idx2)} {draw(st.sampled_from(exponents))}")
+    if lines and draw(st.integers(0, 2)) == 0:
+        good, other, _ = lines[draw(st.integers(0, len(lines) - 1))].split()
+        bad = draw(
+            st.sampled_from(
+                (
+                    f"{good} x.1 1",  # malformed token
+                    f"{good} 1.1.1 1",  # three fields
+                    f"{good} {n + 1}.1 1",  # strand out of range
+                    f"{good} 1.{k + 1} -1",  # pass out of range
+                    f"{good} 0.1 1",  # strand zero
+                    f"{good} {good} 1",  # self-join
+                    f"{good} 1.1 q",  # bad exponent
+                    f"{good} {other} q",  # bad exponent between two known tokens
+                    f"{good} {other} 2",  # exponent other than +-1
+                    f"x.1 {n + 1}.1 q",  # three faults: the token is reported
+                    f"{good} 1.1",  # wrong arity
+                    f"{good} 1.1 1 1",  # wrong arity
+                )
+            )
+        )
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join([f"n {n} k {k}", "framings " + " ".join(map(str, framings)), *lines]) + "\n"
 
 
 def cancel_string_linking(link: DoubledStringLink) -> DoubledStringLink:

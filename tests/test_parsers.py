@@ -84,6 +84,16 @@ PARSERS = {
         ("link", "n 2 k 1\nframings 0 0\n1.1 3.1 1\n", "double index (3, 1) out of range for n=2, k=1"),
         ("link", "n 2 k 1\nframings 0 0\n1.1 1.1 1\n", "letter joins a strand to itself: '1.1 1.1 1'"),
         ("link", "n 2 k 1\nframings 0 0\n1.1.1 2.1 1\n", "bad double index '1.1.1'; expected 'i.a'"),
+        # a bad line that repeats a token read on an earlier line reports the same fault
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.1 2.1 x\n", "bad letter line: '1.1 2.1 x'"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.1 2.1 1 1\n", "letter lines must be 'i.a j.b e', got '1.1 2.1 1 1'"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.1 3.1 1\n", "double index (3, 1) out of range for n=2, k=2"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.1 3.1 q\n", "bad letter line: '1.1 3.1 q'"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n2.x 1.1 q\n", "bad double index '2.x'; expected 'i.a'"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n2.1 +2.01 1\n", "letter joins a strand to itself: '2.1 +2.01 1'"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n2.1 2.1 -1\n", "letter joins a strand to itself: '2.1 2.1 -1'"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.3 2.1 1\n1.3 2.1 1\n", "double index (1, 3) out of range for n=2, k=2"),
+        ("link", "n 2 k 2\nframings 0 0\n1.1 2.1 1\n1.1 2.1 2\n", "letter exponent must be +-1, got 2"),
         ("band", "", "disk-band file needs a genus line and a framings line"),
         ("band", "g 1\n", "disk-band file needs a genus line and a framings line"),
         ("band", "g 1 2\nframings 0 0\n", 'first line must be "g <g>", got \'g 1 2\''),
@@ -163,6 +173,7 @@ def default_digit_limit():
         ("link", f"n 1 k 1\nframings 0\n1.1 1.2 {LONG}\n"),
         ("band", f"g 1\nframings {LONG} 0\n"),
         ("link", f"n 2 k 2\nframings 0 0\n1.1 2.{LONG} 1\n"),
+        ("link", f"n 2 k 1\nframings 0 0\n1.1 2.1 1\n1.1 2.1 {LONG}\n"),
         ("artin", f"n 2\n1 {LONG}\n"),
         ("braid", f"n {LONG}\n"),
         ("link", f"n {LONG} k 1\nframings 0\n"),
@@ -176,6 +187,7 @@ def default_digit_limit():
         "link-letter",
         "band-framings",
         "link-double-index",
+        "link-letter-known-tokens",
         "artin-letter",
         "braid-header",
         "link-header",

@@ -13,6 +13,7 @@ from sequiv.purebraid import (
     format_braid,
     insert_relator,
     is_delta_trivial,
+    _check_letter,
     linking_matrix,
     parse_braid,
 )
@@ -34,6 +35,34 @@ def test_letter_validation():
         PureBraidWord(3, ((1, 4, 1),))
     with pytest.raises(ValueError):
         PureBraidWord(3, ((1, 2, 2),))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1), st.integers(-2, 2))),
+        )
+    )
+)
+def test_letter_checks_raise_check_letter_message(case):
+    # The inline check in __post_init__ must reject exactly what _check_letter
+    # rejects, with its message for the first bad letter.
+    n, letters = case
+    expected = None
+    for letter in letters:
+        try:
+            _check_letter(n, letter)
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    if expected is None:
+        assert PureBraidWord(n, tuple(letters)).letters == tuple(letters)
+    else:
+        with pytest.raises(ValueError) as info:
+            PureBraidWord(n, tuple(letters))
+        assert str(info.value) == expected
 
 
 def test_delta_relator():

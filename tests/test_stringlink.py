@@ -1,18 +1,23 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import (
+    per_letter_format_string_link,
+    per_letter_pairwise_linking,
+    per_letter_parse_string_link,
     pure_braid_words,
     random_pure_braid,
     random_zero_linking_link,
     reference_linking_table,
     reference_normalize,
     reference_pairwise_linking,
+    string_link_texts,
     zero_linking_links,
 )
 from sequiv import stringlink
@@ -408,3 +413,63 @@ def test_normalize_work_does_not_grow_with_k(monkeypatch):
         assert is_delta_trivial(normalize_linking(link).braid)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _parse_outcome(parse, text):
+    """parse(text), or the text of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(string_link_texts())
+def test_parse_matches_the_per_letter_reference(text):
+    # Each distinct token is read once: the value, or the exact message and
+    # which of a bad line's faults it names, must be the per-letter parser's.
+    expected = _parse_outcome(per_letter_parse_string_link, text)
+    link = _parse_outcome(parse_string_link, text)
+    assert link == expected
+    if isinstance(link, DoubledStringLink):
+        assert format_string_link(link) == per_letter_format_string_link(link)
+        assert pairwise_linking(link) == per_letter_pairwise_linking(link)
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named stringlink global from now on."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(stringlink, name)
+        monkeypatch.setattr(
+            stringlink, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args)
+        )
+    return calls
+
+
+def test_parse_reads_each_token_once_per_file(monkeypatch):
+    # Doubling the letters over the same tokens must not read a token again.
+    lines = ["1.1 2.1 1", "1.2 3.3 -1", "2.1 1.1 -1", "3.3 1.2 1", "1.1 3.3 1"]
+    calls = _count_calls(monkeypatch, ["dotted_pair", "position_of"])
+    counts = []
+    for copies in (1, 2, 8):
+        calls.clear()
+        parse_string_link("n 3 k 3\nframings 0 0 0\n" + "\n".join(lines * copies) + "\n")
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["position_of"] <= 2 * len(lines)
+
+
+@pytest.mark.parametrize("fn", [format_string_link, pairwise_linking])
+def test_each_position_is_labelled_once(monkeypatch, fn):
+    # Doubling the letters over the same positions must not label one again.
+    rng = random.Random(35)
+    letters = random_pure_braid(rng, 9, 40).letters
+    positions = {p for letter in letters for p in letter[:2]}
+    calls = _count_calls(monkeypatch, ["strand_label"])
+    counts = []
+    for copies in (1, 2, 8):
+        calls.clear()
+        fn(DoubledStringLink(3, 3, PureBraidWord(9, letters * copies), (0, 0, 0)))
+        counts.append(calls["strand_label"])
+    assert counts == [len(positions)] * 3
