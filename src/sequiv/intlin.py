@@ -26,20 +26,43 @@ whose pivots also decide that the determinant is 1.  The three
 elementary congruences on list matrices (adding a multiple of one basis
 vector to another, swapping two, negating one) are written once, in
 _add_multiple, _swap and _negate; signature_and_det, skew_standardize
-and seifert's reduction and move replay all run on them.  All values
-are immutable and every public operation is a pure function, so
-concurrent use is safe.
+and seifert's reduction and move replay all run on them.
+
+Products are exact and are read off Kronecker-packed rows: a vector v of
+length n with every |v_j| < 2^(W - 1) is the one integer
+sum_j v_j 2^(jW) of n signed W-bit slots, and a linear combination of
+packed vectors is the packed combination, so row i of a product is one
+sum(map(mul, row, packed)) call, decoded once by _unpack.  _sandwich
+forms A * M * B^T in one pass this way: each column of B is packed, each
+row of M * B^T is formed and left packed, and each row of A * (M * B^T)
+is formed from those and decoded.  The width bound: entry (i, j) is
+sum_k a_ik sum_l m_kl b_jl, so its absolute value is at most
+H = max_i ||a_i||_1 * max_k ||m_k||_1 * max |b_jl|, with ||.||_1 the sum
+of absolute values of a row, and W = bit_length(H) + 1 has H < 2^(W - 1).
+Only the decoded rows need the bound: the packed rows of M * B^T are
+exact integers, whatever their entries, and the packing is linear.
+IntMatrix.__mul__ is the same with M = I and B read by rows.  Decoding
+adds 2^(W - 1) to every slot, so each slot is a plain W-bit field; a
+row that does not fit n slots leaves a remainder past the last one and
+raises InternalCheckError.  congruent and every product of standardform
+run on _sandwich.
+
+All values are immutable and every public operation is a pure function,
+so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gcd, isqrt
-from operator import add, mul, sub
-from typing import Iterable, Optional
+from operator import add, lshift, mul, sub
+from typing import Iterable, Optional, Sequence
 
 from . import InternalCheckError
 from .textformat import integer, ints, nonblank_lines
+
+_Rows = Sequence[Sequence[int]]
 
 __all__ = [
     "InternalCheckError",
@@ -97,16 +120,20 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The exact product, each entry sum(map(mul, row, column)).
+        """The exact product, read off Kronecker-packed rows.
 
-        The columns of other are transposed once, and the inner loop runs
-        in C with no generator per entry; entries stay Python ints.
+        Row l of other is packed once into sum_j b_lj 2^(jW); row i of the
+        product is then the one integer sum(map(mul, row_i, packed)),
+        decoded once.  Every entry is at most max_i ||a_i||_1 * max |b_lj|
+        in absolute value, the bound of _sandwich with M = I, and W is one
+        bit past it.
         """
         self._check_size(other)
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows)
-        )
+        n = self.size
+        w = (_max_l1(self.rows) * _max_abs(other.rows)).bit_length() + 1
+        shifts = range(0, n * w, w)
+        packed = [sum(map(lshift, row, shifts)) for row in other.rows]
+        return _unpack([sum(map(mul, row, packed)) for row in self.rows], n, w)
 
     def _check_size(self, other: "IntMatrix") -> None:
         if self.size != other.size:
@@ -246,13 +273,68 @@ def congruent(m: IntMatrix, a: IntMatrix) -> IntMatrix:
         raise ValueError(f"size mismatch: matrix {m.size}, transform {a.size}")
     if not is_unimodular(a):
         raise ValueError("congruence transform must be unimodular")
-    return a * m * a.transpose()
+    return _sandwich(a.rows, m.rows, a.rows)
+
+
+def _sandwich(a: _Rows, m: _Rows, b: _Rows) -> IntMatrix:
+    """A * M * B^T for the rows of three n x n matrices, in one packed pass.
+
+    Each column l of B becomes the integer sum_j b_jl 2^(jW), row k of
+    M * B^T the integer sum(map(mul, m_k, packed)), and row i of the
+    result sum(map(mul, a_i, those rows)), decoded once; no entry of
+    M * B^T is read.  W = bit_length(H) + 1 for
+    H = max_i ||a_i||_1 * max_k ||m_k||_1 * max |b_jl|, which bounds every
+    entry (see the module docstring).
+    """
+    n = len(m)
+    w = (_max_l1(a) * _max_l1(m) * _max_abs(b)).bit_length() + 1
+    shifts = range(0, n * w, w)
+    packed = [sum(map(lshift, col, shifts)) for col in zip(*b)]
+    mid = [sum(map(mul, row, packed)) for row in m]
+    return _unpack([sum(map(mul, row, mid)) for row in a], n, w)
+
+
+def _max_l1(rows: _Rows) -> int:
+    """max_i ||row_i||_1, or 0 for no rows."""
+    return max([sum(map(abs, row)) for row in rows], default=0)
+
+
+def _max_abs(rows: _Rows) -> int:
+    """The largest absolute value of an entry, or 0 for no rows."""
+    return max([max(map(abs, row)) for row in rows], default=0)
+
+
+def _unpack(packed: Iterable[int], n: int, w: int) -> IntMatrix:
+    """The matrix whose row i is packed[i] = sum_j v_j 2^(jW), read as n signed W-bit slots.
+
+    Each slot holds -2^(W - 1) <= v_j < 2^(W - 1).  Adding 2^(W - 1) to
+    every slot, one offset per call, makes each slot a plain W-bit field
+    and the row a number in [0, 2^(nW)); a row outside that range leaves
+    a remainder past the last slot and raises InternalCheckError.
+    """
+    top = n * w
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    offset = half * (((1 << top) - 1) // mask)
+    shifts = range(0, top, w)
+    rows = []
+    for x in packed:
+        y = x + offset
+        if y < 0 or y >> top:
+            raise InternalCheckError(f"packed row {x} leaves a remainder past {n} slots of {w} bits")
+        rows.append(tuple([(y >> s & mask) - half for s in shifts]))
+    return IntMatrix(tuple(rows))
 
 
 def standard_symplectic(g: int) -> IntMatrix:
-    """The 2g x 2g block diagonal of [[0, 1], [-1, 0]] blocks."""
+    """The 2g x 2g block diagonal of [[0, 1], [-1, 0]] blocks, built once per genus."""
     if g < 0:
         raise ValueError("genus must be non-negative")
+    return _symplectic(g)
+
+
+@lru_cache(maxsize=32)
+def _symplectic(g: int) -> IntMatrix:
     n = 2 * g
     rows = [[0] * n for _ in range(n)]
     for b in range(g):

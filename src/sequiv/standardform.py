@@ -23,11 +23,13 @@ and exhibits the identical disk-band data on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import TYPE_CHECKING, Optional
 
 from .intlin import (
     IntMatrix,
     InternalCheckError,
+    _sandwich,
     congruent,
     skew_standardize,
     standard_symplectic,
@@ -72,8 +74,12 @@ class DiskBandForm:
 
 
 def is_standardized(sm: SeifertMatrix) -> bool:
-    m = sm.matrix
-    return (m - m.transpose()).rows == standard_symplectic(sm.genus).rows
+    """N - N^T = X, checked row by row: row i of N minus column i of N against row i of X."""
+    rows = sm.matrix.rows
+    x = standard_symplectic(sm.genus).rows
+    return len(rows) == len(x) and all(
+        tuple(map(sub, row, col)) == x_row for row, col, x_row in zip(rows, zip(*rows), x)
+    )
 
 
 def standardize(sm: SeifertMatrix) -> tuple[IntMatrix, SeifertMatrix]:
@@ -130,28 +136,26 @@ def from_disk_band(d: DiskBandForm) -> SeifertMatrix:
 
 
 def _transition(sm: SeifertMatrix, a1: IntMatrix, a2: IntMatrix) -> IntMatrix:
-    """C = A1 * A2^-1, with A2^-1 = (M - M^T) * A2^T * X^T.
+    """C = A1 * A2^-1 = A1 * (M - M^T) * (X * A2)^T, one packed product.
 
-    A2 standardizes M, so A2 * (M - M^T) * A2^T = X and X * X^T = I.
-    X^T is a signed permutation and takes no product: in B * X^T,
-    column 2b is column 2b + 1 of B and column 2b + 1 is minus column 2b.
+    A2 standardizes M, so A2 * (M - M^T) * A2^T = X and X * X^T = I, so
+    A2^-1 = (M - M^T) * A2^T * X^T.  X is a signed permutation and takes
+    no product: row 2b of X * A2 is row 2b + 1 of A2, and row 2b + 1 is
+    minus row 2b.
     """
-    m = sm.matrix
-    b = a1 * (m - m.transpose()) * a2.transpose()
-    rows = []
-    for row in b.rows:
-        out = list(row)
-        out[0::2] = row[1::2]
-        out[1::2] = [-v for v in row[0::2]]
-        rows.append(tuple(out))
-    return IntMatrix(tuple(rows))
+    rows = sm.matrix.rows
+    skew = [tuple(map(sub, row, col)) for row, col in zip(rows, zip(*rows))]
+    xa2 = []
+    for b in range(0, len(rows), 2):
+        xa2 += [a2.rows[b + 1], tuple([-v for v in a2.rows[b]])]
+    return _sandwich(a1.rows, skew, xa2)
 
 
 def _standardized_image(m: IntMatrix, a: IntMatrix) -> Optional[SeifertMatrix]:
     """N = A * M * A^T if A has the size of M and N is standardized, else None."""
     if a.size != m.size:
         return None
-    n = SeifertMatrix(a * m * a.transpose())
+    n = SeifertMatrix(_sandwich(a.rows, m.rows, a.rows))
     return n if is_standardized(n) else None
 
 
@@ -206,7 +210,7 @@ def standardization_witness(
             congruent(m, a)
         raise ValueError("both transforms must standardize the matrix")
     c = _transition(sm, a1, a2)
-    p = c * n2.matrix * c.transpose()
+    p = _sandwich(c.rows, n2.matrix.rows, c.rows)
     d1 = _disk_band(n1)
     return StandardizationReport(
         c=c,

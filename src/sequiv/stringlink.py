@@ -130,22 +130,19 @@ def _labels(letters: tuple[Letter, ...], n: int, k: int) -> dict[int, DoubleInde
     return label
 
 
-def _pair_letters(
-    n: int, k: int, i: int, a: int, j: int, b: int, sign: int
-) -> tuple[Letter, ...]:
+def _pair_letters(pos_a: int, pos_b: int, pos_c: int, sign: int) -> tuple[Letter, ...]:
     """Letters of the stabilizing pair word for (i,a) against passes b, b+1 of j.
 
-    A generator between coincident double indices is the identity and is
-    dropped, so when i == j and a is b or b+1 the word is the single
-    generator between passes b and b+1 of strand i.
+    pos_a, pos_b and pos_c are the braid positions of (i,a), (j,b) and
+    (j,b+1).  A generator between coincident double indices is the
+    identity and is dropped, so when i == j and a is b or b+1 the word is
+    the single generator between passes b and b+1 of strand i.
     """
-    pos_a = position_of((i, a), n, k)
     letters: list[Letter] = []
-    for bb in (b, b + 1):
-        pos_b = position_of((j, bb), n, k)
-        if pos_a == pos_b:
+    for pos in (pos_b, pos_c):
+        if pos_a == pos:
             continue
-        lo, hi = min(pos_a, pos_b), max(pos_a, pos_b)
+        lo, hi = min(pos_a, pos), max(pos_a, pos)
         letters.append((lo, hi, 1))
     if sign == -1:
         letters = [(lo, hi, -1) for lo, hi, _ in reversed(letters)]
@@ -169,7 +166,8 @@ def stabilizing_multiply(
         raise ValueError("sign must be +-1")
     if not (1 <= b < k):
         raise ValueError(f"pass index b must satisfy 1 <= b < k = {k}, got {b}")
-    word = PureBraidWord(n * k, _pair_letters(n, k, i, a, j, b, sign))
+    positions = [position_of(idx, n, k) for idx in ((i, a), (j, b), (j, b + 1))]
+    word = PureBraidWord(n * k, _pair_letters(*positions, sign))
     braid = word * link.braid if b % 2 == 0 else link.braid * word
     return DoubledStringLink(n, k, braid, link.framings)
 
@@ -209,16 +207,24 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
         (i, a), (j, b) = sorted((strand_label(p, n, k), strand_label(q, n, k)))
         cells.setdefault((i, j), set()).add((a, b))
 
-    def entry(idx1: DoubleIndex, idx2: DoubleIndex) -> int:
-        p1 = position_of(idx1, n, k)
-        p2 = position_of(idx2, n, k)
+    # each double index is placed by position_of once per call
+    positions: dict[DoubleIndex, int] = {}
+
+    def at(idx: DoubleIndex) -> int:
+        p = positions.get(idx)
+        if p is None:
+            p = positions[idx] = position_of(idx, n, k)
+        return p
+
+    def entry(p1: int, p2: int) -> int:
         return lk.get((p1, p2) if p1 < p2 else (p2, p1), 0)
 
     def clear(mi: int, ma: int, mj: int, mb: int) -> None:
         # Each pair word moves lk((mi,ma),(mj,mb+1)) by its sign, so |v|
         # copies of the word with the cancelling sign clear the entry.
-        v = entry((mi, ma), (mj, mb + 1))
-        words = _pair_letters(n, k, mi, ma, mj, mb, -1 if v > 0 else 1) * abs(v)
+        pa, pb, pc = at((mi, ma)), at((mj, mb)), at((mj, mb + 1))
+        v = entry(pa, pc)
+        words = _pair_letters(pa, pb, pc, -1 if v > 0 else 1) * abs(v)
         if mb % 2 == 0:
             letters[:0] = words
         else:
@@ -243,7 +249,7 @@ def normalize_linking(link: DoubledStringLink) -> DoubledStringLink:
         if i != j:
             # pass 1 of j now meets only passes of i: fold them onto (i,1)
             fold(j, [1], i, passes[-1])
-            leftover = entry((i, 1), (j, 1))
+            leftover = entry(at((i, 1)), at((j, 1)))
             if leftover:
                 raise InternalCheckError(f"alternating-sum condition violated at ({i},{j})")
 

@@ -833,7 +833,8 @@ def reference_normalize(link: DoubledStringLink) -> DoubledStringLink:
         # Each pair word moves lk((mi,ma),(mj,mb+1)) by its sign, so |v|
         # copies of the word with the cancelling sign clear the entry.
         v = entry((mi, ma), (mj, mb + 1))
-        words = _pair_letters(n, k, mi, ma, mj, mb, -1 if v > 0 else 1) * abs(v)
+        positions = [position_of(idx, n, k) for idx in ((mi, ma), (mj, mb), (mj, mb + 1))]
+        words = _pair_letters(*positions, -1 if v > 0 else 1) * abs(v)
         if mb % 2 == 0:
             letters[:0] = words
         else:

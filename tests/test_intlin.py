@@ -65,22 +65,25 @@ def test_det_multiplicative():
         assert det(a * b) == det(a) * det(b)
 
 
-entries = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+entries = st.one_of(
+    st.just(0), st.sampled_from((1, -1)), st.integers(-5, 5), st.integers(-(2**200), 2**200)
+)
 
 
 @st.composite
-def matrix_pairs(draw):
-    """Two n x n row lists, n = 0..7, with small, negative and above-2^64 entries."""
-    n = draw(st.integers(0, 7))
+def matrix_triples(draw):
+    """Three n x n row lists, n = 0..12, each all zero or of 0, +-1, small and up-to-2^200 entries."""
+    n = draw(st.integers(0, 12))
+    zero = [[0] * n for _ in range(n)]
     square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    return draw(square), draw(square)
+    return tuple(draw(st.one_of(st.just(zero), square)) for _ in range(3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrix_pairs())
-def test_matrix_arithmetic_matches_the_triple_loop(pair):
-    a_rows, b_rows = pair
-    a, b = IntMatrix.from_rows(a_rows), IntMatrix.from_rows(b_rows)
+@given(matrix_triples())
+def test_matrix_arithmetic_matches_the_triple_loop(triple):
+    a_rows, b_rows, c_rows = triple
+    a, b, c = (IntMatrix.from_rows(rows) for rows in triple)
 
     def rows(lists):  # a tuple never equals a list, so this also pins the row types
         return tuple(map(tuple, lists))
@@ -91,6 +94,55 @@ def test_matrix_arithmetic_matches_the_triple_loop(pair):
     assert (a + b).rows == rows(reference_sum(a_rows, b_rows))
     assert (a - b).rows == rows(reference_sum(a_rows, b_rows, -1))
     assert a.transpose().rows == rows(reference_transpose(a_rows))
+    abc = reference_product(reference_product(a_rows, b_rows), reference_transpose(c_rows))
+    assert intlin._sandwich(a.rows, b.rows, c.rows).rows == rows(abc)
+
+
+def _extreme_triple(u, v, c):
+    """A with every row u, M with every row v, B with every entry c: every entry of A M B^T is ||u||_1 ||v||_1 c."""
+    n = len(u)
+    return [list(u)] * n, [list(v)] * n, [[c] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "u, v, c",
+    [
+        ([1], [1], 1),
+        ([2**7], [1], 1),  # H = 2^7: the width is one bit past a power of two
+        ([3, 4], [5, 0], 2**62 - 1),
+        ([1, 2, 3], [4, 5, 6], 7),
+        ([2**100, 1, 0, 5], [1, 1, 1, 1], 2**100),
+    ],
+)
+def test_packed_products_reach_the_width_bound(u, v, c, sign):
+    # Nonnegative u and v and a constant B put every entry at +H or -H exactly.
+    a_rows, m_rows, b_rows = _extreme_triple(u, v, sign * c)
+    h = sum(u) * sum(v) * c
+    n = len(u)
+    product = intlin._sandwich(a_rows, m_rows, b_rows)
+    assert product.rows == ((sign * h,) * n,) * n
+    # A * B alone reaches max_i ||a_i||_1 * max |b_lj| when B is constant.
+    a, b = IntMatrix.from_rows(a_rows), IntMatrix.from_rows(b_rows)
+    assert (a * b).rows == ((sum(u) * sign * c,) * n,) * n
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 2**7, 2**7 + 1, 3 * 2**90 + 5])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_unpack_one_bit_short_raises(h, n):
+    # Rows whose last entry is +H, packed in W - 1 bits: the top slot overflows.
+    w = h.bit_length() + 1
+    rows = [[(-1) ** (i + j) * (h * j // n) for j in range(n - 1)] + [h] for i in range(n)]
+    assert intlin._unpack([_pack(row, w) for row in rows], n, w).rows == tuple(map(tuple, rows))
+    with pytest.raises(InternalCheckError, match="remainder"):
+        intlin._unpack([_pack(row, w - 1) for row in rows], n, w - 1)
+    if h & (h - 1):  # -H fits W - 1 bits only when H is a power of two
+        with pytest.raises(InternalCheckError, match="remainder"):
+            intlin._unpack([_pack([-x for x in row], w - 1) for row in rows], n, w - 1)
+
+
+def _pack(row, w):
+    return sum(x << (j * w) for j, x in enumerate(row))
 
 
 def test_from_rows_converts_entries_to_int():

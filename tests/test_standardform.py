@@ -106,6 +106,65 @@ def test_std_witness_takes_one_determinant(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_standard_form_products_run_on_the_packed_kernel(tmp_path, capsys, monkeypatch):
+    # mat standardize forms N = A M A^T once; std witness forms N1, N2, C and
+    # P = C N2 C^T, four A M B^T passes, and no IntMatrix product at all.
+    kernel = intlin._sandwich
+    calls = []
+
+    def counting(a, m, b):
+        calls.append("kernel")
+        return kernel(a, m, b)
+
+    monkeypatch.setattr(intlin, "_sandwich", counting)
+    monkeypatch.setattr(standardform, "_sandwich", counting)
+    product = IntMatrix.__mul__
+    monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: calls.append("mul") or product(a, b))
+    rng = random.Random(51)
+    for genus in range(5):
+        sm = random_scrambled_seifert(rng, genus)[2]
+        path = tmp_path / f"genus{genus}.mat"
+        path.write_text(format_matrix(sm.matrix))
+        calls.clear()
+        assert main(["mat", "standardize", str(path)]) == 0
+        assert calls == ["kernel"]
+        a2 = tmp_path / f"genus{genus}.A2"
+        a2.write_text(format_matrix(product(random_symplectic(rng, genus, 3), standardize(sm)[0])))
+        calls.clear()
+        assert main(["std", "witness", str(path), f"{path}.A", str(a2)]) == 0
+        assert calls == ["kernel"] * 4
+        assert "forms_match=true" in capsys.readouterr().out.splitlines()
+
+
+def _is_standardized_by_subtraction(sm) -> bool:
+    """The defining identity N - N^T = X, read off two whole IntMatrix values."""
+    m = sm.matrix
+    return (m - m.transpose()).rows == standard_symplectic(sm.genus).rows
+
+
+@st.composite
+def near_standard_matrices(draw):
+    """Standardized matrices of genus 0..4, some with one entry moved, and square matrices of any size 0..7."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 7))
+        entries = st.integers(-2, 2)
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        return seifert.SeifertMatrix(IntMatrix.from_rows(rows))
+    sm = random_standardized(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 4)))
+    if sm.size and draw(st.booleans()):
+        rows = [list(row) for row in sm.matrix.rows]
+        i, j = draw(st.integers(0, sm.size - 1)), draw(st.integers(0, sm.size - 1))
+        rows[i][j] += draw(st.sampled_from((1, -1)))
+        sm = seifert.SeifertMatrix(IntMatrix.from_rows(rows))
+    return sm
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_standard_matrices())
+def test_is_standardized_matches_the_subtraction(sm):
+    assert is_standardized(sm) == _is_standardized_by_subtraction(sm)
+
+
 def test_std_from_disk_band_takes_no_determinant(tmp_path, capsys, monkeypatch):
     # N - N^T = X holds by construction, so N is wrapped without validate.
     calls = _count_dets(monkeypatch)

@@ -415,6 +415,21 @@ def test_normalize_work_does_not_grow_with_k(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_normalize_places_each_double_index_once(monkeypatch):
+    # The fold clears many cells over few double indices: position_of runs
+    # at most once per index, so never more than the n * k positions.
+    calls = []
+    monkeypatch.setattr(
+        stringlink, "position_of", lambda *args: calls.append(args[0]) or position_of(*args)
+    )
+    rng = random.Random(37)
+    for n, k in ((3, 2), (4, 3), (5, 3)):
+        link = random_zero_linking_link(rng, n, k, 80)
+        calls.clear()
+        assert is_delta_trivial(normalize_linking(link).braid)
+        assert 0 < len(calls) == len(set(calls)) <= n * k
+
+
 def _parse_outcome(parse, text):
     """parse(text), or the text of the ValueError it raises."""
     try:
